@@ -1,6 +1,5 @@
 """Exact-arithmetic toolkit for Frobenius trace-pair statistics."""
 
-from ._kernels import backend
 from .arith import (
     INFINITY,
     alpha,

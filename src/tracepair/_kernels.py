@@ -1,56 +1,20 @@
-"""Hot numeric kernels, each with a numba and a pure-numpy implementation.
-
-The backend is chosen once at import time from the ``TRACEPAIR_BACKEND``
-environment variable (``numba`` or ``numpy``).  Unset, numba is used when it
-imports and numpy otherwise.  Both implementations of every kernel are kept
-importable through ``IMPLS`` so the test suite and ``benchmarks/`` can compare
-them directly.
+"""Hot numeric kernels in numpy.
 
 All kernels stay within int64: moduli are capped by the callers (unit budget
-1e8) so closed-form matrix counts never exceed ~4e16, and cubes in the trace
-kernel are reduced mod p before the next multiply.
+1e8), traces are reduced mod ell^k before they are squared, closed-form
+matrix counts never exceed ~4e16, and cubes in the trace kernel are reduced
+mod p before the next multiply.
 """
 
 import math
-import os
 
 import numpy as np
-
-_ENV_BACKEND = os.environ.get("TRACEPAIR_BACKEND", "").strip().lower()
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-if _ENV_BACKEND == "numba":
-    if not HAVE_NUMBA:
-        raise ImportError("TRACEPAIR_BACKEND=numba but numba is not importable")
-    BACKEND = "numba"
-elif _ENV_BACKEND == "numpy":
-    BACKEND = "numpy"
-elif _ENV_BACKEND == "":
-    BACKEND = "numba" if HAVE_NUMBA else "numpy"
-else:
-    raise ValueError(f"unknown TRACEPAIR_BACKEND {_ENV_BACKEND!r} (use 'numba' or 'numpy')")
-
 
 # ---------------------------------------------------------------------------
 # prime sieve
 # ---------------------------------------------------------------------------
 
-def _simple_sieve_np(limit):
+def _simple_sieve(limit):
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     flags = np.ones(limit + 1, dtype=bool)
@@ -61,11 +25,12 @@ def _simple_sieve_np(limit):
     return np.flatnonzero(flags).astype(np.int64)
 
 
-def _sieve_np(limit, segment=1 << 22):
+def sieve(limit, segment=1 << 22):
+    """All primes <= limit, ascending; segments of the given length above sqrt(limit)."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     root = math.isqrt(limit)
-    base = _simple_sieve_np(root)
+    base = _simple_sieve(root)
     if limit <= root:
         return base
     chunks = [base]
@@ -82,69 +47,11 @@ def _sieve_np(limit, segment=1 << 22):
     return np.concatenate(chunks)
 
 
-@njit(cache=True, nogil=True)
-def _sieve_nb(limit, segment):
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    root = int(math.sqrt(limit)) + 2
-    while root * root > limit + 1:
-        root -= 1
-    flags = np.ones(root + 1, dtype=np.bool_)
-    flags[0] = False
-    flags[1] = False
-    for p in range(2, root + 1):
-        if flags[p]:
-            q = p * p
-            while q <= root:
-                flags[q] = False
-                q += p
-    nbase = 0
-    for i in range(root + 1):
-        if flags[i]:
-            nbase += 1
-    base = np.empty(nbase, dtype=np.int64)
-    j = 0
-    for i in range(root + 1):
-        if flags[i]:
-            base[j] = i
-            j += 1
-    # Rosser-style overallocation, trimmed at the end
-    bound = int(1.3 * limit / math.log(limit + 2)) + root + 16
-    out = np.empty(bound, dtype=np.int64)
-    n = 0
-    for i in range(nbase):
-        out[n] = base[i]
-        n += 1
-    low = root + 1
-    mask = np.ones(segment, dtype=np.bool_)
-    while low <= limit:
-        high = min(low + segment, limit + 1)
-        for i in range(high - low):
-            mask[i] = True
-        for i in range(nbase):
-            p = base[i]
-            start = p * p
-            if start < low:
-                start = ((low + p - 1) // p) * p
-            for q in range(start, high, p):
-                mask[q - low] = False
-        for i in range(high - low):
-            if mask[i]:
-                out[n] = low + i
-                n += 1
-        low = high
-    return out[:n]
-
-
-def _sieve_nb_entry(limit, segment=1 << 22):
-    return _sieve_nb(limit, segment)
-
-
 # ---------------------------------------------------------------------------
 # brute-force matrix count: #{(a,b,c) mod q : a(t-a) - bc = u mod q}
 # ---------------------------------------------------------------------------
 
-def _m_brute_np(t, u, q):
+def m_brute(t, u, q):
     b = np.arange(q, dtype=np.int64)
     prods = (b[:, None] * b[None, :]) % q
     bc_counts = np.bincount(prods.ravel(), minlength=q)
@@ -153,221 +60,51 @@ def _m_brute_np(t, u, q):
     return int(bc_counts[need].sum())
 
 
-@njit(cache=True, nogil=True)
-def _m_brute_nb(t, u, q):
-    count = 0
-    for a in range(q):
-        d = (t - a) % q
-        ad = (a * d) % q
-        for b in range(q):
-            for c in range(q):
-                if (ad - b * c - u) % q == 0:
-                    count += 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # batch closed-form matrix counts m(t, u; ell^k) for units u in [u_lo, u_hi)
 # ---------------------------------------------------------------------------
 
-def _case_exponent(ell, k):
-    # exponent of the ell-power correction on the n = k (resp. n = k+2) branch
-    if k % 2 == 0:
-        return 3 * k // 2 - 1
-    return (3 * k - 1) // 2
+def m_values(t, ell, k, u_lo, u_hi):
+    """(units, codes, values) with m(t, u; ell^k) = values[code] for each unit u.
 
+    A code packs the capped valuation n of D = t^2 - 4u and the residue key
+    of ``matcount._case``: code = 2n + [D/ell^n is a square mod ell] for odd
+    ell, code = 8n + (D/2^n mod 8) for ell = 2.  ``values`` depends only on
+    (ell, k), so codes of two traces can be histogrammed jointly.
+    """
+    from .matcount import _case  # imported here: matcount imports this module
 
-def _m_values_np(t, ell, k, u_lo, u_hi):
+    t %= ell ** k
     u = np.arange(u_lo, u_hi, dtype=np.int64)
     u = u[u % ell != 0]
-    base = int(ell) ** (2 * k) + int(ell) ** (2 * k - 1)
-    if ell == 2 and t % 2 == 1:
-        return u, np.full(u.shape, 2 ** (2 * k - 1), dtype=np.int64)
     cap = k if ell > 2 else k + 2
-    D = t * t - 4 * u
-    v = np.zeros(u.shape, dtype=np.int64)
-    rem = D.copy()
-    active = (D % ell == 0) & (D != 0)
-    while active.any():
-        v[active] += 1
-        rem[active] //= ell
-        hit_cap = active & (v >= cap)
-        active &= ~hit_cap
-        active &= rem % ell == 0
-    v[D == 0] = cap
-    n = v
-    r = rem  # D // ell^n wherever n < cap
-    m = np.empty(u.shape, dtype=np.int64)
-    pows = np.array([int(ell) ** e for e in range(2 * k + 3)], dtype=np.int64)
+    width = 2 if ell > 2 else 8
+    rem = t * t - 4 * u
+    n = np.zeros(u.shape, dtype=np.int64)
+    for _ in range(cap):  # D = 0 divides every time and reaches the cap
+        hit = rem % ell == 0
+        if not hit.any():
+            break
+        n += hit
+        rem = np.where(hit, rem // ell, rem)
     if ell > 2:
-        qr = np.full(ell, -1, dtype=np.int64)
-        qr[(np.arange(1, ell, dtype=np.int64) ** 2) % ell] = 1
-        at_k = n == k
-        m[at_k] = base - pows[_case_exponent(ell, k)]
-        odd_lt = (~at_k) & (n % 2 == 1)
-        m[odd_lt] = base - (ell + 1) * pows[2 * k - (n[odd_lt] + 3) // 2]
-        even_lt = (~at_k) & (n % 2 == 0)
-        sym = np.zeros(u.shape, dtype=np.int64)
-        sym[even_lt] = qr[r[even_lt] % ell]
-        plus = even_lt & (sym == 1)
-        minus = even_lt & (sym == -1)
-        m[plus] = base
-        m[minus] = base - 2 * pows[2 * k - n[minus] // 2 - 1]
+        square = np.zeros(ell, dtype=np.int64)
+        square[(np.arange(1, ell, dtype=np.int64) ** 2) % ell] = 1
+        key = square[rem % ell]
     else:
-        top = n == k + 2
-        m[top] = base - pows[_case_exponent(2, k)]
-        odd_n = (~top) & (n % 2 == 1)
-        m[odd_n] = base - 3 * pows[2 * k - (n[odd_n] + 1) // 2]
-        even_n = (~top) & (n % 2 == 0)
-        kp1 = even_n & (n == k + 1)
-        m[kp1] = base - pows[(3 * k - 1) // 2]
-        at_k = even_n & (n == k)
-        if k % 2 == 0:  # n = k even happens only for even k
-            m[at_k & (r % 4 == 1)] = base - pows[3 * k // 2 - 1]
-            m[at_k & (r % 4 == 3)] = base - 3 * pows[3 * k // 2 - 1]
-        lt_k = even_n & (n < k)
-        l3 = lt_k & (r % 4 == 3)
-        l1 = lt_k & (r % 8 == 1)
-        l5 = lt_k & (r % 8 == 5)
-        m[l3] = base - 3 * pows[2 * k - n[l3] // 2 - 1]
-        m[l1] = base
-        m[l5] = base - pows[2 * k - n[l5] // 2]
-    return u, m
-
-
-@njit(cache=True, nogil=True)
-def _m_values_nb(t, ell, k, u_lo, u_hi):
-    n_units = 0
-    for u in range(u_lo, u_hi):
-        if u % ell != 0:
-            n_units += 1
-    units = np.empty(n_units, dtype=np.int64)
-    mvals = np.empty(n_units, dtype=np.int64)
-    base = 1
-    for _ in range(2 * k - 1):
-        base *= ell
-    base = base * ell + base  # ell^{2k} + ell^{2k-1}
-    pows = np.empty(2 * k + 3, dtype=np.int64)
-    pows[0] = 1
-    for e in range(1, 2 * k + 3):
-        pows[e] = pows[e - 1] * ell
-    if k % 2 == 0:
-        e_top = 3 * k // 2 - 1
-    else:
-        e_top = (3 * k - 1) // 2
-    qr = np.full(ell, -1, dtype=np.int64)
-    if ell > 2:
-        for i in range(1, ell):
-            qr[(i * i) % ell] = 1
-    odd_t = t % 2 != 0
-    cap = k if ell > 2 else k + 2
-    j = 0
-    for u in range(u_lo, u_hi):
-        if u % ell == 0:
-            continue
-        units[j] = u
-        if ell == 2 and odd_t:
-            mvals[j] = pows[2 * k - 1]
-            j += 1
-            continue
-        D = t * t - 4 * u
-        if D == 0:
-            n = cap
-            r = np.int64(0)
-        else:
-            n = 0
-            r = D
-            while n < cap and r % ell == 0:
-                r //= ell
-                n += 1
-        if ell > 2:
-            if n == k:
-                m = base - pows[e_top]
-            elif n % 2 == 1:
-                m = base - (ell + 1) * pows[2 * k - (n + 3) // 2]
-            elif qr[r % ell] == 1:
-                m = base
-            else:
-                m = base - 2 * pows[2 * k - n // 2 - 1]
-        else:
-            if n == k + 2:
-                m = base - pows[e_top]
-            elif n % 2 == 1:
-                m = base - 3 * pows[2 * k - (n + 1) // 2]
-            elif n == k + 1:
-                m = base - pows[(3 * k - 1) // 2]
-            elif n == k:
-                if r % 4 == 1:
-                    m = base - pows[3 * k // 2 - 1]
-                else:
-                    m = base - 3 * pows[3 * k // 2 - 1]
-            else:
-                rm = r % 8
-                if rm == 3 or rm == 7:
-                    m = base - 3 * pows[2 * k - n // 2 - 1]
-                elif rm == 1:
-                    m = base
-                else:
-                    m = base - pows[2 * k - n // 2]
-        mvals[j] = m
-        j += 1
-    return units, mvals
+        key = rem % 8
+    values = np.array(
+        [_case(nn, kk, ell, k)[1] for nn in range(cap + 1) for kk in range(width)],
+        dtype=np.int64,
+    )
+    return u, width * n + key, values
 
 
 # ---------------------------------------------------------------------------
 # class numbers h(D) of imaginary quadratic orders via reduced forms
 # ---------------------------------------------------------------------------
 
-@njit(cache=True, nogil=True, inline="always")
-def _gcd_nb(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-@njit(cache=True, nogil=True, inline="always")
-def _isqrt_nb(n):
-    if n < 0:
-        return np.int64(-1)
-    x = np.int64(math.sqrt(n))
-    while x * x > n:
-        x -= 1
-    while (x + 1) * (x + 1) <= n:
-        x += 1
-    return x
-
-
-@njit(cache=True, nogil=True)
-def _class_number_nb(D):
-    absd = -D
-    h = 0
-    bmax = _isqrt_nb(absd // 3)
-    b = np.int64(absd % 2)
-    while b <= bmax:
-        n4 = (b * b + absd) // 4
-        amax = _isqrt_nb(n4)
-        a0 = b if b > 1 else 1
-        for a in range(a0, amax + 1):
-            if n4 % a == 0:
-                c = n4 // a
-                if _gcd_nb(_gcd_nb(a, b), c) == 1:
-                    if b == 0 or a == b or a == c:
-                        h += 1
-                    else:
-                        h += 2
-        b += 2
-    return h
-
-
-@njit(cache=True, nogil=True)
-def _class_number_batch_nb(discs):
-    out = np.empty(discs.shape[0], dtype=np.int64)
-    for i in range(discs.shape[0]):
-        out[i] = _class_number_nb(discs[i])
-    return out
-
-
-def _class_number_np(D):
+def class_number(D):
     absd = -D
     h = 0
     bmax = math.isqrt(absd // 3)
@@ -388,15 +125,15 @@ def _class_number_np(D):
     return h
 
 
-def _class_number_batch_np(discs):
-    return np.array([_class_number_np(int(D)) for D in discs], dtype=np.int64)
+def class_number_batch(discs):
+    return np.array([class_number(int(D)) for D in discs], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
 # Frobenius traces a_p for y^2 = x^3 + a x + b via quadratic-character sums
 # ---------------------------------------------------------------------------
 
-def _trace_batch_np(a, b, primes):
+def trace_batch(a, b, primes):
     out = np.empty(len(primes), dtype=np.int64)
     for i, p in enumerate(primes):
         p = int(p)
@@ -407,80 +144,3 @@ def _trace_batch_np(a, b, primes):
         rhs = ((x * x % p) * x + a * x + b) % p
         out[i] = -int(chi[rhs].sum())
     return out
-
-
-@njit(cache=True, nogil=True)
-def _trace_batch_nb(a, b, primes):
-    out = np.empty(primes.shape[0], dtype=np.int64)
-    for i in range(primes.shape[0]):
-        p = primes[i]
-        chi = np.full(p, np.int64(-1))
-        for x in range(1, p):
-            chi[(x * x) % p] = 1
-        chi[0] = 0
-        s = 0
-        for x in range(p):
-            rhs = ((x * x % p) * x + a * x + b) % p
-            s += chi[rhs]
-        out[i] = -s
-    return out
-
-
-def _trace_batch_nb_entry(a, b, primes):
-    return _trace_batch_nb(np.int64(a), np.int64(b), np.asarray(primes, dtype=np.int64))
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-IMPLS = {
-    "numpy": {
-        "sieve": _sieve_np,
-        "m_brute": _m_brute_np,
-        "m_values": _m_values_np,
-        "class_number": _class_number_np,
-        "class_number_batch": _class_number_batch_np,
-        "trace_batch": _trace_batch_np,
-    }
-}
-if HAVE_NUMBA:
-    IMPLS["numba"] = {
-        "sieve": _sieve_nb_entry,
-        "m_brute": _m_brute_nb,
-        "m_values": _m_values_nb,
-        "class_number": _class_number_nb,
-        "class_number_batch": _class_number_batch_nb,
-        "trace_batch": _trace_batch_nb_entry,
-    }
-
-_ACTIVE = IMPLS[BACKEND]
-
-
-def backend():
-    """Name of the kernel backend selected at import time."""
-    return BACKEND
-
-
-def sieve(limit, segment=1 << 22):
-    return _ACTIVE["sieve"](limit, segment)
-
-
-def m_brute(t, u, q):
-    return int(_ACTIVE["m_brute"](t, u, q))
-
-
-def m_values(t, ell, k, u_lo, u_hi):
-    return _ACTIVE["m_values"](t, ell, k, u_lo, u_hi)
-
-
-def class_number(D):
-    return int(_ACTIVE["class_number"](D))
-
-
-def class_number_batch(discs):
-    return _ACTIVE["class_number_batch"](np.asarray(discs, dtype=np.int64))
-
-
-def trace_batch(a, b, primes):
-    return _ACTIVE["trace_batch"](a, b, np.asarray(primes, dtype=np.int64))

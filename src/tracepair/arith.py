@@ -74,6 +74,18 @@ def alpha(t1, t2, ell):
     return max(padic_valuation(ell, t1 + t2), padic_valuation(ell, t1 - t2))
 
 
+def is_prime(n):
+    """Primality by trial division; independent of the sieve, which it checks."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def sieve_primes(limit):
     """All primes <= limit, ascending, as an int64 array."""
     if limit < 0:

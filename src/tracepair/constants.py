@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .arith import sieve_primes
+from .arith import is_prime, sieve_primes
 from .local import local_limit
 
 DEFAULT_DIGITS = 50
@@ -120,20 +120,9 @@ def same_trace_ratio(t):
     if t == 0:
         raise ValueError("the t = 0 constant is exactly 35/96, not a ratio")
     q = Fraction(9, 8) * _two_adic_same_trace(t)
-    for ell in {p for p in range(3, abs(t) + 1) if abs(t) % p == 0 and _is_prime(p)}:
+    for ell in {p for p in range(3, abs(t) + 1) if abs(t) % p == 0 and is_prime(p)}:
         q *= Fraction(ell ** 4 - 1, ell ** 4 - 2 * ell ** 2 - 3 * ell - 1)
     return q
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def single_curve_constant(t, lmax, digits=DEFAULT_DIGITS):

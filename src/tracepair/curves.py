@@ -1,7 +1,7 @@
 """Frobenius traces for short-Weierstrass curves and trace-pair prime counts.
 
 Traces come from quadratic-character sums with a per-prime residue table
-(O(p) per prime, numba/numpy kernel); p = 2 and 3 are excluded throughout,
+(O(p) per prime, numpy kernel); p = 2 and 3 are excluded throughout,
 which changes counting functions by O(1).
 """
 

@@ -13,7 +13,7 @@ three-branch formula cannot express is ell = 2 with odd t, where the count is
 import math
 from fractions import Fraction
 
-from .arith import legendre_symbol, padic_valuation, sieve_primes
+from .arith import is_prime, legendre_symbol, padic_valuation, sieve_primes
 from .class_numbers import hurwitz_weighted
 from .matcount import PrimePower, m_closed
 
@@ -84,6 +84,8 @@ def product_check(t, p, lmax):
         raise ValueError("product check needs t^2 - 4p < 0")
     if p <= 3:
         raise ValueError("product check needs p > 3")
+    if not is_prime(p):
+        raise ValueError(f"product check needs a prime p, got {p}")
     lhs = hurwitz_weighted(d)
     rhs = p * f_infinity(t, p)
     for ell in sieve_primes(lmax):

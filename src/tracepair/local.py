@@ -1,9 +1,10 @@
 """Local sums S(t1, t2; ell^k), their normalizations, limits, and volumes.
 
-``s_direct`` evaluates the sum over units exactly: a batch kernel classifies
-every unit by its matrix-count case (int64-safe), and the exact integer sum is
-assembled from the distinct (m1, m2) value pairs with big-int arithmetic, so
-results are identical for any block size or worker count.
+``s_direct`` evaluates the sum over units exactly: a batch kernel gives every
+unit the case code of its matrix count under each trace (int64-safe), the
+pairs of codes are counted with ``bincount``, and the exact integer sum is
+assembled from that histogram with big-int arithmetic, so results are
+identical for any block size or worker count.
 
 Closed forms are exposed with a provenance tag; conjectural ones are always
 recomputable against ``s_direct`` through the verify suite.  All normalized
@@ -68,24 +69,26 @@ def s_direct(t1, t2, pp, unit_cap=UNIT_CAP_DEFAULT, workers=1):
     if phi > unit_cap:
         raise ValueError(f"unit count {phi} exceeds cap {unit_cap}")
 
-    def block_pairs(lo):
+    def block_histogram(lo):
         hi = min(lo + _BLOCK, q)
-        _, m1 = _kernels.m_values(t1, pp.ell, pp.k, lo, hi)
-        _, m2 = _kernels.m_values(t2, pp.ell, pp.k, lo, hi)
-        pairs, counts = np.unique(np.stack([m1, m2], axis=1), axis=0, return_counts=True)
-        return pairs, counts
+        _, code1, values = _kernels.m_values(t1, pp.ell, pp.k, lo, hi)
+        _, code2, _ = _kernels.m_values(t2, pp.ell, pp.k, lo, hi)
+        width = len(values)
+        return np.bincount(code1 * width + code2, minlength=width * width), values
 
     starts = range(1, q, _BLOCK)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(block_pairs, starts))
+            results = list(pool.map(block_histogram, starts))
     else:
-        results = [block_pairs(lo) for lo in starts]
+        results = [block_histogram(lo) for lo in starts]
 
+    hist = sum(h for h, _ in results)
+    values = results[0][1].tolist()
+    width = len(values)
     total = 0
-    for pairs, counts in results:
-        for (v1, v2), c in zip(pairs.tolist(), counts.tolist()):
-            total += c * v1 * v2
+    for code in np.flatnonzero(hist).tolist():
+        total += int(hist[code]) * values[code // width] * values[code % width]
     return total
 
 
@@ -102,26 +105,34 @@ def local_sequence(t1, t2, ell, k_max):
     return LocalSequence(ell, t1, t2, tuple(entries))
 
 
+def _same_closed(t, ell):
+    """(limit, c, k_min): S(t, t; ell^k)/ell^(5k-5) = limit - c/ell^(2k) for k >= k_min.
+
+    The five cases of the equal-trace theorem.  k_min is 3 for the two
+    even-trace ell = 2 cases and 1 otherwise.
+    """
+    if ell > 2:
+        if t % ell == 0:
+            return Fraction(ell ** 2 * (ell ** 2 + 1) * (ell - 1)), 0, 1
+        lim = Fraction(ell ** 2 * (ell ** 4 - 2 * ell ** 2 - 3 * ell - 1), ell + 1)
+        return lim, Fraction(ell ** 4, ell + 1), 1
+    if t % 2 == 1:
+        return Fraction(4), 0, 1
+    if t % 4 == 0:
+        return Fraction(35, 2), 0, 3
+    return Fraction(103, 6), Fraction(32, 3), 3
+
+
 def s_closed_same(t, ell, k):
     """Five-case closed form for S(t, t; ell^k)/ell^(5k-5).
 
     Valid for every k >= 1 except the two even-trace ell = 2 cases, which
     hold for k >= 3 only; smaller k is refused there.
     """
-    if ell > 2:
-        if t % ell == 0:
-            return Fraction(ell ** 2 * (ell ** 2 + 1) * (ell - 1))
-        return (
-            Fraction(ell ** 2 * (ell ** 4 - 2 * ell ** 2 - 3 * ell - 1), ell + 1)
-            - Fraction(ell ** 4, ell ** (2 * k) * (ell + 1))
-        )
-    if t % 2 == 1:
-        return Fraction(4)
-    if k < 3:
+    lim, c, k_min = _same_closed(t, ell)
+    if k < k_min:
         raise ValueError(f"closed form for ell=2, even t needs k >= 3, got {k}")
-    if t % 4 == 0:
-        return Fraction(35, 2)
-    return Fraction(103, 6) - Fraction(32, 3 * 2 ** (2 * k))
+    return lim - Fraction(c, ell ** (2 * k))
 
 
 def _distinct_closed(t1, t2, ell):
@@ -217,21 +228,9 @@ def local_limit(t1, t2, ell, method="auto", **direct_kw):
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
     if t1 == t2 or t1 == -t2:
-        t = abs(t1)
-        if ell > 2:
-            if t % ell == 0:
-                lim = Fraction(ell ** 2 * (ell ** 2 + 1) * (ell - 1))
-                stab = 1
-            else:
-                lim = Fraction(ell ** 2 * (ell ** 4 - 2 * ell ** 2 - 3 * ell - 1), ell + 1)
-                stab = None
-        elif t % 2 == 1:
-            lim, stab = Fraction(4), 1
-        elif t % 4 == 0:
-            lim, stab = Fraction(35, 2), 3
-        else:
-            lim, stab = Fraction(103, 6), None
-        return _factor(ell, lim, stab, PROVENANCE_THEOREM)
+        lim, c, k_min = _same_closed(abs(t1), ell)
+        # without a 1/ell^(2k) term the sums are constant from k_min on
+        return _factor(ell, lim, None if c else k_min, PROVENANCE_THEOREM)
     lim, stab, prov = _distinct_closed(t1, t2, ell)
     return _factor(ell, lim, stab, prov)
 

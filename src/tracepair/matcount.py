@@ -3,8 +3,9 @@
 Three independent routes to m(t, u; ell^k):
 
 * ``m_closed`` -- the thirteen-case closed form (four cases for odd ell, one
-  for ell = 2 with odd trace, eight for ell = 2 with even trace), dispatched
-  through an inspectable case table so each branch is unit-testable;
+  for ell = 2 with odd trace, eight for ell = 2 with even trace), written
+  once in ``_case`` and keyed by a valuation and a residue, so each branch
+  has an id that tests can name and the batch kernel can tabulate;
 * ``m_dks``    -- the square-count recursion over N_D(ell^j), evaluated in
   exact rationals with an integrality assertion;
 * ``m_brute``  -- direct enumeration of (a, b, c) with d = t - a, budgeted.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
-from .arith import legendre_symbol, nu_lk, padic_valuation
+from .arith import is_prime, legendre_symbol, nu_lk, padic_valuation
 
 BRUTE_BUDGET_DEFAULT = 2_000_000
 
@@ -31,8 +32,8 @@ class PrimePower:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.ell < 2:
-            raise ValueError("ell must be prime")
+        if not is_prime(self.ell):
+            raise ValueError(f"ell must be prime, got {self.ell}")
 
     @property
     def modulus(self):
@@ -52,73 +53,51 @@ def _require_unit(u, pp):
         raise ValueError(f"u = {u} is not a unit mod {pp.ell}^{pp.k}")
 
 
-def _exp_at_cap(ell, k):
-    # exponent in the n = k (odd ell) and n = k+2 (ell = 2) correction term
-    e = 3 * k // 2 - 1 if k % 2 == 0 else (3 * k - 1) // 2
-    assert (3 * k + (1 - (-1) ** k) // 2) % 2 == 0  # 3k/2 + (1-(-1)^k)/4 is integral
-    return e
+def _case(n, key, ell, k):
+    """(case id, m(t, u; ell^k)) from the capped valuation n = nu_lk(t, u, ell, k).
 
-
-# Case table: (case id, predicate(n, k, sym_or_r), count formula).  ``sym`` is
-# the Legendre symbol of D/ell^n for odd ell; ``r`` is D/2^n mod 8 for ell = 2
-# with even t.  Base = ell^{2k} + ell^{2k-1}.
-
-def _odd_ell_cases(ell, k):
+    ``key`` is the residue of the reduced discriminant r = D/ell^n: for odd
+    ell, whether r is a square mod ell; for ell = 2, r mod 8.  It is read
+    only where the case needs it (n < k for odd ell, n <= k for ell = 2).
+    For ell = 2, n = 0 exactly when t is odd.  Base = ell^{2k} + ell^{2k-1}.
+    """
     base = ell ** (2 * k) + ell ** (2 * k - 1)
-    return [
-        ("odd:n-even-split", lambda n, s: n < k and n % 2 == 0 and s == 1,
-         lambda n, s: base),
-        ("odd:n-even-inert", lambda n, s: n < k and n % 2 == 0 and s == -1,
-         lambda n, s: base - 2 * ell ** (2 * k - n // 2 - 1)),
-        ("odd:n-odd", lambda n, s: n < k and n % 2 == 1,
-         lambda n, s: base - (ell + 1) * ell ** (2 * k - (n + 3) // 2)),
-        ("odd:n-cap", lambda n, s: n == k,
-         lambda n, s: base - ell ** _exp_at_cap(ell, k)),
-    ]
-
-
-def _two_even_t_cases(k):
-    base = 2 ** (2 * k) + 2 ** (2 * k - 1)
-    return [
-        ("two:n-cap", lambda n, r: n == k + 2,
-         lambda n, r: base - 2 ** _exp_at_cap(2, k)),
-        ("two:n-odd", lambda n, r: n < k + 2 and n % 2 == 1,
-         lambda n, r: base - 3 * 2 ** (2 * k - (n + 1) // 2)),
-        ("two:n-eq-k+1", lambda n, r: n == k + 1 and n % 2 == 0,
-         lambda n, r: base - 2 ** ((3 * k - 1) // 2)),
-        ("two:n-eq-k-r1mod4", lambda n, r: n == k and n % 2 == 0 and r % 4 == 1,
-         lambda n, r: base - 2 ** (3 * k // 2 - 1)),
-        ("two:n-eq-k-r3mod4", lambda n, r: n == k and n % 2 == 0 and r % 4 == 3,
-         lambda n, r: base - 3 * 2 ** (3 * k // 2 - 1)),
-        ("two:n-lt-k-r3mod4", lambda n, r: n < k and n % 2 == 0 and r % 4 == 3,
-         lambda n, r: base - 3 * 2 ** (2 * k - n // 2 - 1)),
-        ("two:n-lt-k-r1mod8", lambda n, r: n < k and n % 2 == 0 and r % 8 == 1,
-         lambda n, r: base),
-        ("two:n-lt-k-r5mod8", lambda n, r: n < k and n % 2 == 0 and r % 8 == 5,
-         lambda n, r: base - 2 ** (2 * k - n // 2)),
-    ]
+    top = 3 * k // 2 - 1 if k % 2 == 0 else (3 * k - 1) // 2
+    if ell > 2:
+        if n == k:
+            return "odd:n-cap", base - ell ** top
+        if n % 2 == 1:
+            return "odd:n-odd", base - (ell + 1) * ell ** (2 * k - (n + 3) // 2)
+        if key:
+            return "odd:n-even-split", base
+        return "odd:n-even-inert", base - 2 * ell ** (2 * k - n // 2 - 1)
+    if n == 0:
+        return "two:odd-t", 2 ** (2 * k - 1)
+    if n == k + 2:
+        return "two:n-cap", base - 2 ** top
+    if n % 2 == 1:
+        return "two:n-odd", base - 3 * 2 ** (2 * k - (n + 1) // 2)
+    if n == k + 1:
+        return "two:n-eq-k+1", base - 2 ** ((3 * k - 1) // 2)
+    if n == k:
+        if key % 4 == 1:
+            return "two:n-eq-k-r1mod4", base - 2 ** (3 * k // 2 - 1)
+        return "two:n-eq-k-r3mod4", base - 3 * 2 ** (3 * k // 2 - 1)
+    if key % 4 == 3:
+        return "two:n-lt-k-r3mod4", base - 3 * 2 ** (2 * k - n // 2 - 1)
+    if key == 1:
+        return "two:n-lt-k-r1mod8", base
+    return "two:n-lt-k-r5mod8", base - 2 ** (2 * k - n // 2)
 
 
 def m_closed_case(t, u, pp):
     """(case id, count) for m(t, u; ell^k); the dispatcher behind m_closed."""
     _require_unit(u, pp)
     ell, k = pp.ell, pp.k
-    d = t * t - 4 * u
     n = nu_lk(t, u, ell, k)
-    if ell == 2 and t % 2 == 1:
-        return "two:odd-t", 2 ** (2 * k - 1)
-    if ell > 2:
-        sym = legendre_symbol(d // ell ** n, ell) if n < k else 0
-        cases = _odd_ell_cases(ell, k)
-        arg = sym
-    else:
-        r = d // 2 ** n if n < k + 2 else 0
-        cases = _two_even_t_cases(k)
-        arg = r
-    for case_id, pred, formula in cases:
-        if pred(n, arg):
-            return case_id, formula(n, arg)
-    raise AssertionError(f"case table miss for t={t} u={u} ell={ell} k={k} n={n}")
+    r = (t * t - 4 * u) // ell ** n
+    key = r % 8 if ell == 2 else legendre_symbol(r, ell) == 1
+    return _case(n, key, ell, k)
 
 
 def m_closed(t, u, pp):

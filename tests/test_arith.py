@@ -7,6 +7,7 @@ from tracepair.arith import (
     alpha,
     divisors,
     euler_criterion,
+    is_prime,
     legendre_symbol,
     nu_lk,
     padic_valuation,
@@ -90,16 +91,6 @@ def test_sieve_small():
 
 def test_sieve_count_oracle():
     # independent trial-division count
-    def is_prime(n):
-        if n < 2:
-            return False
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 1
-        return True
-
     brute = [n for n in range(2, 2000) if is_prime(n)]
     assert sieve_primes(1999).tolist() == brute
     assert len(sieve_primes(100)) == 25
@@ -109,8 +100,7 @@ def test_sieve_segmented_consistency():
     # force segment boundaries with a small segment size
     from tracepair import _kernels
 
-    for impl in _kernels.IMPLS.values():
-        assert impl["sieve"](10_000, 256).tolist() == sieve_primes(10_000).tolist()
+    assert _kernels.sieve(10_000, 256).tolist() == sieve_primes(10_000).tolist()
 
 
 def test_sieve_rejects_absurd_limit():

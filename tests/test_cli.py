@@ -140,18 +140,39 @@ def test_verify_unknown_suite(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("local-factor", "--t1", "1", "--t2", "3", "--ell", "4", "--k", "2", "--method", "both"),
+    ("gekeler", "--t", "1", "--p", "9"),
+])
+def test_composite_modulus_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "prime" in err
+
+
+def test_local_factor_large_trace(capsys):
+    # t1^2 exceeds int64; S depends only on t1 mod 3^2
+    t1 = 3037000500
+    args = ("--t2", "0", "--ell", "3", "--k", "2", "--method", "both")
+    code, out, _ = run_cli(capsys, "local-factor", "--t1", str(t1), *args)
+    assert code == 0
+    _, reduced, _ = run_cli(capsys, "local-factor", "--t1", str(t1 % 9), *args)
+    assert json.loads(out)["S"] == json.loads(reduced)["S"]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["local-factor", "--t1", "x", "--t2", "0", "--ell", "3", "--k", "1"])
     assert exc.value.code == 2
 
 
-def test_numpy_backend_entrypoint():
-    env = dict(os.environ, TRACEPAIR_BACKEND="numpy")
+def test_local_factor_entrypoint():
     proc = subprocess.run(
         [sys.executable, "-m", "tracepair.cli", "local-factor", "--t1", "2", "--t2", "2",
          "--ell", "2", "--k", "3", "--method", "both"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["S"] == 17408

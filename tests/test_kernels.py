@@ -1,70 +1,43 @@
-"""Both kernel backends must produce identical results on shared grids."""
+"""The batch matrix-count kernel against its scalar and brute-force oracles."""
 
-import numpy as np
 import pytest
 
-from tracepair import _kernels
+from tracepair import _kernels, local
+from tracepair.matcount import PrimePower, m_closed
 
-BACKENDS = sorted(_kernels.IMPLS)
-# empty when only one backend is importable; pytest then skips the pair tests
-PAIRS = [(a, b) for i, a in enumerate(BACKENDS) for b in BACKENDS[i + 1 :]]
-
-
-@pytest.mark.parametrize("a,b", PAIRS)
-def test_sieve_agreement(a, b):
-    for limit in (0, 1, 2, 10, 97, 1000, 65_536):
-        pa = _kernels.IMPLS[a]["sieve"](limit, 512)
-        pb = _kernels.IMPLS[b]["sieve"](limit, 512)
-        assert np.array_equal(pa, pb)
+GRID = ((2, 1), (2, 3), (2, 5), (3, 1), (3, 3), (5, 2), (7, 1), (13, 1))
 
 
-@pytest.mark.parametrize("a,b", PAIRS)
-def test_m_brute_agreement(a, b):
-    for q in (2, 3, 4, 5, 8, 9):
-        for t in range(q):
-            for u in range(1, q):
-                assert _kernels.IMPLS[a]["m_brute"](t, u, q) == _kernels.IMPLS[b]["m_brute"](t, u, q)
-
-
-@pytest.mark.parametrize("a,b", PAIRS)
-def test_m_values_agreement(a, b):
-    for ell, k in ((2, 1), (2, 3), (2, 5), (3, 1), (3, 3), (5, 2), (7, 1), (13, 1)):
+def test_m_values_match_brute():
+    for ell, k in GRID:
         q = ell ** k
         for t in (0, 1, 2, 3, 4, q - 1, q + 5):
-            ua, ma = _kernels.IMPLS[a]["m_values"](t, ell, k, 1, q)
-            ub, mb = _kernels.IMPLS[b]["m_values"](t, ell, k, 1, q)
-            assert np.array_equal(ua, ub)
-            assert np.array_equal(ma, mb)
+            units, codes, values = _kernels.m_values(t, ell, k, 1, q)
+            assert units.tolist() == [u for u in range(1, q) if u % ell]
+            for u, m in zip(units.tolist(), values[codes].tolist()):
+                assert m == _kernels.m_brute(t % q, u, q)
 
 
 def test_m_values_match_scalar_closed_form():
-    from tracepair.matcount import PrimePower, m_closed
-
     for ell, k in ((2, 4), (3, 2), (5, 1), (7, 1)):
         pp = PrimePower(ell, k)
         q = pp.modulus
         for t in range(q):
-            units, mvals = _kernels.m_values(t, ell, k, 1, q)
-            for u, m in zip(units.tolist(), mvals.tolist()):
+            units, codes, values = _kernels.m_values(t, ell, k, 1, q)
+            for u, m in zip(units.tolist(), values[codes].tolist()):
                 assert m == m_closed(t, u, pp)
 
 
-@pytest.mark.parametrize("a,b", PAIRS)
-def test_class_number_agreement(a, b):
-    discs = [d for d in range(-600, 0) if d % 4 in (0, 1)]
-    ha = _kernels.IMPLS[a]["class_number_batch"](np.array(discs, dtype=np.int64))
-    hb = _kernels.IMPLS[b]["class_number_batch"](np.array(discs, dtype=np.int64))
-    assert np.array_equal(ha, hb)
-
-
-@pytest.mark.parametrize("a,b", PAIRS)
-def test_trace_agreement(a, b):
-    primes = np.array([5, 7, 11, 13, 101, 997], dtype=np.int64)
-    for aa, bb in ((1, 0), (0, 1), (-2, 3), (5, -7)):
-        ta = _kernels.IMPLS[a]["trace_batch"](aa, bb, primes)
-        tb = _kernels.IMPLS[b]["trace_batch"](aa, bb, primes)
-        assert np.array_equal(ta, tb)
-
-
-def test_backend_selected():
-    assert _kernels.backend() in BACKENDS
+@pytest.mark.parametrize("ell,k", [(2, 12), (3, 7)])
+def test_s_direct_block_and_worker_invariance(monkeypatch, ell, k):
+    pp = PrimePower(ell, k)
+    q = pp.modulus
+    pairs = ((0, 2), (1, 3), (2, 6), (5, -5))
+    expected = {
+        (t1, t2): sum(m_closed(t1, u, pp) * m_closed(t2, u, pp) for u in range(1, q) if u % ell)
+        for t1, t2 in pairs
+    }
+    monkeypatch.setattr(local, "_BLOCK", 64)
+    for workers in (1, 2):
+        for (t1, t2), want in expected.items():
+            assert local.s_direct(t1, t2, pp, workers=workers) == want

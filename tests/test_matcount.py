@@ -16,6 +16,8 @@ def test_prime_power_validation():
     assert PrimePower(3, 2).modulus == 9
     with pytest.raises(ValueError):
         PrimePower(3, 0)
+    with pytest.raises(ValueError):
+        PrimePower(4, 2)
 
 
 def test_m_brute_spot():
