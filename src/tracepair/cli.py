@@ -25,7 +25,7 @@ from .gekeler import product_check
 from .local import local_limit, s_closed_distinct, s_closed_same, s_direct
 from .matcount import PrimePower
 from .model_sim import ModelConfig, growth_check, sample_run
-from .prime_stats import CHECKPOINTS_DEFAULT, class_sum, slope_fit
+from .prime_stats import class_sum, slope_fit
 from .verify import SUITES, verify_suites
 
 
@@ -286,7 +286,8 @@ def build_parser():
     p.add_argument("--t1", type=int, required=True)
     p.add_argument("--t2", type=int, required=True)
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--checkpoints", type=_checkpoint_list, default=CHECKPOINTS_DEFAULT)
+    p.add_argument("--checkpoints", type=_checkpoint_list, default=None,
+                   help="comma-separated x values; default: the standard ladder clipped to x")
     p.add_argument("--cache", default=os.environ.get("TRACEPAIR_CACHE"))
     p.add_argument("--csv", help="write the checkpoint series as CSV to this path")
     p.add_argument("--reference-lmax", type=int, default=2000)

@@ -1,8 +1,10 @@
 """Frobenius traces for short-Weierstrass curves and trace-pair prime counts.
 
-Traces come from quadratic-character sums with a per-prime residue table
-(O(p) per prime, numpy kernel); p = 2 and 3 are excluded throughout,
-which changes counting functions by O(1).
+Traces come from Shanks-Mestre baby-step giant-step point counting, run on
+blocks of primes in lockstep (O(p^(1/4)) group operations per prime, numpy
+kernel), with the O(p) quadratic-character sum for p <= 229 and for the rare
+prime no start point settles.  Primes must be below 2^31; p = 2 and 3 are
+excluded throughout, which changes counting functions by O(1).
 """
 
 import math
@@ -31,22 +33,27 @@ class Curve:
         return p > 3 and self.disc % p != 0
 
 
-def trace_ap(curve, p):
-    """a_p as minus the character sum of x^3 + ax + b over F_p."""
+def _check_prime(curve, p):
+    if p >= _kernels.TRACE_P_BOUND:
+        raise ValueError(f"p = {p} is outside the trace kernel's range p < 2^31")
     if not curve.good_reduction(p):
         raise ValueError(f"p = {p} is not a good prime for {curve}")
+
+
+def trace_ap(curve, p):
+    """a_p = p + 1 - #E(F_p) for a good prime 5 <= p < 2^31."""
+    _check_prime(curve, p)
     ap = int(_kernels.trace_batch(curve.a, curve.b, [p])[0])
     assert ap * ap <= 4 * p
     return ap
 
 
 def trace_table(curve, primes):
-    """a_p for every good prime in the given array; bad primes are rejected."""
-    primes = np.asarray(primes, dtype=np.int64)
+    """a_p for every good prime below 2^31 in the given array; others are rejected."""
+    primes = [int(p) for p in primes]
     for p in primes:
-        if not curve.good_reduction(int(p)):
-            raise ValueError(f"p = {p} is not a good prime for {curve}")
-    return _kernels.trace_batch(curve.a, curve.b, primes)
+        _check_prime(curve, p)
+    return _kernels.trace_batch(curve.a, curve.b, np.array(primes, dtype=np.int64))
 
 
 def point_count_brute(curve, p):
@@ -71,12 +78,12 @@ def pair_count(e1, e2, t1, t2, x, list_primes=False, prediction_lmax=None):
     """
     if x < 5:
         raise ValueError("x must be >= 5")
+    if x >= _kernels.TRACE_P_BOUND:
+        raise ValueError("x must be below 2^31, the trace kernel's range")
     primes = sieve_primes(x)
     primes = primes[primes >= 5]
-    good = np.ones(primes.shape, dtype=bool)
-    for c in (e1, e2):
-        good &= np.gcd(primes, abs(c.disc)) == 1
-    primes = primes[good]
+    d1, d2 = e1.disc, e2.disc  # any size: tested on Python ints
+    primes = primes[[d1 % p != 0 and d2 % p != 0 for p in primes.tolist()]]
     tr1 = _kernels.trace_batch(e1.a, e1.b, primes)
     sel = primes[tr1 == t1]
     if sel.size:

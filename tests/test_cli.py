@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from tracepair import curves
 from tracepair.cli import main
+from tracepair.curves import Curve, point_count_brute
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +113,40 @@ def test_curves_rejects_singular():
     with pytest.raises(SystemExit) as exc:
         main(["curves", "--e1", "0,0", "--e2", "0,1", "--t1", "0", "--t2", "0", "--x", "10"])
     assert exc.value.code == 2
+
+
+def test_curves_discriminant_beyond_int64(capsys):
+    # |disc| = 16 (4e18 + 27) >= 2^63
+    code, out, _ = run_cli(
+        capsys, "curves", "--e1=1000000,1", "--e2=1,1", "--t1", "0", "--t2", "0",
+        "--x", "1000", "--list-primes",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["count"] == len(doc["matched_primes"]) > 0
+    for p in doc["matched_primes"]:
+        assert point_count_brute(Curve(1_000_000, 1), p) == p + 1
+        assert point_count_brute(Curve(1, 1), p) == p + 1
+
+
+def test_curves_rejects_x_beyond_trace_range(capsys, monkeypatch):
+    def no_sieve(x):
+        raise AssertionError("sieve started")
+
+    monkeypatch.setattr(curves, "sieve_primes", no_sieve)
+    code, out, err = run_cli(
+        capsys, "curves", "--e1", "1,0", "--e2", "0,1", "--t1", "0", "--t2", "0",
+        "--x", "3000000000",
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_average_default_ladder_small_x(capsys):
+    code, out, _ = run_cli(capsys, "average", "--t1", "1", "--t2", "1", "--x", "5000")
+    assert code == 0
+    assert [c["x"] for c in json.loads(out)["checkpoints"]] == [1000, 3000, 5000]
 
 
 def test_simulate_reproducible(capsys):

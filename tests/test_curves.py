@@ -3,9 +3,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from tracepair import _kernels
 from tracepair.arith import sieve_primes
 from tracepair.curves import Curve, pair_count, point_count_brute, trace_ap, trace_table
+
+SMALL_PRIMES = [int(p) for p in sieve_primes(300) if p > 3]  # straddles the 229 cutoff
+
+
+def _good_primes(curve, x):
+    return np.array([p for p in sieve_primes(x).tolist() if curve.good_reduction(p)],
+                    dtype=np.int64)
 
 
 def test_curve_discriminant():
@@ -45,6 +55,63 @@ def test_trace_point_count_oracle():
                 continue
             assert trace_ap(cur, p) == p + 1 - point_count_brute(cur, p)
         done += 1
+
+
+def test_trace_large_coefficients():
+    # a = 10^17 once overflowed int64 inside the kernel and gave a_101 = 11
+    cur = Curve(10 ** 17, 1)
+    assert trace_ap(cur, 101) == 17 == 102 - point_count_brute(cur, 101)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(-2 ** 80, 2 ** 80), st.integers(-2 ** 80, 2 ** 80))
+def test_trace_batch_matches_point_count_any_coefficients(a, b):
+    assume(4 * a ** 3 + 27 * b ** 2 != 0)
+    cur = Curve(a, b)
+    primes = [p for p in SMALL_PRIMES if cur.good_reduction(p)]
+    traces = _kernels.trace_batch(a, b, primes)
+    assert traces.tolist() == [p + 1 - point_count_brute(cur, p) for p in primes]
+
+
+@pytest.mark.parametrize("a,b", [(-1, 0), (0, 1), (1, 1), (-2, 3)])
+def test_trace_batch_matches_character_sum(a, b):
+    # (-1, 0) and (0, 1) have CM: their small-exponent groups need retries and fallbacks
+    primes = _good_primes(Curve(a, b), 30_000)
+    assert np.array_equal(_kernels.trace_batch(a, b, primes), _kernels._trace_charsum(a, b, primes))
+
+
+def test_trace_batch_one_start_small_blocks(monkeypatch):
+    # with one start value every prime its point does not settle goes to the
+    # character sum; blocks of 37 put block boundaries everywhere
+    monkeypatch.setattr(_kernels, "_BSGS_STARTS", 1)
+    monkeypatch.setattr(_kernels, "_BSGS_BLOCK", 37)
+    for a, b in ((-1, 0), (0, 1), (-11, 14)):
+        primes = _good_primes(Curve(a, b), 6000)
+        assert np.array_equal(_kernels.trace_batch(a, b, primes),
+                              _kernels._trace_charsum(a, b, primes))
+
+
+def test_bsgs_block_certifies_only_exact_traces():
+    # small primes in a block sized for p ~ 1e6 get few giant steps and
+    # points of small order: whatever the block resolves must still be exact
+    small = [p for p in sieve_primes(600).tolist() if p > 229]
+    for a, b in ((-1, 0), (0, 1), (1, 1), (-2, 3), (2, 5), (-11, 14), (0, 7), (5, 0)):
+        cur = Curve(a, b)
+        primes = np.array([p for p in small if cur.good_reduction(p)] + [999_983], dtype=np.int64)
+        want = _kernels._trace_charsum(a, b, primes[:-1])
+        for t in range(1, 9):
+            ap, ok = _kernels._bsgs_block(a, b, primes, t)
+            assert np.array_equal(ap[:-1][ok[:-1]], want[ok[:-1]])
+
+
+def test_trace_range_enforced():
+    cur = Curve(1, 1)
+    with pytest.raises(ValueError, match="2\\^31"):
+        trace_ap(cur, 2 ** 31 + 11)
+    with pytest.raises(ValueError, match="2\\^31"):
+        trace_table(cur, [5, 2 ** 31 + 11])
+    with pytest.raises(ValueError, match="2\\^31"):
+        pair_count(cur, cur, 0, 0, 2 ** 31)
 
 
 def test_hasse_bound():
