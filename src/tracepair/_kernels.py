@@ -2,9 +2,11 @@
 
 All kernels stay within int64: moduli are capped by the callers (unit budget
 1e8), traces are reduced mod ell^k before they are squared, and closed-form
-matrix counts never exceed ~4e16.  The Frobenius-trace kernel needs primes
-p < 2^31 (``TRACE_P_BOUND``): curve coefficients are reduced mod p as Python
-ints, and every product it forms is of two residues, so below 2^62.
+matrix counts never exceed ~4e16.  The per-discriminant class number needs
+|D| < 2^62 (``CLASS_NUMBER_D_BOUND``), so that (b^2 + |D|) / 4 fits.  The
+Frobenius-trace kernel needs primes p < 2^31 (``TRACE_P_BOUND``): curve
+coefficients are reduced mod p as Python ints, and every product it forms is
+of two residues, so below 2^62.
 """
 
 import math
@@ -102,8 +104,11 @@ def m_values(t, ell, k, u_lo, u_hi):
 
 
 # ---------------------------------------------------------------------------
-# class numbers h(D) of imaginary quadratic orders via reduced forms
+# class numbers via reduced forms: h(D) for one D, 6 H(n) for all n <= N
 # ---------------------------------------------------------------------------
+
+CLASS_NUMBER_D_BOUND = 1 << 62  # class_number needs |D| below this
+
 
 def class_number(D):
     absd = -D
@@ -126,8 +131,42 @@ def class_number(D):
     return h
 
 
-def class_number_batch(discs):
-    return np.array([class_number(int(D)) for D in discs], dtype=np.int64)
+def hurwitz_table(N):
+    """int64 array T with T[n] = 6 H(n) for 0 <= n <= N, so hurwitz_weighted(-n) = T[n]/12.
+
+    H(n) counts every reduced form (a, b, c) with 4ac - b^2 = n, primitive or
+    not (Cohen, GTM 138, 5.3): weight 1 for an ordinary form, 1/2 for
+    (a, 0, a), 1/3 for (a, a, a).  For fixed (a, b) the n run through a
+    progression of step 4a in c.  Viewed as rows of width 4a, n = 4a (c - k) +
+    col with k = ceil(b^2 / 4a), so every row past a holds one form of each b:
+    one broadcast adds them all, and only the forms with c <= a + k are counted
+    one by one.  O(N^(3/2)) in total, bounded by memory traffic.
+    """
+    T = np.zeros(N + 1, dtype=np.int32)  # 6 H(n) < 2^31 far beyond any table that fits in memory
+    for a in range(1, math.isqrt(N // 3) + 1):
+        step = 4 * a
+        b = np.arange(a + 1, dtype=np.int64)
+        k = -(-b * b // step)
+        col = step * k - b * b
+        w_more = np.where((b == 0) | (b == a), 6, 12)  # c > a: b and -b, or b alone if b = 0 or a
+        w_equal = np.where(b == 0, 3, np.where(b == a, 2, 6))  # c = a: (a,0,a), (a,a,a), b > 0
+        # c = a .. a + k, all below n = 4a (a + 1): form by form; distinct b can share an n
+        lo, hi = 3 * a * a, min(step * (a + 1), N + 1)
+        which = np.repeat(b, k + 1)
+        j = np.arange(which.size) - np.repeat(np.cumsum(k + 1) - (k + 1), k + 1)
+        n = step * (a + j) - which * which
+        w = np.where(j == 0, w_equal[which], w_more[which])
+        keep = n < hi
+        T[lo:hi] += np.bincount(n[keep] - lo, w[keep], hi - lo).astype(np.int32)
+        # c > a + k: the same vector of width 4a on every row from n = 4a (a + 1) on
+        if hi <= N:
+            row = np.bincount(col, w_more, step).astype(np.int32)
+            rows = (N + 1 - hi) // step
+            end = hi + rows * step
+            block = T[hi:end].reshape(rows, step)
+            block += row
+            T[end:] += row[: N + 1 - end]
+    return T.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,11 @@ D < 0: b = D mod 2, |b| <= a <= c, gcd(a, b, c) = 1, and b >= 0 when |b| = a
 or a = c.  The weighted invariants sum h over the divisors of the conductor,
 plainly and divided by the unit-group order w.
 
-A process-wide memo keyed by D backs the prime-sum workloads; prime_stats
-persists it to CSV.
+This is the per-discriminant route, for D > -2^62 (the kernel's int64
+domain; larger |D| is rejected before any work).  It serves the class-number
+and gekeler commands and the verify checks, with a process-wide memo keyed by
+D.  The prime sums of ``prime_stats`` read a table of all Hurwitz numbers
+instead (``_kernels.hurwitz_table``), checked against this route.
 """
 
 import math
@@ -38,6 +41,8 @@ class ClassData:
 def _check_discriminant(D):
     if D >= 0 or D % 4 not in (0, 1):
         raise ValueError(f"D must be negative and 0 or 1 mod 4, got {D}")
+    if -D >= _kernels.CLASS_NUMBER_D_BOUND:
+        raise ValueError(f"|D| must be below 2^62, got {D}")
 
 
 def split_discriminant(D):
@@ -86,18 +91,6 @@ def hurwitz_kronecker(D):
 def hurwitz_weighted(D):
     """The unit-weighted conductor sum H(D) alone, as an exact Fraction."""
     return hurwitz_kronecker(D).hw
-
-
-def cache_snapshot():
-    """Copy of the in-process h(D) memo (used for persistence)."""
-    return dict(_H_CACHE)
-
-
-def cache_preload(entries):
-    """Merge {D: h} entries into the memo; invalid keys are ignored."""
-    for D, h in entries.items():
-        if D < 0 and D % 4 in (0, 1) and h >= 1:
-            _H_CACHE[D] = h
 
 
 def cache_clear():

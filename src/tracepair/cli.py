@@ -29,6 +29,22 @@ from .prime_stats import class_sum, slope_fit
 from .verify import SUITES, verify_suites
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is one line on stderr and exit code 2."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _worker_count(text):
+    try:
+        n = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from exc
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _frac(x):
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
@@ -158,10 +174,7 @@ def cmd_gekeler(args):
 
 
 def cmd_average(args):
-    series = class_sum(
-        args.t1, args.t2, args.x, checkpoints=args.checkpoints,
-        cache=args.cache, workers=args.workers,
-    )
+    series = class_sum(args.t1, args.t2, args.x, checkpoints=args.checkpoints)
     fit = slope_fit(series)
     reference = float(pair_constant(args.t1, args.t2, args.reference_lmax).value)
     if args.csv:
@@ -183,7 +196,6 @@ def cmd_average(args):
             "intercept": fit.intercept,
             "reference_constant": reference,
             "ratio": fit.c_hat / reference,
-            "cache_stats": series.cache_stats,
         }
     )
     return 0
@@ -246,12 +258,12 @@ def cmd_verify(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tracepair",
         description="Exact-arithmetic toolkit for Frobenius trace-pair statistics",
     )
     parser.add_argument(
-        "--workers", type=int, default=os.cpu_count() or 1,
+        "--workers", type=_worker_count, default=os.cpu_count() or 1,
         help="worker threads for partitioned sums (results are identical at any count)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -288,7 +300,6 @@ def build_parser():
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--checkpoints", type=_checkpoint_list, default=None,
                    help="comma-separated x values; default: the standard ladder clipped to x")
-    p.add_argument("--cache", default=os.environ.get("TRACEPAIR_CACHE"))
     p.add_argument("--csv", help="write the checkpoint series as CSV to this path")
     p.add_argument("--reference-lmax", type=int, default=2000)
     p.set_defaults(fn=cmd_average)

@@ -1,29 +1,25 @@
 """Prime averages: local density products over p, and the weighted
 class-number sums whose partial sums grow like a constant times loglog x.
 
-Partial sums accumulate exact rationals per prime and convert to floats only
-at checkpoints, so results are independent of cache state and block order.
-The h(D) cache is a CSV (``D,h`` header) read tolerantly and written
-atomically; a 1 percent sample of loaded entries is recomputed each run.
+The class-number sums read every H(t^2 - 4p) from one table of Hurwitz class
+numbers up to 4x, built by enumerating reduced forms, and add the terms of
+each segment between checkpoints exactly by binary splitting.  Partial sums
+are exact Fractions, converted to floats only at checkpoints.
 """
 
-import csv
 import math
-import os
-import random
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels, class_numbers
-from .arith import divisors, sieve_primes
-from .class_numbers import hurwitz_weighted, split_discriminant
+from . import _kernels
+from .arith import sieve_primes
 from .gekeler import f_ell
 from .local import local_limit
 
 CHECKPOINTS_DEFAULT = (1_000, 3_000, 10_000, 30_000, 100_000)
+CLASS_SUM_X_BOUND = 2_000_000  # class_sum's Hurwitz table holds 4x + 1 int64 entries
 
 
 def average_f_product(t1, t2, ell, x):
@@ -51,63 +47,39 @@ class CheckpointSeries:
     t2: int
     checkpoints: list  # (x, partial_sum: float, loglog_x: float)
     exact_partials: list  # Fractions aligned with checkpoints
-    cache_stats: dict = field(default_factory=dict)
 
 
-def _load_cache(path):
-    entries = {}
-    try:
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                try:
-                    entries[int(row["D"])] = int(row["h"])
-                except (KeyError, TypeError, ValueError):
-                    continue
-    except OSError:
-        return {}
-    return entries
+def _split_sum(num, den):
+    """(P, Q) with P/Q = sum(num[i] / den[i]) and Q = prod(den), unreduced.
+
+    Binary splitting (Haible & Papanikolaou, ANTS 1998): neighbours merge
+    pairwise, so every big multiplication has operands of equal size.
+    """
+    P = np.array(num, dtype=object)
+    Q = np.array(den, dtype=object)
+    if P.size == 0:
+        return 0, 1
+    while P.size > 1:
+        if P.size % 2:
+            P, Q = np.append(P, 0), np.append(Q, 1)
+        P, Q = P[0::2] * Q[1::2] + P[1::2] * Q[0::2], Q[0::2] * Q[1::2]
+    return int(P[0]), int(Q[0])
 
 
-def _save_cache(path, entries):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["D", "h"])
-            for d in sorted(entries):
-                writer.writerow([d, entries[d]])
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-
-
-def _spot_check_cache(entries, fraction=0.01, seed=0):
-    if not entries:
-        return 0
-    rng = random.Random(seed)
-    keys = sorted(entries)
-    sample = rng.sample(keys, max(1, int(len(keys) * fraction)))
-    for d in sample:
-        if _kernels.class_number(d) != entries[d]:
-            raise ValueError(f"cache entry for D={d} disagrees with recomputation")
-    return len(sample)
-
-
-def class_sum(t1, t2, x, checkpoints=None, cache=None, workers=1):
+def class_sum(t1, t2, x, checkpoints=None):
     """Partial sums of H(t1^2-4p) H(t2^2-4p) / p^2 over the primed range.
 
     The primed range is p > max(3, t1^2/4, t2^2/4), which keeps both
-    discriminants negative.  The default checkpoint ladder is clipped to x;
-    explicitly passed checkpoints outside (threshold, x] are rejected.
+    discriminants negative.  x may not exceed ``CLASS_SUM_X_BOUND`` (2e6):
+    the Hurwitz table holds 4x + 1 int64 entries, 64 MB at the bound.  The
+    default checkpoint ladder is clipped to x; explicitly passed checkpoints
+    outside (threshold, x] are rejected.
     """
     lo = max(3.0, t1 * t1 / 4.0, t2 * t2 / 4.0)
     if x < lo + 1:
         raise ValueError(f"x must be at least {lo + 1} for traces ({t1}, {t2})")
+    if x > CLASS_SUM_X_BOUND:
+        raise ValueError(f"x must not exceed {CLASS_SUM_X_BOUND}, got {x}")
     if checkpoints is None:
         checkpoints = [c for c in CHECKPOINTS_DEFAULT if lo < c <= x]
     checkpoints = sorted(set(int(c) for c in checkpoints) | {int(x)})
@@ -116,67 +88,24 @@ def class_sum(t1, t2, x, checkpoints=None, cache=None, workers=1):
     if any(c <= lo for c in checkpoints[:-1]):
         raise ValueError(f"checkpoints must exceed the primed-range threshold {lo}")
 
-    stats = {"hits": 0, "misses": 0, "spot_checked": 0}
-    if cache:
-        loaded = _load_cache(cache)
-        stats["spot_checked"] = _spot_check_cache(loaded, seed=hash((t1, t2)) & 0xFFFF)
-        class_numbers.cache_preload(loaded)
-
     primes = sieve_primes(x)
     primes = primes[primes > lo]
-
-    # batch-compute every class number the sum will need
-    needed = set()
-    per_prime_discs = []
-    for p in primes:
-        p = int(p)
-        row = []
-        for t in (t1, t2):
-            d = t * t - 4 * p
-            split = split_discriminant(d)
-            row.append(d)
-            for fp in divisors(split.f):
-                needed.add(fp * fp * split.D0)
-        per_prime_discs.append(row)
-    known = class_numbers.cache_snapshot()
-    todo = sorted(d for d in needed if d not in known)
-    stats["hits"] = len(needed) - len(todo)
-    stats["misses"] = len(todo)
-    if todo:
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            blocks = [todo[i :: workers] for i in range(workers)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_kernels.class_number_batch, blocks))
-            for block, hs in zip(blocks, results):
-                class_numbers.cache_preload(dict(zip(block, (int(h) for h in hs))))
-        else:
-            hs = _kernels.class_number_batch(todo)
-            class_numbers.cache_preload(dict(zip(todo, (int(h) for h in hs))))
+    table = _kernels.hurwitz_table(4 * int(x))
+    # hurwitz_weighted(t^2 - 4p) = table[4p - t^2] / 12, so each term is num / (144 p^2)
+    num = table[4 * primes - t1 * t1] * table[4 * primes - t2 * t2]
+    squares = primes.astype(object) ** 2
 
     acc = Fraction(0)
     series = []
     exacts = []
-    ci = 0
-    for p, (d1, d2) in zip(primes, per_prime_discs):
-        p = int(p)
-        while ci < len(checkpoints) and p > checkpoints[ci]:
-            _record(series, exacts, checkpoints[ci], acc)
-            ci += 1
-        acc += hurwitz_weighted(d1) * hurwitz_weighted(d2) / (p * p)
-    while ci < len(checkpoints):
-        _record(series, exacts, checkpoints[ci], acc)
-        ci += 1
-
-    if cache:
-        _save_cache(cache, class_numbers.cache_snapshot())
-    return CheckpointSeries(t1, t2, series, exacts, stats)
-
-
-def _record(series, exacts, cx, acc):
-    series.append((cx, float(acc), math.log(math.log(cx))))
-    exacts.append(acc)
+    start = 0
+    for cx, stop in zip(checkpoints, np.searchsorted(primes, checkpoints, side="right")):
+        P, Q = _split_sum(num[start:stop], squares[start:stop])
+        acc += Fraction(P, 144 * Q)
+        series.append((cx, float(acc), math.log(math.log(cx))))
+        exacts.append(acc)
+        start = stop
+    return CheckpointSeries(t1, t2, series, exacts)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from tracepair import class_numbers
 from tracepair.arith import divisors
 from tracepair.class_numbers import (
-    cache_clear,
-    cache_preload,
-    cache_snapshot,
     class_number_h,
     hurwitz_kronecker,
     hurwitz_weighted,
@@ -100,12 +98,15 @@ def test_order_independence():
             assert class_number_h(d, cache=False) == h_reference(d)
 
 
-def test_cache_roundtrip():
-    cache_clear()
-    h = class_number_h(-23)
-    snap = cache_snapshot()
-    assert snap[-23] == h
-    cache_clear()
-    cache_preload({-23: h, -5: 99, -4: 0})  # invalid entries ignored
-    assert cache_snapshot() == {-23: h}
-    cache_clear()
+def test_discriminant_domain_checked_before_kernel(monkeypatch):
+    def fail(D):
+        raise AssertionError("kernel started")
+
+    monkeypatch.setattr(class_numbers._kernels, "class_number", fail)
+    for bad in (-(2 ** 62), -99999999999999999999):
+        with pytest.raises(ValueError, match=r"2\^62"):
+            class_number_h(bad)
+        with pytest.raises(ValueError, match=r"2\^62"):
+            hurwitz_kronecker(bad)
+    monkeypatch.setattr(class_numbers._kernels, "class_number", lambda D: 7)
+    assert class_number_h(-(2 ** 62) + 4, cache=False) == 7  # the largest |D| allowed

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from tracepair import curves
+from tracepair import _kernels, curves, prime_stats
 from tracepair.cli import main
 from tracepair.curves import Curve, point_count_brute
 
@@ -147,6 +147,34 @@ def test_average_default_ladder_small_x(capsys):
     code, out, _ = run_cli(capsys, "average", "--t1", "1", "--t2", "1", "--x", "5000")
     assert code == 0
     assert [c["x"] for c in json.loads(out)["checkpoints"]] == [1000, 3000, 5000]
+
+
+@pytest.mark.parametrize("argv", [
+    ("class-number", "--d", "-99999999999999999999"),
+    ("average", "--t1", "0", "--t2", "0", "--x", "2000001"),
+])
+def test_out_of_domain_rejected_before_work(capsys, monkeypatch, argv):
+    def fail(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(_kernels, "class_number", fail)
+    monkeypatch.setattr(_kernels, "hurwitz_table", fail)
+    monkeypatch.setattr(prime_stats, "sieve_primes", fail)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_must_be_positive(capsys, workers):
+    with pytest.raises(SystemExit) as exc:
+        main(["--workers", workers, "verify", "--suite", "arith"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "--workers" in err
 
 
 def test_simulate_reproducible(capsys):

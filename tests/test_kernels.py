@@ -1,8 +1,10 @@
-"""The batch matrix-count kernel against its scalar and brute-force oracles."""
+"""The batch matrix-count and Hurwitz-table kernels against their scalar and
+brute-force oracles."""
 
 import pytest
 
 from tracepair import _kernels, local
+from tracepair.class_numbers import hurwitz_weighted
 from tracepair.matcount import PrimePower, m_closed
 
 GRID = ((2, 1), (2, 3), (2, 5), (3, 1), (3, 3), (5, 2), (7, 1), (13, 1))
@@ -41,3 +43,16 @@ def test_s_direct_block_and_worker_invariance(monkeypatch, ell, k):
     for workers in (1, 2):
         for (t1, t2), want in expected.items():
             assert local.s_direct(t1, t2, pp, workers=workers) == want
+
+
+def test_hurwitz_table_matches_per_discriminant_route():
+    N = 20_000
+    table = _kernels.hurwitz_table(N)
+    assert table.dtype.name == "int64" and table.shape == (N + 1,)
+    for n in range(N + 1):
+        if n > 0 and n % 4 in (0, 3):
+            assert table[n] == 12 * hurwitz_weighted(-n), n
+        else:
+            assert table[n] == 0, n
+    for small in (0, 2, 3, 12, 13):  # sizes that cut the rows short
+        assert (_kernels.hurwitz_table(small) == table[: small + 1]).all()

@@ -1,12 +1,15 @@
 import math
-import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tracepair.class_numbers import cache_clear, hurwitz_weighted
+from tracepair.arith import is_prime
+from tracepair.class_numbers import hurwitz_weighted
 from tracepair.prime_stats import (
     CheckpointSeries,
+    _split_sum,
     average_f_product,
     class_sum,
     slope_fit,
@@ -25,7 +28,6 @@ def test_average_f_product_rejects_small_x():
 
 
 def test_class_sum_small_exact():
-    cache_clear()
     series = class_sum(0, 0, 30, checkpoints=(10, 30))
     # primes 5..29 by hand: sum of H(-4p)^2 / p^2
     expected10 = hurwitz_weighted(-20) ** 2 / 25 + hurwitz_weighted(-28) ** 2 / 49
@@ -39,7 +41,6 @@ def test_class_sum_small_exact():
 
 
 def test_class_sum_positive_increasing():
-    cache_clear()
     series = class_sum(0, 0, 5000)
     sums = [s for _, s, _ in series.checkpoints]
     assert all(b > a for a, b in zip(sums, sums[1:]))
@@ -53,44 +54,32 @@ def test_class_sum_threshold():
         class_sum(0, 0, 100, checkpoints=(10, 200))  # checkpoint beyond x
 
 
-def test_class_sum_cache_determinism(tmp_path):
-    path = os.path.join(tmp_path, "h.csv")
-    cache_clear()
-    cold = class_sum(0, 0, 3000, checkpoints=(1000, 3000), cache=path)
-    assert os.path.exists(path)
-    warm = class_sum(0, 0, 3000, checkpoints=(1000, 3000), cache=path)
-    assert cold.exact_partials == warm.exact_partials
-    assert warm.cache_stats["hits"] > 0
-    cache_clear()
-    nocache = class_sum(0, 0, 3000, checkpoints=(1000, 3000))
-    assert nocache.exact_partials == cold.exact_partials
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    st.integers(-12, 12),
+    st.integers(-12, 12),
+    st.integers(40, 3000),
+    st.lists(st.integers(40, 3000), max_size=4),
+)
+def test_class_sum_matches_per_discriminant_sum(t1, t2, x, ladder):
+    lo = max(3, t1 * t1 / 4, t2 * t2 / 4)
+    ladder = [c for c in ladder if lo < c <= x]
+    series = class_sum(t1, t2, x, checkpoints=ladder)
+    terms = {
+        p: hurwitz_weighted(t1 * t1 - 4 * p) * hurwitz_weighted(t2 * t2 - 4 * p) / (p * p)
+        for p in range(5, x + 1) if p > lo and is_prime(p)
+    }
+    want = [sum((v for p, v in terms.items() if p <= cx), Fraction(0))
+            for cx in sorted(set(ladder) | {x})]
+    assert series.exact_partials == want
 
 
-def test_class_sum_cache_tolerant_read(tmp_path):
-    path = os.path.join(tmp_path, "h.csv")
-    with open(path, "w") as fh:
-        fh.write("D,h\n-23,3\nnot,a,row\n-20,2\n,\n")
-    cache_clear()
-    series = class_sum(0, 0, 500, checkpoints=(500,), cache=path)
-    assert series.exact_partials[-1] > 0
-
-
-def test_class_sum_cache_spot_check_catches_corruption(tmp_path):
-    path = os.path.join(tmp_path, "h.csv")
-    with open(path, "w") as fh:
-        fh.write("D,h\n-23,7\n")  # wrong value
-    cache_clear()
-    with pytest.raises(ValueError):
-        class_sum(0, 0, 500, checkpoints=(500,), cache=path)
-    cache_clear()
-
-
-def test_class_sum_workers_identical():
-    cache_clear()
-    a = class_sum(0, 0, 2000, checkpoints=(2000,), workers=4)
-    cache_clear()
-    b = class_sum(0, 0, 2000, checkpoints=(2000,))
-    assert a.exact_partials == b.exact_partials
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 10 ** 12)), max_size=70))
+def test_split_sum_matches_running_sum(terms):
+    P, Q = _split_sum([a for a, _ in terms], [b for _, b in terms])
+    assert Fraction(P, Q) == sum((Fraction(a, b) for a, b in terms), Fraction(0))
+    assert Q == math.prod(b for _, b in terms)
 
 
 def test_slope_fit_recovers_synthetic():
