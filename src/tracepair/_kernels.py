@@ -6,7 +6,8 @@ matrix counts never exceed ~4e16.  The per-discriminant class number needs
 |D| < 2^62 (``CLASS_NUMBER_D_BOUND``), so that (b^2 + |D|) / 4 fits.  The
 Frobenius-trace kernel needs primes p < 2^31 (``TRACE_P_BOUND``): curve
 coefficients are reduced mod p as Python ints, and every product it forms is
-of two residues, so below 2^62.
+of two residues, so below 2^62.  The Philox kernel works in uint64, where
+sums and products wrap mod 2^64 as the generator defines them.
 """
 
 import math
@@ -386,3 +387,45 @@ def trace_batch(a, b, primes):
     rest = np.concatenate([np.flatnonzero(primes <= _MESTRE_BOUND), pending])
     out[rest] = _trace_charsum(a, b, primes[rest])
     return out
+
+
+# ---------------------------------------------------------------------------
+# Philox4x64-10 uniforms
+# ---------------------------------------------------------------------------
+
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # round multipliers
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key bumps (Weyl sequence)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _mulhilo(x, c):
+    """(hi, lo) 64-bit halves of x * c for uint64 x and a constant c < 2^64."""
+    c_lo, c_hi = np.uint64(c & 0xFFFFFFFF), np.uint64(c >> 32)
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    ll, lh, hl = x_lo * c_lo, x_lo * c_hi, x_hi * c_lo
+    cross = (ll >> _SHIFT32) + (lh & _LOW32) + (hl & _LOW32)
+    hi = x_hi * c_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (cross >> _SHIFT32)
+    return hi, x * np.uint64(c)
+
+
+def philox_uniforms(seed, n, start=0):
+    """First three doubles of Philox4x64-10 keyed (seed, i), for start <= i < start + n.
+
+    Row j equals ``np.random.Generator(np.random.Philox(key=[seed, start + j])).random(3)``:
+    one block at counter 1 (numpy bumps the counter before its first block),
+    each word x read as (x >> 11) * 2^-53.  ``seed`` and the keys i are in [0, 2^64).
+    """
+    key1 = np.arange(start, start + n, dtype=np.uint64)
+    x0 = np.ones(n, dtype=np.uint64)
+    x1 = np.zeros(n, dtype=np.uint64)
+    x2 = np.zeros(n, dtype=np.uint64)
+    x3 = np.zeros(n, dtype=np.uint64)
+    for r in range(10):
+        k0 = np.uint64((seed + r * _PHILOX_W[0]) & 0xFFFFFFFFFFFFFFFF)
+        k1 = key1 + np.uint64(r * _PHILOX_W[1] & 0xFFFFFFFFFFFFFFFF)
+        hi0, lo0 = _mulhilo(x0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(x2, _PHILOX_M[1])
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    words = np.stack([x0, x1, x2], axis=1)
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53

@@ -60,7 +60,10 @@ def _parse_curve(text):
         a, b = (int(v) for v in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"curve must be 'a,b', got {text!r}") from exc
-    return Curve(a, b)
+    try:
+        return Curve(a, b)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _checkpoint_list(text):

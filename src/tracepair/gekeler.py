@@ -13,6 +13,9 @@ three-branch formula cannot express is ell = 2 with odd t, where the count is
 import math
 from fractions import Fraction
 
+import numpy as np
+
+from . import _kernels
 from .arith import is_prime, legendre_symbol, padic_valuation, sieve_primes
 from .class_numbers import hurwitz_weighted
 from .matcount import PrimePower, m_closed
@@ -77,7 +80,12 @@ def product_check(t, p, lmax):
     """Compare H(t^2 - 4p) with p * f_inf * prod_{ell <= lmax} f_ell.
 
     The product converges only conditionally, so the right side is an
-    approximation; factors are multiplied plainly in ascending ell.
+    approximation; factors are multiplied plainly in ascending ell.  For odd
+    ell not dividing d = t^2 - 4p, f_ell is ell/(ell - 1) when (d/ell) = 1 and
+    ell/(ell + 1) when (d/ell) = -1; these come from Euler's criterion over all
+    ell at once, as float divisions of integers below 2^53, which round as
+    ``float(f_ell)`` does.  ell = 2 and the few ell dividing d use the exact
+    ``f_ell``.
     """
     d = t * t - 4 * p
     if d >= 0:
@@ -87,8 +95,16 @@ def product_check(t, p, lmax):
     if not is_prime(p):
         raise ValueError(f"product check needs a prime p, got {p}")
     lhs = hurwitz_weighted(d)
-    rhs = p * f_infinity(t, p)
-    for ell in sieve_primes(lmax):
-        rhs *= float(f_ell(t, p, int(ell)))
+    ells = sieve_primes(lmax)
+    factors = np.empty(ells.size + 1, dtype=np.float64)
+    factors[0] = p * f_infinity(t, p)
+    if ells.size:
+        odd = ells[1:]  # below the sieve's 2e9, so _powmod's products fit int64
+        euler = _kernels._powmod(_kernels._residues(d, odd), (odd - 1) // 2, odd)
+        lf = odd.astype(np.float64)
+        factors[2:] = lf / np.where(euler == 1, lf - 1.0, lf + 1.0)
+        for i in [0] + (np.flatnonzero(euler == 0) + 1).tolist():  # ell = 2 and ell | d
+            factors[i + 1] = float(f_ell(t, p, int(ells[i])))
+    rhs = float(np.multiply.accumulate(factors)[-1])
     rel = abs(rhs - float(lhs)) / float(lhs)
     return {"lhs": lhs, "rhs": rhs, "rel_error": rel, "lmax": lmax}

@@ -9,8 +9,12 @@ of scope here).  Sampling is two-stage: pick the class pair by its total
 mass, then each coordinate by inverse CDF inside its class.  Per-prime
 normalization is exact, so the measure's leading constant never appears.
 
-Streams: prime index i uses a Philox generator keyed (seed, i), making runs
-bit-reproducible for any evaluation order or worker count.
+Streams: prime index i uses the Philox4x64-10 stream keyed (seed, i), making
+runs bit-reproducible for any evaluation order or worker count.  The keys are
+those of one ``np.random.Philox(key=(seed, i))`` per prime; the draws are made
+in blocks of primes (``_kernels.philox_uniforms``, ``_sample_block``), and the
+per-prime loop is kept as the test oracle ``_sample_run_scalar``.  The seed
+lies in [0, 2^64) and the level m in [2, ``MODEL_LEVEL_BOUND``].
 """
 
 import math
@@ -19,13 +23,22 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._kernels import philox_uniforms
 from .arith import sieve_primes
 from .local import delta_group_size, s_direct
 from .matcount import PrimePower
 
 
+MODEL_LEVEL_BOUND = 128  # the m^2 trace_weight table takes ~5-6 s at this level
+_BLOCK_ELEMENTS = 1 << 17  # grid cells per block of primes; bounds the scratch arrays
+_DRAW_CHUNK = 1 << 14  # Philox keys drawn per kernel call
+
+
 @dataclass(frozen=True)
 class ModelConfig:
+    """One sampler run: level 2 <= m <= ``MODEL_LEVEL_BOUND`` (128), primes
+    5 <= p <= n_max, seed in [0, 2^64), and the target pair (t1, t2)."""
+
     m: int
     n_max: int
     seed: int
@@ -35,6 +48,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.m < 2:
             raise ValueError("level m must be >= 2")
+        if self.m > MODEL_LEVEL_BOUND:
+            raise ValueError(f"level m must be <= {MODEL_LEVEL_BOUND}, got {self.m}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.n_max < 5:
             raise ValueError("n_max must be >= 5")
 
@@ -98,38 +115,122 @@ def class_mass_1d(p, m):
     return np.bincount((u % m).astype(np.int64), weights=w, minlength=m)
 
 
-def sample_run(config):
-    """Draw one trace-pair sequence; deterministic given config.seed."""
-    m = config.m
+def _level_weights(m):
+    """The m x m table of trace_weight(m, r1, r2) as floats."""
     fweight = np.empty((m, m), dtype=np.float64)
     for r1 in range(m):
         for r2 in range(m):
             fweight[r1, r2] = float(trace_weight(m, r1, r2))
+    return fweight
+
+
+def _model_primes(config):
     primes = sieve_primes(config.n_max)
-    primes = primes[primes >= 5]
+    return primes[primes >= 5]
+
+
+def _finish(config, primes, out1, out2):
+    m = config.m
+    cc = np.bincount((out1 % m) * m + (out2 % m), minlength=m * m).reshape(m, m)
+    hits = int(np.count_nonzero((out1 == config.t1) & (out2 == config.t2)))
+    return SampleRun(config, primes, out1, out2, cc, hits)
+
+
+def _grid_columns(m, umax):
+    """Columns R of the (m, R) grid that starts at -m * ceil(umax / m) and covers umax."""
+    return -(-umax // m) + umax // m + 1
+
+
+def _block_size(m, n_max):
+    """Primes per block: B * max(R * m, m^2) stays within ``_BLOCK_ELEMENTS``."""
+    width = _grid_columns(m, math.isqrt(4 * n_max - 1)) * m
+    return max(1, _BLOCK_ELEMENTS // max(width, m * m))
+
+
+def _sample_block(primes, draws, m, fweight):
+    """Draw (u1, u2) for a block of ascending primes; see ``_sample_run_scalar``.
+
+    The integers u lie on one grid of shape (m, R) that starts at a multiple
+    of m, so row r holds the u = r (mod m) in ascending order.  Outside a
+    prime's open Hasse range 1 - u^2/4p <= 0, and it is clipped to 0 before
+    the square root; inside it is > 0.  The cumulative sums along each row
+    then equal the scalar route's sequential sums from 0 in ascending u: their
+    last entry is the class mass, the row is the in-class CDF, and counting
+    the entries <= x reproduces ``searchsorted(side="right")``.
+    """
+    B = primes.shape[0]
+    umax = np.floor(np.sqrt(4.0 * primes - 1)).astype(np.int64)  # exact: 4p < 2^52
+    top = int(umax[-1])
+    lo = -m * -(-top // m)  # the multiple of m at or below -top
+    u = lo + np.arange(m)[:, None] + m * np.arange(_grid_columns(m, top))
+    # in place throughout: fresh block-sized temporaries cost page faults
+    cdf = u.astype(np.float64) ** 2 / (4.0 * primes.astype(np.float64))[:, None, None]
+    np.subtract(1.0, cdf, out=cdf)
+    np.maximum(cdf, 0.0, out=cdf)
+    np.sqrt(cdf, out=cdf)
+    np.cumsum(cdf, axis=2, out=cdf)  # (B, m, R)
+    m1 = np.ascontiguousarray(cdf[:, :, -1])
+    joint = m1[:, :, None] * m1[:, None, :]
+    joint *= fweight
+    flat = joint.reshape(B, m * m)
+    np.cumsum(flat, axis=1, out=flat)
+    idx = np.count_nonzero(flat <= (draws[:, 0] * flat[:, -1])[:, None], axis=1)
+    r1, r2 = np.divmod(np.minimum(idx, m * m - 1), m)
+    rows = np.arange(B)
+    out = []
+    for r, x in ((r1, draws[:, 1]), (r2, draws[:, 2])):
+        # leading pads hold 0 and always count, so the count is a grid column
+        count = np.count_nonzero(cdf[rows, r] <= (x * m1[rows, r])[:, None], axis=1)
+        last = (umax - lo - r) // m  # column of the class's largest member
+        out.append(lo + np.minimum(count, last) * m + r)
+    return out
+
+
+def sample_run(config):
+    """Draw one trace-pair sequence; deterministic given config.seed."""
+    m = config.m
+    fweight = _level_weights(m)
+    primes = _model_primes(config)
     n = primes.shape[0]
     out1 = np.empty(n, dtype=np.int64)
     out2 = np.empty(n, dtype=np.int64)
-    seed = config.seed & (2 ** 64 - 1)
+    step = _block_size(m, config.n_max)
+    for chunk in range(0, n, _DRAW_CHUNK):
+        stop = min(chunk + _DRAW_CHUNK, n)
+        draws = philox_uniforms(config.seed, stop - chunk, chunk)
+        for start in range(chunk, stop, step):
+            end = min(start + step, stop)
+            out1[start:end], out2[start:end] = _sample_block(
+                primes[start:end], draws[start - chunk : end - chunk], m, fweight
+            )
+    return _finish(config, primes, out1, out2)
+
+
+def _sample_run_scalar(config):
+    """Per-prime loop with a fresh Philox per prime; oracle for ``sample_run``."""
+    m = config.m
+    fweight = _level_weights(m)
+    primes = _model_primes(config)
+    n = primes.shape[0]
+    out1 = np.empty(n, dtype=np.int64)
+    out2 = np.empty(n, dtype=np.int64)
     for i in range(n):
-        p = int(primes[i])
-        u, w = semicircle_weights(p)
-        residues = (u % m).astype(np.int64)
-        m1 = np.bincount(residues, weights=w, minlength=m)
-        joint = m1[:, None] * m1[None, :] * fweight
-        flat = np.cumsum(joint.ravel())
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
-        draws = rng.random(3)
-        idx = int(np.searchsorted(flat, draws[0] * flat[-1], side="right"))
-        idx = min(idx, m * m - 1)
-        r1, r2 = divmod(idx, m)
-        out1[i] = _draw_in_class(u, w, residues, r1, draws[1])
-        out2[i] = _draw_in_class(u, w, residues, r2, draws[2])
-    cc = np.bincount(
-        (out1 % m) * m + (out2 % m), minlength=m * m
-    ).reshape(m, m)
-    hits = int(np.count_nonzero((out1 == config.t1) & (out2 == config.t2)))
-    return SampleRun(config, primes, out1, out2, cc, hits)
+        rng = np.random.Generator(np.random.Philox(key=np.array([config.seed, i], dtype=np.uint64)))
+        out1[i], out2[i] = _sample_prime(int(primes[i]), rng.random(3), m, fweight)
+    return _finish(config, primes, out1, out2)
+
+
+def _sample_prime(p, draws, m, fweight):
+    u, w = semicircle_weights(p)
+    residues = (u % m).astype(np.int64)
+    m1 = np.bincount(residues, weights=w, minlength=m)
+    joint = m1[:, None] * m1[None, :] * fweight
+    flat = np.cumsum(joint.ravel())
+    idx = int(np.searchsorted(flat, draws[0] * flat[-1], side="right"))
+    idx = min(idx, m * m - 1)
+    r1, r2 = divmod(idx, m)
+    return (_draw_in_class(u, w, residues, r1, draws[1]),
+            _draw_in_class(u, w, residues, r2, draws[2]))
 
 
 def _draw_in_class(u, w, residues, r, x):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from tracepair import _kernels, curves, prime_stats
+from tracepair import _kernels, curves, model_sim, prime_stats
 from tracepair.cli import main
 from tracepair.curves import Curve, point_count_brute
 
@@ -109,10 +109,15 @@ def test_curves_subcommand(capsys):
     assert doc["matched_primes"][0] == 11
 
 
-def test_curves_rejects_singular():
+def test_curves_rejects_singular(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["curves", "--e1", "0,0", "--e2", "0,1", "--t1", "0", "--t2", "0", "--x", "10"])
     assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "singular curve: discriminant is zero" in err
+    assert "_parse_curve" not in err
 
 
 def test_curves_discriminant_beyond_int64(capsys):
@@ -186,6 +191,26 @@ def test_simulate_reproducible(capsys):
     doc = json.loads(out1)
     assert doc["sampled_primes"] == 301
     assert sum(sum(row) for row in doc["class_counts"]) == 301
+
+
+@pytest.mark.parametrize("argv", [
+    ("--seed", "-1"),
+    ("--seed", str(2 ** 64)),
+    ("--seed", str(2 ** 128 + 1)),
+    ("--m", str(model_sim.MODEL_LEVEL_BOUND + 1)),
+])
+def test_simulate_out_of_domain_rejected_before_work(capsys, monkeypatch, argv):
+    def fail(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(model_sim, "sieve_primes", fail)
+    monkeypatch.setattr(model_sim, "trace_weight", fail)
+    opts = {"--m": "2", "--n": "1000", "--seed": "0", "--t1": "1", "--t2": "1"}
+    opts.update([argv])
+    code, out, err = run_cli(capsys, "simulate", *[x for kv in opts.items() for x in kv])
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_verify_single_suite(capsys):

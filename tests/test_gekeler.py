@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracepair.arith import sieve_primes
 from tracepair.gekeler import (
@@ -88,3 +90,25 @@ def test_product_check_preconditions():
         product_check(7, 5, 100)  # t^2 > 4p
     with pytest.raises(ValueError):
         product_check(0, 3, 100)  # p too small
+
+
+def _plain_product(t, p, lmax):
+    rhs = p * f_infinity(t, p)
+    for ell in sieve_primes(lmax):
+        rhs *= float(f_ell(t, p, int(ell)))
+    return rhs
+
+
+_SMALL_PRIMES = [int(p) for p in sieve_primes(10_000) if p > 3]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(0, 4), st.sampled_from(_SMALL_PRIMES), st.integers(0, 20_000))
+def test_product_check_matches_plain_loop(t, p, lmax):
+    assert product_check(t, p, lmax)["rhs"] == _plain_product(t, p, lmax)
+
+
+@pytest.mark.parametrize("t, p", [(1, 7), (1, 19), (0, 5)])
+def test_product_check_matches_plain_loop_at_square_factors(t, p):
+    # d = -27 and d = -75 carry the squares 9 and 25; d = -20 has ell = p = 5
+    assert product_check(t, p, 20_000)["rhs"] == _plain_product(t, p, 20_000)

@@ -1,6 +1,7 @@
-"""The batch matrix-count and Hurwitz-table kernels against their scalar and
-brute-force oracles."""
+"""The batch matrix-count, Hurwitz-table and Philox kernels against their
+scalar and brute-force oracles."""
 
+import numpy as np
 import pytest
 
 from tracepair import _kernels, local
@@ -56,3 +57,14 @@ def test_hurwitz_table_matches_per_discriminant_route():
             assert table[n] == 0, n
     for small in (0, 2, 3, 12, 13):  # sizes that cut the rows short
         assert (_kernels.hurwitz_table(small) == table[: small + 1]).all()
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 63, 2 ** 64 - 1])
+def test_philox_uniforms_match_numpy(seed):
+    for start, n in ((0, 200), (2 ** 31 - 2, 4), (2 ** 32 - 2, 3)):
+        got = _kernels.philox_uniforms(seed, n, start)
+        assert got.shape == (n, 3) and got.dtype == np.float64
+        for j in range(n):
+            key = np.array([seed, start + j], dtype=np.uint64)
+            want = np.random.Generator(np.random.Philox(key=key)).random(3)
+            assert np.array_equal(got[j], want), (seed, start + j)

@@ -1,13 +1,20 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tracepair import model_sim
+from tracepair.arith import _SIEVE_HARD_LIMIT, sieve_primes
 from tracepair.local import delta_group_size, s_direct
 from tracepair.matcount import PrimePower
 from tracepair.model_sim import (
+    MODEL_LEVEL_BOUND,
     ModelConfig,
+    _sample_run_scalar,
     class_density,
     growth_check,
     rectangle_mass_empirical,
@@ -24,6 +31,12 @@ def test_config_validation():
         ModelConfig(1, 100, 0, 0, 0)
     with pytest.raises(ValueError):
         ModelConfig(2, 3, 0, 0, 0)
+    with pytest.raises(ValueError):
+        ModelConfig(MODEL_LEVEL_BOUND + 1, 100, 0, 0, 0)
+    for seed in (-1, 2 ** 64, 2 ** 128 + 1):
+        with pytest.raises(ValueError):
+            ModelConfig(2, 100, seed, 0, 0)
+    ModelConfig(MODEL_LEVEL_BOUND, 100, 2 ** 64 - 1, 0, 0)
 
 
 def test_class_density_prime_power():
@@ -116,8 +129,6 @@ def test_sampler_hit_mass_matches_prediction():
     # summed over primes stays within a few percent of the asymptotic form
     m = 2
     fw = np.array([[float(trace_weight(m, a, b)) for b in range(m)] for a in range(m)])
-    from tracepair.arith import sieve_primes
-
     primes = sieve_primes(50_000)
     primes = primes[primes >= 5]
     exact = 0.0
@@ -130,3 +141,63 @@ def test_sampler_hit_mass_matches_prediction():
         exact += float(w[u == 1][0]) ** 2 * fw[1, 1] / z
         asym += fw[1, 1] / (math.pi ** 2 * p)
     assert abs(exact - asym) / asym < 0.05
+
+
+def _same_run(a, b):
+    return (
+        np.array_equal(a.primes, b.primes)
+        and np.array_equal(a.u1, b.u1)
+        and np.array_equal(a.u2, b.u2)
+        and np.array_equal(a.class_counts, b.class_counts)
+        and a.hits == b.hits
+    )
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    st.integers(2, 12),
+    st.integers(5, 5000),
+    st.integers(0, 2 ** 64 - 1),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+)
+def test_sample_run_matches_scalar_loop(m, n_max, seed, t1, t2):
+    cfg = ModelConfig(m, n_max, seed, t1, t2)
+    assert _same_run(sample_run(cfg), _sample_run_scalar(cfg))
+
+
+def test_sample_run_matches_scalar_loop_across_blocks(monkeypatch):
+    # draw chunks of 1000 keys cut the sampler blocks at other places
+    monkeypatch.setattr(model_sim, "_DRAW_CHUNK", 1000)
+    for m in (2, 12):
+        cfg = ModelConfig(m, 20_000, 31, 1, 1)
+        assert model_sim._block_size(m, cfg.n_max) < 1000 < cfg.n_max
+        assert _same_run(sample_run(cfg), _sample_run_scalar(cfg))
+
+
+def test_sample_block_matches_scalar_at_extreme_draws():
+    # Philox doubles lie in [0, 1 - 2^-53]; 1.0 also drives both clips
+    m = 6
+    fweight = model_sim._level_weights(m)
+    primes = sieve_primes(400)
+    primes = primes[primes >= 5]
+    edges = (0.0, 0.5, 1 - 2 ** -53, 1.0)
+    for draw in itertools.product(edges, repeat=3):
+        draws = np.tile(draw, (primes.shape[0], 1))
+        u1, u2 = model_sim._sample_block(primes, draws, m, fweight)
+        for i, p in enumerate(primes.tolist()):
+            assert (u1[i], u2[i]) == model_sim._sample_prime(p, draws[i], m, fweight), (p, draw)
+
+
+def test_block_size_within_element_budget():
+    # a single prime's grid holds ~4 sqrt(p) cells, so above n_max ~ 1e9 a
+    # block is one prime that is wider than the budget
+    for m in (2, 3, 12, MODEL_LEVEL_BOUND):
+        for n_max in (5, 1000, 10 ** 5, 10 ** 6, 10 ** 7, 10 ** 8, 10 ** 9):
+            umax = math.isqrt(4 * n_max - 1)
+            width = model_sim._grid_columns(m, umax) * m
+            assert width >= 2 * umax + 1
+            B = model_sim._block_size(m, n_max)
+            assert B >= 1
+            assert B * max(width, m * m) <= model_sim._BLOCK_ELEMENTS
+    assert model_sim._block_size(MODEL_LEVEL_BOUND, _SIEVE_HARD_LIMIT) == 1
