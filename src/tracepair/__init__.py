@@ -8,7 +8,6 @@ from .arith import (
     nu_lk,
     padic_valuation,
     sieve_primes,
-    sigma,
 )
 from .class_numbers import (
     ClassData,
@@ -41,7 +40,7 @@ from .local import (
     s_normalized,
     volume,
 )
-from .matcount import MatrixCount, PrimePower, m_brute, m_closed, m_dks, sqrt_count_N
+from .matcount import PrimePower, m_brute, m_closed, m_dks, sqrt_count_N
 from .model_sim import ModelConfig, SampleRun, class_density, growth_check, sample_run
 from .prime_stats import CheckpointSeries, average_f_product, class_sum, slope_fit
 

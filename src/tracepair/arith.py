@@ -108,8 +108,3 @@ def divisors(n):
                 large.append(n // d)
         d += 1
     return small + large[::-1]
-
-
-def sigma(n):
-    """Divisor sum sigma_1(n)."""
-    return sum(divisors(n))

@@ -91,7 +91,3 @@ def hurwitz_kronecker(D):
 def hurwitz_weighted(D):
     """The unit-weighted conductor sum H(D) alone, as an exact Fraction."""
     return hurwitz_kronecker(D).hw
-
-
-def cache_clear():
-    _H_CACHE.clear()

@@ -7,7 +7,6 @@ values are decimal strings with their digit count alongside.
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -78,7 +77,7 @@ def cmd_local_factor(args):
     norm = pp.ell ** (5 * pp.k - 5)
     results = {}
     if args.method in ("direct", "both"):
-        results["direct"] = Fraction(s_direct(args.t1, args.t2, pp, workers=args.workers), norm)
+        results["direct"] = Fraction(s_direct(args.t1, args.t2, pp), norm)
     if args.method in ("closed", "both"):
         if args.t1 == args.t2 or args.t1 == -args.t2:
             results["closed"] = s_closed_same(abs(args.t1), args.ell, args.k)
@@ -251,9 +250,9 @@ def cmd_simulate(args):
 
 def cmd_verify(args):
     names = args.suite if args.suite else None
-    report = verify_suites(names, full=args.full, workers=args.workers)
+    report = verify_suites(names, full=args.full)
     for check in report.checks:
-        tag = {"pass": "PASS", "fail": "FAIL", "skip": "SKIP"}[check.status]
+        tag = check.status.upper()
         extra = " [conjectural]" if check.conjectural else ""
         print(f"{tag} {check.id}{extra} ({check.elapsed:.2f}s)", file=sys.stderr)
     _emit(report.to_dict())
@@ -266,8 +265,8 @@ def build_parser():
         description="Exact-arithmetic toolkit for Frobenius trace-pair statistics",
     )
     parser.add_argument(
-        "--workers", type=_worker_count, default=os.cpu_count() or 1,
-        help="worker threads for partitioned sums (results are identical at any count)",
+        "--workers", type=_worker_count, default=1,
+        help="accepted for compatibility; has no effect",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -308,8 +307,9 @@ def build_parser():
     p.set_defaults(fn=cmd_average)
 
     p = sub.add_parser("curves", help="trace-pair prime counting for two concrete curves")
-    p.add_argument("--e1", type=_parse_curve, required=True, metavar="a,b")
-    p.add_argument("--e2", type=_parse_curve, required=True, metavar="a,b")
+    for opt in ("--e1", "--e2"):
+        p.add_argument(opt, type=_parse_curve, required=True, metavar="a,b",
+                       help=f"curve y^2 = x^3 + ax + b; write {opt}=-1,0 when a is negative")
     p.add_argument("--t1", type=int, required=True)
     p.add_argument("--t2", type=int, required=True)
     p.add_argument("--x", type=int, required=True)

@@ -7,7 +7,13 @@ they say.  Factors are multiplied in ascending ell for determinism.
 
 Two tail figures are reported: a conservative bound sum(8/ell^1.5) over the
 omitted primes, safe for every trace pair, and an empirical sum(4/ell^3)
-matching the generic factor shape 1 - 4/ell^3 + O(1/ell^4).
+matching the generic factor shape 1 - 4/ell^3 + O(1/ell^4).  The empirical
+figure is not a bound when a trace is 0: those factors are 1 + O(1/ell^2),
+and ``pair_constant(0, 0, 100_000)`` states 1.7e-11 while its true error
+against 35/96 is 8.8e-7 (ROADMAP, item 1).
+
+``lmax`` must be at least 2 and ``digits`` in [1, ``DIGITS_BOUND``]; both
+are checked before the sieve.
 """
 
 from dataclasses import dataclass
@@ -19,6 +25,7 @@ from .arith import is_prime, sieve_primes
 from .local import local_limit
 
 DEFAULT_DIGITS = 50
+DIGITS_BOUND = 10_000  # 10^4 digits at lmax = 1e5 take ~10 s
 
 
 @dataclass(frozen=True)
@@ -30,6 +37,13 @@ class EulerProductEstimate:
     tail_empirical: float
     conjectural_factors: int
     factor_trace: tuple | None
+
+
+def _check_domain(lmax, digits):
+    if lmax < 2:
+        raise ValueError("lmax must be >= 2")
+    if not 1 <= digits <= DIGITS_BOUND:
+        raise ValueError(f"digits must be in [1, {DIGITS_BOUND}], got {digits}")
 
 
 def _tails(primes, lmax):
@@ -53,8 +67,7 @@ def _product(factors, digits, prefactor_fn):
 
 def pair_constant(t1, t2, lmax, digits=DEFAULT_DIGITS, with_factors=False):
     """(1/pi^2) * prod of local factors c_ell over ell <= lmax."""
-    if lmax < 2:
-        raise ValueError("lmax must be >= 2")
+    _check_domain(lmax, digits)
     primes = [int(p) for p in sieve_primes(lmax)]
     factors = []
     conjectural = 0
@@ -83,8 +96,7 @@ def same_trace_constant(t, lmax, digits=DEFAULT_DIGITS):
     Splits odd primes by divisibility of t and applies the 2-adic factor by
     t mod 4; agrees with pair_constant(t, t) within the tail bounds.
     """
-    if lmax < 2:
-        raise ValueError("lmax must be >= 2")
+    _check_domain(lmax, digits)
     primes = [int(p) for p in sieve_primes(lmax)]
     factors = [_two_adic_same_trace(t)]
     for ell in primes:
@@ -103,8 +115,7 @@ def same_trace_constant(t, lmax, digits=DEFAULT_DIGITS):
 
 def universal_product(lmax, digits=DEFAULT_DIGITS):
     """prod over ell of (ell^4 - 2 ell^2 - 3 ell - 1)/(ell^2 - 1)^2, truncated."""
-    if lmax < 2:
-        raise ValueError("lmax must be >= 2")
+    _check_domain(lmax, digits)
     primes = [int(p) for p in sieve_primes(lmax)]
     factors = [
         Fraction(ell ** 4 - 2 * ell ** 2 - 3 * ell - 1, (ell ** 2 - 1) ** 2)
@@ -127,8 +138,7 @@ def same_trace_ratio(t):
 
 def single_curve_constant(t, lmax, digits=DEFAULT_DIGITS):
     """(2/pi) * prod of the single-trace local densities, truncated at lmax."""
-    if lmax < 2:
-        raise ValueError("lmax must be >= 2")
+    _check_domain(lmax, digits)
     primes = [int(p) for p in sieve_primes(lmax)]
     factors = []
     for ell in primes:

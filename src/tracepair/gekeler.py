@@ -92,6 +92,8 @@ def product_check(t, p, lmax):
         raise ValueError("product check needs t^2 - 4p < 0")
     if p <= 3:
         raise ValueError("product check needs p > 3")
+    if p >= _kernels.TRACE_P_BOUND:  # before the trial division in is_prime
+        raise ValueError(f"product check needs p < 2^31, got {p}")
     if not is_prime(p):
         raise ValueError(f"product check needs a prime p, got {p}")
     lhs = hurwitz_weighted(d)

@@ -4,7 +4,9 @@
 unit the case code of its matrix count under each trace (int64-safe), the
 pairs of codes are counted with ``bincount``, and the exact integer sum is
 assembled from that histogram with big-int arithmetic, so results are
-identical for any block size or worker count.
+identical for any block size.  Blocks of 2^20 units run one after another;
+threads would pay off only above one block (about 40% less time on two
+cores at 2^22 units), a size that no workload or check reaches.
 
 Closed forms are exposed with a provenance tag; conjectural ones are always
 recomputable against ``s_direct`` through the verify suite.  All normalized
@@ -12,7 +14,6 @@ values are ``fractions.Fraction``.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,8 +28,8 @@ PROVENANCE_PROPOSITION = "closed-form-proposition"
 PROVENANCE_CONJECTURE = "closed-form-conjecture"
 PROVENANCE_DIRECT = "direct-with-stability-check"
 
-UNIT_CAP_DEFAULT = 10 ** 8
-K_MAX_DEFAULT = 6
+UNIT_CAP = 10 ** 8
+K_MAX = 6
 _BLOCK = 1 << 20
 
 
@@ -54,55 +55,32 @@ class LocalFactor:
     provenance: str
 
 
-@dataclass(frozen=True)
-class LocalSequence:
-    ell: int
-    t1: int
-    t2: int
-    entries: tuple  # (k, S, normalized) triples, k consecutive from 1
+def s_direct(t1, t2, pp):
+    """Exact S(t1, t2; ell^k) = sum over units u of m(t1,u) m(t2,u).
 
-
-def s_direct(t1, t2, pp, unit_cap=UNIT_CAP_DEFAULT, workers=1):
-    """Exact S(t1, t2; ell^k) = sum over units u of m(t1,u) m(t2,u)."""
+    At most ``UNIT_CAP`` (10^8) units; larger moduli are refused.
+    """
     q = pp.modulus
     phi = q - q // pp.ell
-    if phi > unit_cap:
-        raise ValueError(f"unit count {phi} exceeds cap {unit_cap}")
-
-    def block_histogram(lo):
+    if phi > UNIT_CAP:
+        raise ValueError(f"unit count {phi} exceeds cap {UNIT_CAP}")
+    hist = 0
+    for lo in range(1, q, _BLOCK):
         hi = min(lo + _BLOCK, q)
         _, code1, values = _kernels.m_values(t1, pp.ell, pp.k, lo, hi)
         _, code2, _ = _kernels.m_values(t2, pp.ell, pp.k, lo, hi)
         width = len(values)
-        return np.bincount(code1 * width + code2, minlength=width * width), values
-
-    starts = range(1, q, _BLOCK)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(block_histogram, starts))
-    else:
-        results = [block_histogram(lo) for lo in starts]
-
-    hist = sum(h for h, _ in results)
-    values = results[0][1].tolist()
-    width = len(values)
+        hist += np.bincount(code1 * width + code2, minlength=width * width)
+    values = values.tolist()
     total = 0
     for code in np.flatnonzero(hist).tolist():
         total += int(hist[code]) * values[code // width] * values[code % width]
     return total
 
 
-def s_normalized(t1, t2, pp, **kw):
+def s_normalized(t1, t2, pp):
     """S(t1, t2; ell^k) / ell^(5k-5) as an exact Fraction."""
-    return Fraction(s_direct(t1, t2, pp, **kw), pp.ell ** (5 * pp.k - 5))
-
-
-def local_sequence(t1, t2, ell, k_max):
-    entries = []
-    for k in range(1, k_max + 1):
-        s = s_direct(t1, t2, PrimePower(ell, k))
-        entries.append((k, s, Fraction(s, ell ** (5 * k - 5))))
-    return LocalSequence(ell, t1, t2, tuple(entries))
+    return Fraction(s_direct(t1, t2, pp), pp.ell ** (5 * pp.k - 5))
 
 
 def _same_closed(t, ell):
@@ -190,24 +168,22 @@ def s_closed_distinct(t1, t2, ell, k):
     return None
 
 
-def local_limit_direct(t1, t2, ell, k_max=K_MAX_DEFAULT, unit_cap=UNIT_CAP_DEFAULT,
-                       extra_depth=False, workers=1):
-    """Limit via direct sums at depths alpha+1 and alpha+2, requiring equality."""
+def local_limit_direct(t1, t2, ell):
+    """Limit via direct sums at depths alpha+1 and alpha+2, requiring equality.
+
+    alpha + 1 may not exceed ``K_MAX`` (6).
+    """
     a = alpha(t1, t2, ell)
     if a == math.inf:
         raise ValueError("direct stability check needs t1 != +-t2")
     k1 = int(a) + 1
     k2 = k1 + 1
-    if k1 > k_max:
-        raise ValueError(f"stability depth {k1} exceeds k_max {k_max}")
-    s1 = s_normalized(t1, t2, PrimePower(ell, k1), unit_cap=unit_cap, workers=workers)
-    s2 = s_normalized(t1, t2, PrimePower(ell, k2), unit_cap=unit_cap, workers=workers)
+    if k1 > K_MAX:
+        raise ValueError(f"stability depth {k1} exceeds k_max {K_MAX}")
+    s1 = s_normalized(t1, t2, PrimePower(ell, k1))
+    s2 = s_normalized(t1, t2, PrimePower(ell, k2))
     if s1 != s2:
         raise UnstableLocalFactor(ell, k1, s1, k2, s2)
-    if extra_depth:
-        s3 = s_normalized(t1, t2, PrimePower(ell, k2 + 1), unit_cap=unit_cap, workers=workers)
-        if s3 != s1:
-            raise UnstableLocalFactor(ell, k2, s2, k2 + 1, s3)
     return _factor(ell, s1, k1, PROVENANCE_DIRECT)
 
 
@@ -216,17 +192,13 @@ def _factor(ell, limit, stabilized_at, provenance):
     return LocalFactor(ell, limit, stabilized_at, limit / denom, provenance)
 
 
-def local_limit(t1, t2, ell, method="auto", **direct_kw):
+def local_limit(t1, t2, ell):
     """The limit of S(t1,t2;ell^k)/ell^(5k-5) as a LocalFactor.
 
     Dispatch: equal/opposite traces use the five-case theorem limits; other
     pairs use the proven case table, then the conjectural one (flagged by
-    provenance); method="direct" forces the stability-checked fallback.
+    provenance).  ``local_limit_direct`` is the stability-checked fallback.
     """
-    if method == "direct":
-        return local_limit_direct(t1, t2, ell, **direct_kw)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
     if t1 == t2 or t1 == -t2:
         lim, c, k_min = _same_closed(abs(t1), ell)
         # without a 1/ell^(2k) term the sums are constant from k_min on
@@ -242,9 +214,9 @@ def delta_group_size(pp):
     return phi * (ell ** (3 * k - 2) * (ell ** 2 - 1)) ** 2
 
 
-def volume(t1, t2, ell, **kw):
+def volume(t1, t2, ell):
     """local_limit / ell^5; the ell-adic volume of the trace-pair slice."""
-    return local_limit(t1, t2, ell, **kw).limit / Fraction(ell ** 5)
+    return local_limit(t1, t2, ell).limit / Fraction(ell ** 5)
 
 
 # Printed-variant regression guards.  For odd ell dividing exactly one trace,

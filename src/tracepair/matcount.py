@@ -19,33 +19,32 @@ from fractions import Fraction
 from . import _kernels
 from .arith import is_prime, legendre_symbol, nu_lk, padic_valuation
 
-BRUTE_BUDGET_DEFAULT = 2_000_000
+BRUTE_BUDGET = 2_000_000
+K_BOUND = 64  # covers alpha + 1 for any pair of int64 traces
 
 
 @dataclass(frozen=True)
 class PrimePower:
-    """A local modulus ell^k."""
+    """A local modulus ell^k with a prime ell < 2^31 and 1 <= k <= 64.
+
+    The bounds are checked before the trial-division primality test, which
+    takes ~5 ms just below 2^31, and before any power of ell is formed.
+    """
 
     ell: int
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        if not 1 <= self.k <= K_BOUND:
+            raise ValueError(f"k must be in [1, {K_BOUND}], got {self.k}")
+        if self.ell >= _kernels.TRACE_P_BOUND:
+            raise ValueError(f"ell must be below 2^31, got {self.ell}")
         if not is_prime(self.ell):
             raise ValueError(f"ell must be prime, got {self.ell}")
 
     @property
     def modulus(self):
         return self.ell ** self.k
-
-
-@dataclass(frozen=True)
-class MatrixCount:
-    t: int
-    u: int
-    count: int
-    n: int
 
 
 def _require_unit(u, pp):
@@ -136,14 +135,14 @@ def m_dks(t, u, pp):
     return int(result)
 
 
-def m_brute(t, u, pp, budget=BRUTE_BUDGET_DEFAULT):
+def m_brute(t, u, pp):
     """m(t, u; ell^k) by enumerating a, b, c with d = t - a.
 
-    Refuses when ell^{3k} exceeds the budget; callers fall back to the closed
-    form above that size.
+    Refuses when ell^{3k} exceeds ``BRUTE_BUDGET``; callers fall back to the
+    closed form above that size.
     """
     _require_unit(u, pp)
     q = pp.modulus
-    if q ** 3 > budget:
-        raise ValueError(f"brute-force budget exceeded: {q}^3 > {budget}")
+    if q ** 3 > BRUTE_BUDGET:
+        raise ValueError(f"brute-force budget exceeded: {q}^3 > {BRUTE_BUDGET}")
     return _kernels.m_brute(t % q, u % q, q)

@@ -10,7 +10,7 @@ mass, then each coordinate by inverse CDF inside its class.  Per-prime
 normalization is exact, so the measure's leading constant never appears.
 
 Streams: prime index i uses the Philox4x64-10 stream keyed (seed, i), making
-runs bit-reproducible for any evaluation order or worker count.  The keys are
+runs bit-reproducible for any evaluation order or block size.  The keys are
 those of one ``np.random.Philox(key=(seed, i))`` per prime; the draws are made
 in blocks of primes (``_kernels.philox_uniforms``, ``_sample_block``), and the
 per-prime loop is kept as the test oracle ``_sample_run_scalar``.  The seed
@@ -107,12 +107,6 @@ def semicircle_weights(p):
     u = np.arange(-umax, umax + 1, dtype=np.int64)
     w = np.sqrt(1.0 - u.astype(np.float64) ** 2 / (4.0 * p))
     return u, w
-
-
-def class_mass_1d(p, m):
-    """Exact-ordering sums of semicircle weights by residue class mod m."""
-    u, w = semicircle_weights(p)
-    return np.bincount((u % m).astype(np.int64), weights=w, minlength=m)
 
 
 def _level_weights(m):

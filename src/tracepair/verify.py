@@ -43,6 +43,7 @@ from .curves import Curve, pair_count, point_count_brute, trace_ap, trace_table
 from .gekeler import delta_exponent, f_ell, f_infinity, f_level_k, product_check
 from .local import (
     PROVENANCE_CONJECTURE,
+    UNIT_CAP,
     delta_group_size,
     gcd_mult4_condition_variants,
     interpolate_rational,
@@ -55,7 +56,7 @@ from .local import (
     s_direct,
     s_normalized,
 )
-from .matcount import PrimePower, m_brute, m_closed, m_dks
+from .matcount import BRUTE_BUDGET, PrimePower, m_brute, m_closed, m_dks
 from .model_sim import (
     ModelConfig,
     class_density,
@@ -79,7 +80,7 @@ THREEWAY_MODULI = ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3
 @dataclass
 class Check:
     id: str
-    status: str  # pass / fail / skip
+    status: str  # pass / fail
     lhs: str
     rhs: str
     tolerance: str
@@ -215,7 +216,7 @@ def check_alpha():
     return True, "alpha cases", "expected"
 
 
-def suite_arith(full=False, workers=1):
+def suite_arith(full=False):
     checks = []
     _run(checks, "arith:legendre-multiplicative", check_legendre_multiplicative)
     _run(checks, "arith:legendre-balance", check_legendre_balance)
@@ -303,7 +304,7 @@ def check_m_spot_values():
     return True, "spot values", "frozen oracle values"
 
 
-def suite_matcount(full=False, workers=1):
+def suite_matcount(full=False):
     checks = []
     _run(checks, "matcount:threeway-grid", check_threeway)
     _run(checks, "matcount:sign-symmetry", check_sign_symmetry_m)
@@ -507,7 +508,7 @@ def check_interpolation():
     return True, "rational fits", "expanded closed forms"
 
 
-def suite_local(full=False, workers=1):
+def suite_local(full=False):
     checks = []
     _run(checks, "local:delta-enumeration", check_delta_enumeration)
     _run(checks, "local:sign-symmetry", check_s_sign_symmetry)
@@ -599,7 +600,7 @@ def check_single_curve():
     return abs(v1 - v2) < 1e-6, f"{float(est.value):.8f} / drift {abs(v1 - v2):.2e}", "pi/3 / < 1e-6"
 
 
-def suite_constants(full=False, workers=1):
+def suite_constants(full=False):
     checks = []
     _run(checks, "constants:c00-reference", check_c00_reference, tolerance="1e-3")
     _run(checks, "constants:universal-product", check_universal_reference, tolerance="1e-6")
@@ -674,7 +675,7 @@ def check_class_positivity():
     return True, "h >= 1, H > 0", "all valid D >= -400"
 
 
-def suite_classnum(full=False, workers=1):
+def suite_classnum(full=False):
     checks = []
     _run(checks, "classnum:kronecker-hurwitz-identity", check_kronecker_hurwitz)
     _run(checks, "classnum:spot-values", check_class_spot_values)
@@ -782,7 +783,7 @@ def check_delta_convention():
     return True, "2-adic delta reading", "level stabilization oracle"
 
 
-def suite_gekeler(full=False, workers=1):
+def suite_gekeler(full=False):
     checks = []
     _run(checks, "gekeler:level-consistency", check_level_consistency)
     _run(checks, "gekeler:density-bounds", check_f_bounds)
@@ -843,7 +844,7 @@ def check_slope_fit_exact():
     return ok and abs(flat.c_hat) < 1e-12, f"c={fit.c_hat}, a={fit.intercept}", "0.75, 2.5"
 
 
-def suite_primestats(full=False, workers=1):
+def suite_primestats(full=False):
     checks = []
     _run(checks, "primestats:average-f-product", check_average_f_product, tolerance="1%")
     _run(checks, "primestats:class-sum-trend", check_class_sum_trend, tolerance="factor 2")
@@ -936,7 +937,7 @@ def check_pair_count_identities():
     return c2 >= c1 > 0, f"monotone {c1} <= {c2}", "non-decreasing, nonzero"
 
 
-def suite_curves(full=False, workers=1):
+def suite_curves(full=False):
     checks = []
     _run(checks, "curves:trace-oracle", check_trace_oracle)
     _run(checks, "curves:hasse-bound", check_hasse)
@@ -1094,7 +1095,7 @@ def check_deviation_shrink():
     return -0.7 <= slope <= -0.3, f"log-log slope {slope:.3f}", "in [-0.7, -0.3]"
 
 
-def suite_modelsim(full=False, workers=1):
+def suite_modelsim(full=False):
     checks = []
     _run(checks, "modelsim:density-partition", check_density_partition)
     _run(checks, "modelsim:determinism", check_model_determinism)
@@ -1110,7 +1111,7 @@ def suite_modelsim(full=False, workers=1):
 # conjectured distinct-trace grid
 # ---------------------------------------------------------------------------
 
-def conjecture_grid_mismatches(t_max=30, prime_max=17, k_extra=3, workers=1):
+def conjecture_grid_mismatches(t_max=30, prime_max=17, k_extra=3):
     """Cells (t1, t2, ell, k) where direct sums disagree with the conjecture."""
     primes = [int(p) for p in sieve_primes(prime_max)]
     mismatches = []
@@ -1129,24 +1130,24 @@ def conjecture_grid_mismatches(t_max=30, prime_max=17, k_extra=3, workers=1):
                 if closed is None or closed[1] != PROVENANCE_CONJECTURE:
                     continue
                 for k in range(a + 1, a + k_extra + 1):
-                    got = s_normalized(t1, t2, PrimePower(ell, k), workers=workers)
+                    got = s_normalized(t1, t2, PrimePower(ell, k))
                     cells += 1
                     if got != closed[0]:
                         mismatches.append((t1, t2, ell, k, got, closed[0]))
     return cells, mismatches
 
 
-def check_conjecture_grid(full=False, workers=1):
+def check_conjecture_grid(full=False):
     if full:
-        cells, mism = conjecture_grid_mismatches(100, 19, 3, workers)
+        cells, mism = conjecture_grid_mismatches(100, 19, 3)
     else:
-        cells, mism = conjecture_grid_mismatches(30, 17, 3, workers)
+        cells, mism = conjecture_grid_mismatches(30, 17, 3)
     return not mism, f"{cells} cells, {len(mism)} mismatches", "0 mismatches", str(mism[:5])
 
 
-def suite_conjecture71(full=False, workers=1):
+def suite_conjecture71(full=False):
     checks = []
-    _run(checks, "conj71:grid", lambda: check_conjecture_grid(full, workers),
+    _run(checks, "conj71:grid", lambda: check_conjecture_grid(full),
          tolerance="exact", conjectural=True)
     return checks
 
@@ -1169,19 +1170,18 @@ SUITES = {
 }
 
 
-def verify_suites(names=None, full=False, workers=1):
+def verify_suites(names=None, full=False):
     chosen = list(SUITES) if names is None else list(names)
     unknown = [n for n in chosen if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
-    suites = {name: SUITES[name](full=full, workers=workers) for name in chosen}
+    suites = {name: SUITES[name](full=full) for name in chosen}
     env = {
         "backend": "numpy",
-        "workers": workers,
         "full": full,
         "model_seeds": list(MODEL_SEEDS),
         "precision_digits_default": 50,
-        "brute_budget": 2_000_000,
-        "unit_cap": 10 ** 8,
+        "brute_budget": BRUTE_BUDGET,
+        "unit_cap": UNIT_CAP,
     }
     return VerifyReport(suites, env)

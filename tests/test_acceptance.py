@@ -60,7 +60,7 @@ def test_criterion_03_one_divides_adjudication(report):
 
 def test_criterion_04_distinct_trace_grid(report):
     # zero mismatches on the reduced grid: t <= 30, primes <= 17, k <= alpha+3
-    report("A04 distinct-trace conjecture grid", lambda: check_conjecture_grid(False, 1))
+    report("A04 distinct-trace conjecture grid", lambda: check_conjecture_grid(False))
 
 
 def test_criterion_05_pair_constant_reference(report):

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
+import signal
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tracepair import _kernels, curves, model_sim, prime_stats
+from tracepair import _kernels, constants, curves, gekeler, matcount, model_sim, prime_stats
 from tracepair.cli import main
 from tracepair.curves import Curve, point_count_brute
 
@@ -157,6 +162,11 @@ def test_average_default_ladder_small_x(capsys):
 @pytest.mark.parametrize("argv", [
     ("class-number", "--d", "-99999999999999999999"),
     ("average", "--t1", "0", "--t2", "0", "--x", "2000001"),
+    ("constant", "--lmax", "100", "--digits", "0"),
+    ("constant", "--lmax", "100", "--digits", "-5"),
+    # 10^18 + 3 is prime: trial division up to 10^9 would run for minutes
+    ("local-factor", "--t1", "1", "--t2", "2", "--ell", "1000000000000000003", "--k", "1"),
+    ("gekeler", "--t", "1", "--p", "1000000000000000003"),
 ])
 def test_out_of_domain_rejected_before_work(capsys, monkeypatch, argv):
     def fail(*args):
@@ -165,6 +175,9 @@ def test_out_of_domain_rejected_before_work(capsys, monkeypatch, argv):
     monkeypatch.setattr(_kernels, "class_number", fail)
     monkeypatch.setattr(_kernels, "hurwitz_table", fail)
     monkeypatch.setattr(prime_stats, "sieve_primes", fail)
+    monkeypatch.setattr(constants, "sieve_primes", fail)
+    monkeypatch.setattr(matcount, "is_prime", fail)
+    monkeypatch.setattr(gekeler, "is_prime", fail)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -180,6 +193,76 @@ def test_workers_must_be_positive(capsys, workers):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "--workers" in err
+
+
+def test_workers_flag_has_no_effect(capsys):
+    args = ["local-factor", "--t1", "4", "--t2", "-2", "--ell", "2", "--k", "12",
+            "--method", "both"]
+    code, plain, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert run_cli(capsys, "--workers", "2", *args) == (0, plain, "")
+
+
+# Every subcommand's integer options (a1, b1, a2, b2: the curve coefficients)
+# take small sizes, except up to two that take edge values.
+_SMALL = st.integers(-3, 7)
+_EDGES = st.sampled_from((0, -1, -2 ** 63, 2 ** 31, 2 ** 64))  # huge positives shrink last
+_INT_OPTIONS = {
+    "local-factor": ("--t1", "--t2", "--ell", "--k"),
+    "constant": ("--t1", "--t2", "--lmax", "--digits"),
+    "class-number": ("--d",),
+    "gekeler": ("--t", "--p", "--lmax"),
+    "average": ("--t1", "--t2", "--x", "--reference-lmax"),
+    "curves": ("--t1", "--t2", "--x", "--predict-lmax", "a1", "b1", "a2", "b2"),
+    "simulate": ("--m", "--n", "--seed", "--t1", "--t2"),
+}
+_CHOICES = {
+    "local-factor": ("--method", ("direct", "closed", "both")),
+    "constant": ("--kind", ("pair", "same-trace", "universal", "single")),
+}
+
+
+class _NoAnswer(Exception):
+    """Not an OSError, so that main cannot report it as a usage error."""
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    def expire(signum, frame):
+        raise _NoAnswer(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("command", sorted(_INT_OPTIONS))
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_integer_arguments_keep_exit_contract(command, data):
+    options = _INT_OPTIONS[command]
+    edged = data.draw(st.sets(st.sampled_from(options), max_size=2))
+    v = {opt: data.draw(_EDGES if opt in edged else _SMALL, label=opt) for opt in options}
+    argv = [command] + [f"{opt}={v[opt]}" for opt in options if opt.startswith("--")]
+    if command == "curves":
+        argv += [f"--e1={v['a1']},{v['b1']}", f"--e2={v['a2']},{v['b2']}"]
+    if command in _CHOICES:
+        opt, values = _CHOICES[command]
+        argv.append(f"{opt}={data.draw(st.sampled_from(values), label=opt)}")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            _time_limit(10):
+        try:
+            code = main(argv)  # any exception escaping main is a traceback
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(err.getvalue().strip().splitlines()) == 1
 
 
 def test_simulate_reproducible(capsys):

@@ -41,9 +41,8 @@ def test_s_direct_block_and_worker_invariance(monkeypatch, ell, k):
         for t1, t2 in pairs
     }
     monkeypatch.setattr(local, "_BLOCK", 64)
-    for workers in (1, 2):
-        for (t1, t2), want in expected.items():
-            assert local.s_direct(t1, t2, pp, workers=workers) == want
+    for (t1, t2), want in expected.items():
+        assert local.s_direct(t1, t2, pp) == want
 
 
 def test_hurwitz_table_matches_per_discriminant_route():

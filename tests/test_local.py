@@ -13,7 +13,6 @@ from tracepair.local import (
     interpolate_rational,
     local_limit,
     local_limit_direct,
-    local_sequence,
     s_closed_distinct,
     s_closed_same,
     s_direct,
@@ -44,21 +43,9 @@ def test_s_direct_matches_full_enumeration():
                 assert counts[t1][t2] == s_direct(t1, t2, pp)
 
 
-def test_s_direct_workers_identical():
-    pp = PrimePower(3, 4)
-    assert s_direct(5, 7, pp, workers=4) == s_direct(5, 7, pp, workers=1)
-
-
 def test_s_direct_budget():
     with pytest.raises(ValueError):
         s_direct(0, 0, PrimePower(2, 40))
-
-
-def test_local_sequence_normalization():
-    seq = local_sequence(2, 3, 2, 4)
-    assert [entry[0] for entry in seq.entries] == [1, 2, 3, 4]
-    for k, s, norm in seq.entries:
-        assert norm == Fraction(s, 2 ** (5 * k - 5))
 
 
 def test_s_closed_same_cases():
@@ -145,7 +132,7 @@ def test_local_limit_direct_route():
 
 def test_local_limit_direct_depth_cap():
     with pytest.raises(ValueError):
-        local_limit_direct(2 ** 7, 0, 2, k_max=6)  # alpha = 7 exceeds k_max
+        local_limit_direct(2 ** 7, 0, 2)  # alpha = 7 exceeds K_MAX = 6
 
 
 def test_unstable_error_carries_values():

@@ -18,6 +18,12 @@ def test_prime_power_validation():
         PrimePower(3, 0)
     with pytest.raises(ValueError):
         PrimePower(4, 2)
+    assert PrimePower(2 ** 31 - 1, 1).modulus == 2 ** 31 - 1  # a Mersenne prime
+    assert PrimePower(2, 64).modulus == 2 ** 64
+    # 2^31 + 11 is the least prime above 2^31
+    for ell, k in ((2, 65), (3, 2 ** 64), (2 ** 31 + 11, 1)):
+        with pytest.raises(ValueError):
+            PrimePower(ell, k)
 
 
 def test_m_brute_spot():
