@@ -1,31 +1,26 @@
 """Command-line surface: JSON on stdout, diagnostics on stderr.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Exact
-rationals are serialized as "num/den" strings, never floats; high-precision
-values are decimal strings with their digit count alongside.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 stdout
+closed by its reader.  Exact rationals are serialized as "num/den" strings,
+never floats; high-precision values are decimal strings with their digit
+count alongside.
+
+Every job runs in a fresh process, so each ``cmd_*`` function imports the
+modules it runs and nothing else: numpy, mpmath and ``verify`` are loaded
+only by the subcommands that need them.
 """
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
-import mpmath
-
-from .class_numbers import hurwitz_kronecker
-from .constants import (
-    pair_constant,
-    same_trace_constant,
-    single_curve_constant,
-    universal_product,
+# verify.SUITES, sorted; a literal so that building the parser does not import verify
+SUITE_NAMES = (
+    "arith", "classnum", "conjecture71-grid", "constants", "curves", "gekeler",
+    "local", "matcount", "modelsim", "primestats",
 )
-from .curves import Curve, pair_count
-from .gekeler import product_check
-from .local import local_limit, s_closed_distinct, s_closed_same, s_direct
-from .matcount import PrimePower
-from .model_sim import ModelConfig, growth_check, sample_run
-from .prime_stats import class_sum, slope_fit
-from .verify import SUITES, verify_suites
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,6 +54,8 @@ def _parse_curve(text):
         a, b = (int(v) for v in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"curve must be 'a,b', got {text!r}") from exc
+    from .curves import Curve
+
     try:
         return Curve(a, b)
     except ValueError as exc:
@@ -73,6 +70,9 @@ def _checkpoint_list(text):
 
 
 def cmd_local_factor(args):
+    from .local import local_limit, s_closed_distinct, s_closed_same, s_direct
+    from .matcount import PrimePower
+
     pp = PrimePower(args.ell, args.k)
     norm = pp.ell ** (5 * pp.k - 5)
     results = {}
@@ -114,6 +114,15 @@ _REFERENCES = {("pair", 0, 0): "35/96", ("universal",): "0.08789878383"}
 
 
 def cmd_constant(args):
+    import mpmath
+
+    from .constants import (
+        pair_constant,
+        same_trace_constant,
+        single_curve_constant,
+        universal_product,
+    )
+
     if args.kind == "pair":
         est = pair_constant(args.t1, args.t2, args.lmax, digits=args.digits)
         ref = _REFERENCES.get(("pair", abs(args.t1), abs(args.t2)))
@@ -145,6 +154,8 @@ def cmd_constant(args):
 
 
 def cmd_class_number(args):
+    from .class_numbers import hurwitz_kronecker
+
     cd = hurwitz_kronecker(args.d)
     _emit(
         {
@@ -161,6 +172,8 @@ def cmd_class_number(args):
 
 
 def cmd_gekeler(args):
+    from .gekeler import product_check
+
     r = product_check(args.t, args.p, args.lmax)
     _emit(
         {
@@ -176,6 +189,9 @@ def cmd_gekeler(args):
 
 
 def cmd_average(args):
+    from .constants import pair_constant
+    from .prime_stats import class_sum, slope_fit
+
     series = class_sum(args.t1, args.t2, args.x, checkpoints=args.checkpoints)
     fit = slope_fit(series)
     reference = float(pair_constant(args.t1, args.t2, args.reference_lmax).value)
@@ -204,6 +220,8 @@ def cmd_average(args):
 
 
 def cmd_curves(args):
+    from .curves import pair_count
+
     result = pair_count(
         args.e1, args.e2, args.t1, args.t2, args.x,
         list_primes=args.list_primes,
@@ -214,6 +232,8 @@ def cmd_curves(args):
 
 
 def cmd_simulate(args):
+    from .model_sim import ModelConfig, growth_check, sample_run
+
     config = ModelConfig(args.m, args.n, args.seed, args.t1, args.t2)
     run = sample_run(config)
     ladder = [c for c in (1000, 10_000, 100_000, 1_000_000) if c <= args.n]
@@ -249,6 +269,8 @@ def cmd_simulate(args):
 
 
 def cmd_verify(args):
+    from .verify import verify_suites
+
     names = args.suite if args.suite else None
     report = verify_suites(names, full=args.full)
     for check in report.checks:
@@ -328,7 +350,7 @@ def build_parser():
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("verify", help="run cross-verification suites")
-    p.add_argument("--suite", action="append", choices=sorted(SUITES),
+    p.add_argument("--suite", action="append", choices=SUITE_NAMES,
                    help="suite to run (repeatable); default: all")
     p.add_argument("--full", action="store_true",
                    help="run the full distinct-trace grid (1..100, primes to 19)")
@@ -340,7 +362,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: silence the final flush and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -340,6 +340,61 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_closed_stdout_exits_141():
+    # ~75 KB of output: more than a pipe buffer, so the CLI is still writing when the reader leaves
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tracepair.cli", "curves", "--e1=-1,0", "--e2=0,1",
+         "--t1", "0", "--t2", "0", "--x", "300000", "--list-primes"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b'{\n  "count'
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
+
+
+_LOADED = """
+import contextlib, io, json, sys
+from tracepair.cli import main
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            main(sys.argv[1:])
+        except SystemExit:
+            pass
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def _loaded_modules(*argv):
+    """Modules loaded by a fresh interpreter that imports the CLI and runs ``argv``."""
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("argv,absent", [
+    ((), ("numpy", "mpmath", "tracepair.verify")),
+    (("--help",), ("numpy", "mpmath", "tracepair.verify")),
+    (("curves", "--e1", "1,0", "--e2", "0,1", "--t1", "0", "--t2", "0", "--x", "300"),
+     ("mpmath", "tracepair.verify")),
+    (("simulate", "--m", "2", "--n", "2000", "--seed", "5", "--t1", "1", "--t2", "1"),
+     ("mpmath", "tracepair.verify")),
+])
+def test_job_loads_only_what_it_runs(argv, absent):
+    loaded = _loaded_modules(*argv)
+    assert "tracepair.cli" in loaded
+    assert not loaded & set(absent)
+
+
+def test_suite_choices_match_verify():
+    from tracepair import cli, verify
+
+    assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES))
+
+
 def test_local_factor_entrypoint():
     proc = subprocess.run(
         [sys.executable, "-m", "tracepair.cli", "local-factor", "--t1", "2", "--t2", "2",

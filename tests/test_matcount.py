@@ -1,8 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tracepair.arith import is_prime
 from tracepair.matcount import (
+    BRUTE_BUDGET,
     PrimePower,
     m_brute,
     m_closed,
@@ -95,6 +99,24 @@ def test_three_routes_agree(ell, k):
             if u % ell == 0:
                 continue
             assert m_closed(t, u, pp) == m_dks(t, u, pp) == m_brute(t, u, pp)
+
+
+# every prime power ell^k that m_brute accepts: ell^(3k) <= BRUTE_BUDGET
+_BRUTE_POWERS = [
+    (ell, k)
+    for ell in range(2, int(BRUTE_BUDGET ** (1 / 3)) + 2) if is_prime(ell)
+    for k in range(1, 20) if ell ** (3 * k) <= BRUTE_BUDGET
+]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(power=st.sampled_from(_BRUTE_POWERS), t=st.integers(), u=st.integers(), data=st.data())
+def test_three_routes_agree_on_any_trace_and_unit(power, t, u, data):
+    ell, k = power
+    pp = PrimePower(ell, k)
+    if u % ell == 0:
+        u += data.draw(st.integers(1, ell - 1), label="unit shift")
+    assert m_closed(t, u, pp) == m_dks(t, u, pp) == m_brute(t, u, pp)
 
 
 def test_sign_symmetry():
