@@ -1,15 +1,15 @@
 """Start-up record: time fresh CLI processes and list the modules each job loads.
 
-    python3 benchmarks/bench.py [--reps N] [--out BENCH_7.json] [ROOT ...]
+    python3 benchmarks/bench.py [--out BENCH_7.json] [ROOT ...]
 
 Each ROOT is a source checkout; the default is the one this file is in.  The
 jobs are ``--help`` and the seed-0 first job of each jobbench workload
 (``jobbench/workloads.py``).  Every run is a fresh
 ``python -m tracepair.cli ...`` process with ``PYTHONPATH=ROOT/src`` and
 stdout discarded; a run that does not exit 0 stops the bench.  Runs are
-interleaved: each repetition runs every job once in each root, and the
-order of the roots alternates between repetitions, so that a drift of the
-machine's speed falls on all roots alike.  One more run per job and root,
+interleaved: each of the ``REPS`` (15) repetitions runs every job once in
+each root, and the order of the roots alternates between repetitions, so
+that a drift of the machine's speed falls on all roots alike.  One more run per job and root,
 under ``python -X importtime``, lists the ``tracepair`` modules, numpy and
 mpmath that the job loaded, with their cumulative import times.
 
@@ -34,6 +34,7 @@ sys.path.insert(0, str(ROOT / "jobbench"))
 import workloads  # noqa: E402  (stdlib only; defines the jobbench batches)
 
 clock = time.perf_counter
+REPS = 15  # timed runs per job and root
 
 
 def jobs():
@@ -107,24 +108,21 @@ def environment():
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("roots", nargs="*", default=[str(ROOT)], help="source checkouts to time")
-    parser.add_argument("--reps", type=int, default=15, help="timed runs per job and root (>= 10)")
     parser.add_argument("--out", default="BENCH_7.json", help="path of the JSON record")
     args = parser.parse_args(argv)
-    if args.reps < 10:
-        parser.error("--reps must be at least 10")
     roots = [str(Path(r).resolve()) for r in args.roots]
     table = jobs()
     times = {(root, name): [] for root in roots for name in table}
-    for rep in range(args.reps):
+    for rep in range(REPS):
         order = roots if rep % 2 == 0 else roots[::-1]
         for name, job_argv in table.items():
             for root in order:
                 times[root, name].append(time_run(root, job_argv))
-        print(f"rep {rep + 1}/{args.reps} done", file=sys.stderr)
+        print(f"rep {rep + 1}/{REPS} done", file=sys.stderr)
     record = {
         "bench": "cli-startup",
         "environment": environment(),
-        "reps": args.reps,
+        "reps": REPS,
         "jobs": {name: list(job_argv) for name, job_argv in table.items()},
         "roots": [
             {**git_commit(root),

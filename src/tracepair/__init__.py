@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit for Frobenius trace-pair statistics.
 
-The public names below are imported from their modules on first use
-(PEP 562), so ``import tracepair`` loads neither numpy nor mpmath.
+The public names below, and the modules that hold them, are imported on
+first use (PEP 562), so ``import tracepair`` loads neither numpy nor mpmath.
 """
 
 import importlib
@@ -38,6 +38,8 @@ __all__ = sorted(_SOURCE)
 
 
 def __getattr__(name):
+    if name in _MODULES:
+        return importlib.import_module(f".{name}", __name__)
     module = _SOURCE.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -47,4 +49,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__))
+    return sorted(set(globals()) | set(__all__) | set(_MODULES))

@@ -23,7 +23,18 @@ def test_dir_lists_all_before_first_use():
                           timeout=60, check=True)
     names = set(json.loads(proc.stdout))
     assert set(tracepair.__all__) <= names
+    assert set(tracepair._MODULES) <= names
     assert "__version__" in names
+
+
+def test_submodules_resolve_after_bare_import():
+    # a fresh interpreter, where no submodule has been imported yet
+    code = ("import sys, tracepair\n"
+            "assert 'tracepair.local' not in sys.modules\n"
+            "for module in tracepair._MODULES:\n"
+            "    assert getattr(tracepair, module) is sys.modules['tracepair.' + module]\n"
+            "assert tracepair.local.s_direct is tracepair.s_direct\n")
+    subprocess.run([sys.executable, "-c", code], timeout=60, check=True)
 
 
 def test_star_import_binds_all():
