@@ -54,15 +54,12 @@ def split_discriminant(D):
     raise AssertionError("unreachable: f = 1 always qualifies")
 
 
-def class_number_h(D, cache=True):
+def class_number_h(D):
     """Number of primitive reduced forms of discriminant D < 0."""
     _check_discriminant(D)
-    if cache and D in _H_CACHE:
-        return _H_CACHE[D]
-    h = _kernels.class_number(D)
-    if cache:
-        _H_CACHE[D] = h
-    return h
+    if D not in _H_CACHE:
+        _H_CACHE[D] = _kernels.class_number(D)
+    return _H_CACHE[D]
 
 
 def unit_count_w(D):

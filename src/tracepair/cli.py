@@ -189,9 +189,10 @@ def cmd_gekeler(args):
 
 
 def cmd_average(args):
-    from .constants import pair_constant
+    from .constants import DEFAULT_DIGITS, _check_domain, pair_constant
     from .prime_stats import class_sum, slope_fit
 
+    _check_domain(args.reference_lmax, DEFAULT_DIGITS)  # before the class-number sums
     series = class_sum(args.t1, args.t2, args.x, checkpoints=args.checkpoints)
     fit = slope_fit(series)
     reference = float(pair_constant(args.t1, args.t2, args.reference_lmax).value)

@@ -1,9 +1,14 @@
 """Truncated Euler products for the trace-pair and single-trace constants.
 
-Every local factor is an exact rational from ``local``; only the final
-product is floating, taken in mpmath at a configurable precision (default 50
-significant digits) with pi from mpmath, so high-precision runs mean what
-they say.  Factors are multiplied in ascending ell for determinism.
+The four constants share one engine, ``_euler_product``: it checks the
+domain, sieves once to 8 * lmax and splits the primes at lmax.  The primes up
+to lmax carry the exact local factors, the primes above it the tail sums.
+Each constant supplies only its prefactor and its rational factor at ell.
+
+Every local factor is an exact rational; only the final product is floating,
+taken in mpmath at ``digits + 15`` working digits (default 50 significant
+digits) with pi from mpmath, so high-precision runs mean what they say.
+Factors are multiplied in ascending ell for determinism.
 
 Two tail figures are reported: a conservative bound sum(8/ell^1.5) over the
 omitted primes, safe for every trace pair, and an empirical sum(4/ell^3)
@@ -12,8 +17,8 @@ figure is not a bound when a trace is 0: those factors are 1 + O(1/ell^2),
 and ``pair_constant(0, 0, 100_000)`` states 1.7e-11 while its true error
 against 35/96 is 8.8e-7 (ROADMAP, item 1).
 
-``lmax`` must be at least 2 and ``digits`` in [1, ``DIGITS_BOUND``]; both
-are checked before the sieve.
+``lmax`` must be in [2, ``LMAX_BOUND``] and ``digits`` in [1,
+``DIGITS_BOUND``]; both are checked before the sieve.
 """
 
 from dataclasses import dataclass
@@ -21,11 +26,12 @@ from fractions import Fraction
 
 import mpmath
 
-from .arith import is_prime, sieve_primes
-from .local import local_limit
+from .arith import _SIEVE_HARD_LIMIT, is_prime, sieve_primes
+from .local import PROVENANCE_CONJECTURE, local_limit
 
 DEFAULT_DIGITS = 50
 DIGITS_BOUND = 10_000  # 10^4 digits at lmax = 1e5 take ~10 s
+LMAX_BOUND = _SIEVE_HARD_LIMIT // 8  # the tail sums run over primes up to 8 * lmax
 
 
 @dataclass(frozen=True)
@@ -36,50 +42,50 @@ class EulerProductEstimate:
     tail_conservative: float
     tail_empirical: float
     conjectural_factors: int
-    factor_trace: tuple | None
 
 
 def _check_domain(lmax, digits):
-    if lmax < 2:
-        raise ValueError("lmax must be >= 2")
+    if not 2 <= lmax <= LMAX_BOUND:
+        raise ValueError(f"lmax must be in [2, {LMAX_BOUND}], got {lmax}")
     if not 1 <= digits <= DIGITS_BOUND:
         raise ValueError(f"digits must be in [1, {DIGITS_BOUND}], got {digits}")
 
 
-def _tails(primes, lmax):
-    # |log tail| bounds: exact partial sums to 8*lmax plus an integral bound
-    # for the rest (prime density 1/log x, decreasing integrands).
-    extra = sieve_primes(8 * lmax)
-    extra = extra[extra > lmax]
-    log_l = mpmath.log(8 * lmax)
-    cons = sum(8.0 / int(p) ** 1.5 for p in extra) + float(16 / (mpmath.sqrt(8 * lmax) * log_l))
-    emp = sum(4.0 / int(p) ** 3 for p in extra) + float(2 / ((8 * lmax) ** 2 * log_l))
-    return cons, emp
+def _euler_product(lmax, digits, prefactor, factor):
+    """prefactor() * prod of factor(ell) over primes ell <= lmax, with its tails.
 
-
-def _product(factors, digits, prefactor_fn):
-    with mpmath.workdps(digits + 15):
-        acc = prefactor_fn()
-        for frac in factors:
-            acc *= mpmath.mpf(frac.numerator) / frac.denominator
-        return +acc
-
-
-def pair_constant(t1, t2, lmax, digits=DEFAULT_DIGITS, with_factors=False):
-    """(1/pi^2) * prod of local factors c_ell over ell <= lmax."""
+    ``factor(ell)`` returns the exact Fraction at ell and whether it is
+    conjectural.
+    """
     _check_domain(lmax, digits)
-    primes = [int(p) for p in sieve_primes(lmax)]
-    factors = []
+    primes = sieve_primes(8 * lmax)
+    split = primes.searchsorted(lmax, side="right")
+    head = primes[:split].tolist()
     conjectural = 0
-    for ell in primes:
+    with mpmath.workdps(digits + 15):
+        acc = prefactor()
+        for ell in head:
+            frac, conj = factor(ell)
+            conjectural += conj
+            acc *= mpmath.mpf(frac.numerator) / frac.denominator
+        value = +acc
+    # |log tail| bounds: exact partial sums to 8*lmax plus an integral bound
+    # for the rest (prime density 1/log x, decreasing integrands).  Both are
+    # floats, taken at mpmath's default precision outside the product's.
+    tail = primes[split:]
+    log_l = mpmath.log(8 * lmax)
+    cons = sum(8.0 / int(p) ** 1.5 for p in tail) + float(16 / (mpmath.sqrt(8 * lmax) * log_l))
+    emp = sum(4.0 / int(p) ** 3 for p in tail) + float(2 / ((8 * lmax) ** 2 * log_l))
+    return EulerProductEstimate(value, digits, head[-1], cons, emp, conjectural)
+
+
+def pair_constant(t1, t2, lmax, digits=DEFAULT_DIGITS):
+    """(1/pi^2) * prod of local factors c_ell over ell <= lmax."""
+    def factor(ell):
         lf = local_limit(t1, t2, ell)
-        if lf.provenance == "closed-form-conjecture":
-            conjectural += 1
-        factors.append(lf.c_ell)
-    value = _product(factors, digits, lambda: 1 / mpmath.pi ** 2)
-    cons, emp = _tails(primes, lmax)
-    trace = tuple(zip(primes, factors)) if with_factors else None
-    return EulerProductEstimate(value, digits, primes[-1], cons, emp, conjectural, trace)
+        return lf.c_ell, lf.provenance == PROVENANCE_CONJECTURE
+
+    return _euler_product(lmax, digits, lambda: 1 / mpmath.pi ** 2, factor)
 
 
 def _two_adic_same_trace(t):
@@ -96,34 +102,23 @@ def same_trace_constant(t, lmax, digits=DEFAULT_DIGITS):
     Splits odd primes by divisibility of t and applies the 2-adic factor by
     t mod 4; agrees with pair_constant(t, t) within the tail bounds.
     """
-    _check_domain(lmax, digits)
-    primes = [int(p) for p in sieve_primes(lmax)]
-    factors = [_two_adic_same_trace(t)]
-    for ell in primes:
+    def factor(ell):
         if ell == 2:
-            continue
+            return _two_adic_same_trace(t), False
         if t % ell == 0:
-            factors.append(Fraction(ell ** 2 * (ell ** 2 + 1), (ell ** 2 - 1) ** 2))
-        else:
-            factors.append(
-                Fraction(ell ** 2 * (ell ** 4 - 2 * ell ** 2 - 3 * ell - 1), (ell ** 2 - 1) ** 3)
-            )
-    value = _product(factors, digits, lambda: 1 / mpmath.pi ** 2)
-    cons, emp = _tails(primes, lmax)
-    return EulerProductEstimate(value, digits, primes[-1], cons, emp, 0, None)
+            return Fraction(ell ** 2 * (ell ** 2 + 1), (ell ** 2 - 1) ** 2), False
+        num = ell ** 2 * (ell ** 4 - 2 * ell ** 2 - 3 * ell - 1)
+        return Fraction(num, (ell ** 2 - 1) ** 3), False
+
+    return _euler_product(lmax, digits, lambda: 1 / mpmath.pi ** 2, factor)
 
 
 def universal_product(lmax, digits=DEFAULT_DIGITS):
     """prod over ell of (ell^4 - 2 ell^2 - 3 ell - 1)/(ell^2 - 1)^2, truncated."""
-    _check_domain(lmax, digits)
-    primes = [int(p) for p in sieve_primes(lmax)]
-    factors = [
-        Fraction(ell ** 4 - 2 * ell ** 2 - 3 * ell - 1, (ell ** 2 - 1) ** 2)
-        for ell in primes
-    ]
-    value = _product(factors, digits, lambda: mpmath.mpf(1))
-    cons, emp = _tails(primes, lmax)
-    return EulerProductEstimate(value, digits, primes[-1], cons, emp, 0, None)
+    def factor(ell):
+        return Fraction(ell ** 4 - 2 * ell ** 2 - 3 * ell - 1, (ell ** 2 - 1) ** 2), False
+
+    return _euler_product(lmax, digits, lambda: mpmath.mpf(1), factor)
 
 
 def same_trace_ratio(t):
@@ -138,14 +133,9 @@ def same_trace_ratio(t):
 
 def single_curve_constant(t, lmax, digits=DEFAULT_DIGITS):
     """(2/pi) * prod of the single-trace local densities, truncated at lmax."""
-    _check_domain(lmax, digits)
-    primes = [int(p) for p in sieve_primes(lmax)]
-    factors = []
-    for ell in primes:
+    def factor(ell):
         if t % ell == 0:
-            factors.append(Fraction(ell ** 2, ell ** 2 - 1))
-        else:
-            factors.append(Fraction(ell ** 3 - ell ** 2 - ell, (ell ** 2 - 1) * (ell - 1)))
-    value = _product(factors, digits, lambda: 2 / mpmath.pi)
-    cons, emp = _tails(primes, lmax)
-    return EulerProductEstimate(value, digits, primes[-1], cons, emp, 0, None)
+            return Fraction(ell ** 2, ell ** 2 - 1), False
+        return Fraction(ell ** 3 - ell ** 2 - ell, (ell ** 2 - 1) * (ell - 1)), False
+
+    return _euler_product(lmax, digits, lambda: 2 / mpmath.pi, factor)

@@ -80,6 +80,10 @@ def pair_count(e1, e2, t1, t2, x, list_primes=False, prediction_lmax=None):
         raise ValueError("x must be >= 5")
     if x >= _kernels.TRACE_P_BOUND:
         raise ValueError("x must be below 2^31, the trace kernel's range")
+    if prediction_lmax is not None:
+        from .constants import pair_constant
+
+        c = pair_constant(t1, t2, prediction_lmax)  # rejects a bad lmax before the sweep
     primes = sieve_primes(x)
     primes = primes[primes >= 5]
     d1, d2 = e1.disc, e2.disc  # any size: tested on Python ints
@@ -95,9 +99,6 @@ def pair_count(e1, e2, t1, t2, x, list_primes=False, prediction_lmax=None):
     if list_primes:
         out["matched_primes"] = [int(p) for p in matched]
     if prediction_lmax is not None:
-        from .constants import pair_constant
-
-        c = pair_constant(t1, t2, prediction_lmax)
         out["prediction"] = float(c.value) * math.log(math.log(x))
         out["prediction_assumes_generic_image"] = True
     return out

@@ -15,8 +15,6 @@ import numpy as np
 
 from . import _kernels
 from .arith import sieve_primes
-from .gekeler import f_ell
-from .local import local_limit
 
 CHECKPOINTS_DEFAULT = (1_000, 3_000, 10_000, 30_000, 100_000)
 CLASS_SUM_X_BOUND = 2_000_000  # class_sum's Hurwitz table holds 4x + 1 int64 entries
@@ -28,6 +26,9 @@ def average_f_product(t1, t2, ell, x):
     Returns (average, reference) where reference is the local Euler factor
     the average converges to.
     """
+    from .gekeler import f_ell  # loads class_numbers, which class_sum does not need
+    from .local import local_limit
+
     if x < 10:
         raise ValueError("x must be >= 10")
     primes = sieve_primes(x)

@@ -167,6 +167,11 @@ def test_average_default_ladder_small_x(capsys):
     # 10^18 + 3 is prime: trial division up to 10^9 would run for minutes
     ("local-factor", "--t1", "1", "--t2", "2", "--ell", "1000000000000000003", "--k", "1"),
     ("gekeler", "--t", "1", "--p", "1000000000000000003"),
+    # the tail sums sieve to 8 * lmax, beyond the sieve's 2e9 limit
+    ("constant", "--lmax", "300000000"),
+    ("average", "--t1", "0", "--t2", "0", "--x", "5000", "--reference-lmax", "1"),
+    ("curves", "--e1", "1,0", "--e2", "0,1", "--t1", "0", "--t2", "0", "--x", "1000",
+     "--predict-lmax", "1"),
 ])
 def test_out_of_domain_rejected_before_work(capsys, monkeypatch, argv):
     def fail(*args):
@@ -176,6 +181,7 @@ def test_out_of_domain_rejected_before_work(capsys, monkeypatch, argv):
     monkeypatch.setattr(_kernels, "hurwitz_table", fail)
     monkeypatch.setattr(prime_stats, "sieve_primes", fail)
     monkeypatch.setattr(constants, "sieve_primes", fail)
+    monkeypatch.setattr(curves, "sieve_primes", fail)
     monkeypatch.setattr(matcount, "is_prime", fail)
     monkeypatch.setattr(gekeler, "is_prime", fail)
     code, out, err = run_cli(capsys, *argv)
@@ -382,6 +388,9 @@ def _loaded_modules(*argv):
      ("mpmath", "tracepair.verify")),
     (("simulate", "--m", "2", "--n", "2000", "--seed", "5", "--t1", "1", "--t2", "1"),
      ("mpmath", "tracepair.verify")),
+    # mpmath still loads, for the reference constant
+    (("average", "--t1", "1", "--t2", "1", "--x", "5000"),
+     ("tracepair.gekeler", "tracepair.class_numbers", "tracepair.verify")),
 ])
 def test_job_loads_only_what_it_runs(argv, absent):
     loaded = _loaded_modules(*argv)

@@ -1,15 +1,20 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from tracepair import constants
+from tracepair.arith import sieve_primes
 from tracepair.constants import (
+    LMAX_BOUND,
     pair_constant,
     same_trace_constant,
     same_trace_ratio,
     single_curve_constant,
     universal_product,
 )
+from tracepair.local import PROVENANCE_CONJECTURE, local_limit
 
 
 def test_pair_constant_reference():
@@ -41,9 +46,13 @@ def test_universal_product():
 
 
 def test_sign_invariance():
-    base = pair_constant(3, 5, 200, with_factors=True)
+    for ell in sieve_primes(200).tolist():
+        base = local_limit(3, 5, ell).c_ell
+        for t1, t2 in ((-3, 5), (3, -5), (-3, -5)):
+            assert local_limit(t1, t2, ell).c_ell == base
+    base = pair_constant(3, 5, 200)
     for t1, t2 in ((-3, 5), (3, -5), (-3, -5)):
-        assert pair_constant(t1, t2, 200, with_factors=True).factor_trace == base.factor_trace
+        assert pair_constant(t1, t2, 200).value == base.value
 
 
 def test_same_trace_routes_agree():
@@ -83,19 +92,126 @@ def test_single_curve_constant():
 
 def test_conjectural_factor_count():
     # distinct traces away from +- each other use conjectural factors at most primes
-    est = pair_constant(1, 2, 100, with_factors=True)
-    assert est.conjectural_factors > 0
+    est = pair_constant(1, 2, 100)
+    flagged = [local_limit(1, 2, ell).provenance == PROVENANCE_CONJECTURE
+               for ell in sieve_primes(100).tolist()]
+    assert est.conjectural_factors == sum(flagged) > 0
     same = pair_constant(1, 1, 100)
     assert same.conjectural_factors == 0
 
 
-def test_lmax_validation():
-    with pytest.raises(ValueError):
+def test_lmax_validation(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError("sieve started")
+
+    monkeypatch.setattr(constants, "sieve_primes", no_sieve)
+    with pytest.raises(ValueError, match="lmax"):
         pair_constant(0, 0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lmax"):
         universal_product(0)
+    # the tail sums sieve to 8 * lmax, so a larger lmax fails before the sieve
+    with pytest.raises(ValueError, match="lmax"):
+        single_curve_constant(0, LMAX_BOUND + 1)
 
 
 def test_digits_plumbed():
     est = pair_constant(0, 0, 50, digits=30)
     assert est.digits == 30
+
+
+# Outputs of the four constants, recorded as mpmath.nstr(value, digits) and
+# conjectural_factors, keyed by (kind, t1, t2, lmax, digits); the tails and
+# the truncation prime depend on lmax alone.  Any change to the factors, their
+# order, the working precision or the tail sums shows here.
+PINNED_VALUES = {
+    ("pair", 0, 0, 2, 15): ("0.197013412637879", 0),
+    ("pair", 1, 2, 2, 15): ("0.0900632743487447", 0),
+    ("pair", -1, 2, 2, 15): ("0.0900632743487447", 0),
+    ("pair", 2, -2, 2, 15): ("0.193260776206681", 0),
+    ("same-trace", 0, None, 2, 15): ("0.197013412637879", 0),
+    ("same-trace", 2, None, 2, 15): ("0.193260776206681", 0),
+    ("same-trace", -2, None, 2, 15): ("0.193260776206681", 0),
+    ("single", 0, None, 2, 15): ("0.848826363156775", 0),
+    ("single", 1, None, 2, 15): ("0.424413181578388", 0),
+    ("single", -1, None, 2, 15): ("0.424413181578388", 0),
+    ("universal", None, None, 2, 15): ("0.111111111111111", 0),
+    ("pair", 0, 0, 2, 50): ("0.19701341263787900002976562290780374231403095075159", 0),
+    ("pair", 1, 2, 2, 50): ("0.090063274348744685727892856186424567914985577486441", 0),
+    ("pair", -1, 2, 2, 50): ("0.090063274348744685727892856186424567914985577486441", 0),
+    ("pair", 2, -2, 2, 50): ("0.19326077620668130479110342056670271865090655168966", 0),
+    ("same-trace", 0, None, 2, 50): ("0.19701341263787900002976562290780374231403095075159", 0),
+    ("same-trace", 2, None, 2, 50): ("0.19326077620668130479110342056670271865090655168966", 0),
+    ("same-trace", -2, None, 2, 50): ("0.19326077620668130479110342056670271865090655168966", 0),
+    ("single", 0, None, 2, 50): ("0.8488263631567751241007134046534099308504514439491", 0),
+    ("single", 1, None, 2, 50): ("0.42441318157838756205035670232670496542522572197455", 0),
+    ("single", -1, None, 2, 50): ("0.42441318157838756205035670232670496542522572197455", 0),
+    ("universal", None, None, 2, 50): ("0.11111111111111111111111111111111111111111111111111", 0),
+    ("pair", 0, 0, 100, 15): ("0.362599608078778", 0),
+    ("pair", 1, 2, 100, 15): ("0.0761848450024452", 24),
+    ("pair", -1, 2, 100, 15): ("0.0761848450024452", 24),
+    ("pair", 2, -2, 100, 15): ("0.188279178280794", 0),
+    ("same-trace", 0, None, 100, 15): ("0.362599608078778", 0),
+    ("same-trace", 2, None, 100, 15): ("0.188279178280794", 0),
+    ("same-trace", -2, None, 100, 15): ("0.188279178280794", 0),
+    ("single", 0, None, 100, 15): ("1.04529477731298", 0),
+    ("single", 1, None, 100, 15): ("0.391609612740732", 0),
+    ("single", -1, None, 100, 15): ("0.391609612740732", 0),
+    ("universal", None, None, 100, 15): ("0.0879014712959887", 0),
+    ("pair", 0, 0, 100, 50): ("0.36259960807877840702854037438844507312409143973963", 0),
+    ("pair", 1, 2, 100, 50): ("0.07618484500244524064142817779765436085807976156108", 24),
+    ("pair", -1, 2, 100, 50): ("0.07618484500244524064142817779765436085807976156108", 24),
+    ("pair", 2, -2, 100, 50): ("0.18827917828079372591921735120913676837873701780452", 0),
+    ("same-trace", 0, None, 100, 50): ("0.36259960807877840702854037438844507312409143973963", 0),
+    ("same-trace", 2, None, 100, 50): ("0.18827917828079372591921735120913676837873701780452", 0),
+    ("same-trace", -2, None, 100, 50): ("0.18827917828079372591921735120913676837873701780452", 0),
+    ("single", 0, None, 100, 50): ("1.0452947773129782983516302017892977411499863046799", 0),
+    ("single", 1, None, 100, 50): ("0.39160961274073227973315350607369720731384626702372", 0),
+    ("single", -1, None, 100, 50): ("0.39160961274073227973315350607369720731384626702372", 0),
+    ("universal", None, None, 100, 50): ("0.087901471295988655725780594816028078849160243575649", 0),
+    ("pair", 0, 0, 2000, 15): ("0.364519557939098", 0),
+    ("pair", 1, 2, 2000, 15): ("0.0761817309842574", 302),
+    ("pair", -1, 2, 2000, 15): ("0.0761817309842574", 302),
+    ("pair", 2, -2, 2000, 15): ("0.188605150343493", 0),
+    ("same-trace", 0, None, 2000, 15): ("0.364519557939098", 0),
+    ("same-trace", 2, None, 2000, 15): ("0.188605150343493", 0),
+    ("same-trace", -2, None, 2000, 15): ("0.188605150343493", 0),
+    ("single", 0, None, 2000, 15): ("1.04713648666336", 0),
+    ("single", 1, None, 2000, 15): ("0.391605618287371", 0),
+    ("single", -1, None, 2000, 15): ("0.391605618287371", 0),
+    ("universal", None, None, 2000, 15): ("0.0878987878794624", 0),
+    ("pair", 0, 0, 2000, 50): ("0.3645195579390979750933410473350871813581523947021", 0),
+    ("pair", 1, 2, 2000, 50): ("0.076181730984257410504704464284857135455779233905143", 302),
+    ("pair", -1, 2, 2000, 50): ("0.076181730984257410504704464284857135455779233905143", 302),
+    ("pair", 2, -2, 2000, 50): ("0.18860515034349288805374936038499566556823549438809", 0),
+    ("same-trace", 0, None, 2000, 50): ("0.3645195579390979750933410473350871813581523947021", 0),
+    ("same-trace", 2, None, 2000, 50): ("0.18860515034349288805374936038499566556823549438809", 0),
+    ("same-trace", -2, None, 2000, 50): ("0.18860515034349288805374936038499566556823549438809", 0),
+    ("single", 0, None, 2000, 50): ("1.0471364866633633265836203222066931513220686756214", 0),
+    ("single", 1, None, 2000, 50): ("0.39160561828737149139488659227341745736678015466559", 0),
+    ("single", -1, None, 2000, 50): ("0.39160561828737149139488659227341745736678015466559", 0),
+    ("universal", None, None, 2000, 50): ("0.087898787879462381699603982137204107841018553168188", 0),
+}
+PINNED_TAILS = {
+    2: (2, 4.519754870581384, 0.19945364322622366),
+    100: (97, 0.27251401792193247, 4.0601660820837e-05),
+    2000: (1999, 0.04030642439192246, 6.14081444764958e-08),
+}
+
+
+def _estimate(kind, t1, t2, lmax, digits):
+    if kind == "pair":
+        return pair_constant(t1, t2, lmax, digits)
+    if kind == "same-trace":
+        return same_trace_constant(t1, lmax, digits)
+    if kind == "single":
+        return single_curve_constant(t1, lmax, digits)
+    return universal_product(lmax, digits)
+
+
+def test_outputs_pinned():
+    for (kind, t1, t2, lmax, digits), (value, conjectural) in PINNED_VALUES.items():
+        est = _estimate(kind, t1, t2, lmax, digits)
+        got = (mpmath.nstr(est.value, digits), est.conjectural_factors)
+        assert got == (value, conjectural), (kind, t1, t2, lmax, digits)
+        tails = (est.truncation_prime, est.tail_conservative, est.tail_empirical)
+        assert tails == PINNED_TAILS[lmax], (kind, t1, t2, lmax, digits)
