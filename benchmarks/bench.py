@@ -1,12 +1,15 @@
-"""Start-up record: time fresh CLI processes and list the modules each job loads.
+"""Start-up record: time fresh CLI processes, their memory, and the modules each job loads.
 
-    python3 benchmarks/bench.py [--out BENCH_7.json] [ROOT ...]
+    python3 benchmarks/bench.py [--out BENCH_9.json] [ROOT ...]
 
 Each ROOT is a source checkout; the default is the one this file is in.  The
-jobs are ``--help`` and the seed-0 first job of each jobbench workload
-(``jobbench/workloads.py``).  Every run is a fresh
-``python -m tracepair.cli ...`` process with ``PYTHONPATH=ROOT/src`` and
-stdout discarded; a run that does not exit 0 stops the bench.  Runs are
+jobs are ``--help``, the seed-0 first job of each jobbench workload
+(``jobbench/workloads.py``), and desk-mix seed 0's ``local-factor --ell 2``
+and ``constant --kind universal`` jobs, the workload's two heaviest layers.
+Every run is a fresh ``python -m tracepair.cli ...`` process with
+``PYTHONPATH=ROOT/src`` and stdout discarded; a run that does not exit 0
+stops the bench.  Each run's wall time and its maximum resident set size
+(``ru_maxrss`` from ``os.wait4``) are recorded.  Runs are
 interleaved: each of the ``REPS`` (15) repetitions runs every job once in
 each root, and the order of the roots alternates between repetitions, so
 that a drift of the machine's speed falls on all roots alike.  One more run per job and root,
@@ -14,7 +17,8 @@ under ``python -X importtime``, lists the ``tracepair`` modules, numpy and
 mpmath that the job loaded, with their cumulative import times.
 
 The record holds the git commit of each root, nproc, the Python, numpy and
-mpmath versions, and per job the median and quartiles of the wall time.
+mpmath versions, and per job the median and quartiles of the wall time and
+of the max RSS.
 Only the standard library is used.
 """
 
@@ -26,6 +30,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -38,10 +43,14 @@ REPS = 15  # timed runs per job and root
 
 
 def jobs():
-    """Job name -> CLI arguments: --help, then each workload's seed-0 first job."""
+    """Job name -> CLI arguments: --help, each workload's seed-0 first job, and
+    desk-mix seed 0's 2-adic local sum and universal Euler product."""
     table = {"help": ("--help",)}
     for name in workloads.NAMES:
         table[name] = workloads.BATCHES[name](0)[0].argv
+    for job in workloads.BATCHES["desk-mix"](0):
+        if job.info.get("ell") == 2 or job.info.get("kind") == "universal":
+            table[f"desk-mix:{job.kind}"] = job.argv
     return table
 
 
@@ -50,14 +59,21 @@ def _env(root):
 
 
 def time_run(root, argv):
+    """(wall seconds, max RSS in MB) of one fresh CLI process."""
     cmd = [sys.executable, "-m", "tracepair.cli", *argv]
-    t0 = clock()
-    proc = subprocess.run(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                          env=_env(root), cwd=root, text=True)
-    wall = clock() - t0
-    if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(argv)} exited {proc.returncode}: {proc.stderr[-300:]}")
-    return wall
+    with tempfile.TemporaryFile() as err:
+        t0 = clock()
+        proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=err,
+                                env=_env(root), cwd=root)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = clock() - t0
+        # reaped by wait4: tell Popen, so that it does not wait for the pid again
+        proc.returncode = code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            err.seek(0)
+            tail = err.read()[-300:].decode(errors="replace")
+            raise RuntimeError(f"{' '.join(argv)} exited {code}: {tail}")
+    return wall, usage.ru_maxrss / 1024
 
 
 def loaded_modules(root, argv):
@@ -79,10 +95,16 @@ def loaded_modules(root, argv):
     return dict(sorted(modules.items()))
 
 
-def summary(times):
-    q1, median, q3 = statistics.quantiles(times, n=4)
-    return {"n": len(times), "median_s": round(statistics.median(times), 4),
-            "q1_s": round(q1, 4), "q3_s": round(q3, 4)}
+def _quartiles(values, unit, digits):
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {f"median_{unit}": round(statistics.median(values), digits),
+            f"q1_{unit}": round(q1, digits), f"q3_{unit}": round(q3, digits)}
+
+
+def summary(runs):
+    """Median and quartiles of the wall times and of the max RSS of (wall, rss) runs."""
+    walls, rss = zip(*runs)
+    return {"n": len(runs), **_quartiles(walls, "s", 4), **_quartiles(rss, "rss_mb", 1)}
 
 
 def git_commit(root):
@@ -108,16 +130,16 @@ def environment():
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("roots", nargs="*", default=[str(ROOT)], help="source checkouts to time")
-    parser.add_argument("--out", default="BENCH_7.json", help="path of the JSON record")
+    parser.add_argument("--out", default="BENCH_9.json", help="path of the JSON record")
     args = parser.parse_args(argv)
     roots = [str(Path(r).resolve()) for r in args.roots]
     table = jobs()
-    times = {(root, name): [] for root in roots for name in table}
+    runs = {(root, name): [] for root in roots for name in table}
     for rep in range(REPS):
         order = roots if rep % 2 == 0 else roots[::-1]
         for name, job_argv in table.items():
             for root in order:
-                times[root, name].append(time_run(root, job_argv))
+                runs[root, name].append(time_run(root, job_argv))
         print(f"rep {rep + 1}/{REPS} done", file=sys.stderr)
     record = {
         "bench": "cli-startup",
@@ -126,7 +148,7 @@ def main(argv=None):
         "jobs": {name: list(job_argv) for name, job_argv in table.items()},
         "roots": [
             {**git_commit(root),
-             "results": {name: {**summary(times[root, name]),
+             "results": {name: {**summary(runs[root, name]),
                                 "loaded_import_ms": loaded_modules(root, job_argv)}
                          for name, job_argv in table.items()}}
             for root in roots
@@ -137,8 +159,9 @@ def main(argv=None):
         fh.write("\n")
     for root, entry in zip(roots, record["roots"]):
         for name, r in entry["results"].items():
-            print(f"{(entry['sha'] or root)[:10]} {name:13s} {r['median_s']:.3f} s "
-                  f"[{r['q1_s']:.3f}, {r['q3_s']:.3f}]  {', '.join(r['loaded_import_ms'])}")
+            print(f"{(entry['sha'] or root)[:10]} {name:22s} {r['median_s']:.3f} s "
+                  f"[{r['q1_s']:.3f}, {r['q3_s']:.3f}]  {r['median_rss_mb']:.1f} MB  "
+                  f"{', '.join(r['loaded_import_ms'])}")
     return 0
 
 

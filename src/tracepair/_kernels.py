@@ -7,9 +7,11 @@ matrix counts never exceed ~4e16.  The per-discriminant class number needs
 Frobenius-trace kernel needs primes p < 2^31 (``TRACE_P_BOUND``): curve
 coefficients are reduced mod p as Python ints, and every product it forms is
 of two residues, so below 2^62.  The Philox kernel works in uint64, where
-sums and products wrap mod 2^64 as the generator defines them.
+sums and products wrap mod 2^64 as the generator defines them.  The
+Euler-product tail sums take primes below 2^53, which are exact in float64.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -75,33 +77,44 @@ def m_values(t, ell, k, u_lo, u_hi):
     of ``matcount._case``: code = 2n + [D/ell^n is a square mod ell] for odd
     ell, code = 8n + (D/2^n mod 8) for ell = 2.  ``values`` depends only on
     (ell, k), so codes of two traces can be histogrammed jointly.
+
+    Each pass of the valuation loop visits only the units whose D is still
+    divisible by ell, and D, the codes and the keys are formed in place.
     """
     from .matcount import _case  # imported here: matcount imports this module
 
     t %= ell ** k
-    u = np.arange(u_lo, u_hi, dtype=np.int64)
-    u = u[u % ell != 0]
+    if ell == 2:
+        u = np.arange(u_lo | 1, u_hi, 2, dtype=np.int64)
+    else:
+        u = np.arange(u_lo, u_hi, dtype=np.int64)
+        u = u[u % ell != 0]
     cap = k if ell > 2 else k + 2
     width = 2 if ell > 2 else 8
-    rem = t * t - 4 * u
+    rem = u * -4
+    rem += t * t
     n = np.zeros(u.shape, dtype=np.int64)
+    active = np.flatnonzero(rem % ell == 0)
     for _ in range(cap):  # D = 0 divides every time and reaches the cap
-        hit = rem % ell == 0
-        if not hit.any():
+        if not active.size:
             break
-        n += hit
-        rem = np.where(hit, rem // ell, rem)
+        n[active] += 1
+        rem[active] //= ell
+        active = active[rem[active] % ell == 0]
     if ell > 2:
         square = np.zeros(ell, dtype=np.int64)
         square[(np.arange(1, ell, dtype=np.int64) ** 2) % ell] = 1
-        key = square[rem % ell]
+        rem %= ell
+        rem = square[rem]
     else:
-        key = rem % 8
+        rem %= 8
+    n *= width
+    n += rem
     values = np.array(
         [_case(nn, kk, ell, k)[1] for nn in range(cap + 1) for kk in range(width)],
         dtype=np.int64,
     )
-    return u, width * n + key, values
+    return u, n, values
 
 
 # ---------------------------------------------------------------------------
@@ -429,3 +442,37 @@ def philox_uniforms(seed, n, start=0):
         x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
     words = np.stack([x0, x1, x2], axis=1)
     return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+# ---------------------------------------------------------------------------
+# Euler-product tails: sums of 8/p^1.5 and 4/p^3 over primes
+# ---------------------------------------------------------------------------
+
+_EXACT_SQUARE = math.isqrt(2 ** 53)  # p^2 is exact in float64 up to this p
+
+
+def tail_sums(primes):
+    """(sum of 8.0 / p ** 1.5, sum of 4.0 / p ** 3) over a non-empty ascending int64 array.
+
+    Bit for bit the floats of a plain ``+=`` loop over Python ints: each term
+    is the float Python's expression gives, and one in-place ``cumsum`` adds
+    the terms left to right.  p ** 1.5 comes from libm's pow, as Python's
+    ``**`` calls it; numpy's own power can take a SIMD route that differs in
+    the last bit (at p = 7 with AVX-512).  p ** 3 is the exact cube rounded
+    once: p * p is exact up to ``_EXACT_SQUARE`` and one float product
+    rounds the cube, and above it the cube is formed on Python ints.
+    """
+    p = primes.astype(np.float64)  # exact: every prime is below 2^53
+    powers = np.fromiter(map(math.pow, p, itertools.repeat(1.5)), np.float64, p.size)
+    cons = _left_to_right_sum(8.0, powers)
+    cubes = np.square(p, out=p)  # exact up to _EXACT_SQUARE
+    cubes *= primes  # one rounding of the exact cube
+    cut = primes.searchsorted(_EXACT_SQUARE, side="right")
+    cubes[cut:] = [float(x ** 3) for x in primes[cut:].tolist()]
+    return cons, _left_to_right_sum(4.0, cubes)
+
+
+def _left_to_right_sum(c, denominators):
+    """sum of c / d over the denominators, added in order; overwrites them."""
+    np.divide(c, denominators, out=denominators)
+    return float(np.cumsum(denominators, out=denominators)[-1])

@@ -189,13 +189,15 @@ def cmd_gekeler(args):
 
 
 def cmd_average(args):
-    from .constants import DEFAULT_DIGITS, _check_domain, pair_constant
-    from .prime_stats import class_sum, slope_fit
+    from .constants import pair_constant
+    from .prime_stats import check_fit_size, checkpoint_ladder, class_sum, slope_fit
 
-    _check_domain(args.reference_lmax, DEFAULT_DIGITS)  # before the class-number sums
-    series = class_sum(args.t1, args.t2, args.x, checkpoints=args.checkpoints)
-    fit = slope_fit(series)
+    # the ladder checks and the reference constant (which checks its lmax) precede the sums
+    ladder = checkpoint_ladder(args.t1, args.t2, args.x, args.checkpoints)
+    check_fit_size(len(ladder))
     reference = float(pair_constant(args.t1, args.t2, args.reference_lmax).value)
+    series = class_sum(args.t1, args.t2, args.x, checkpoints=ladder)
+    fit = slope_fit(series)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("x,loglog_x,partial_sum\n")

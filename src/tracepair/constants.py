@@ -8,14 +8,21 @@ Each constant supplies only its prefactor and its rational factor at ell.
 Every local factor is an exact rational; only the final product is floating,
 taken in mpmath at ``digits + 15`` working digits (default 50 significant
 digits) with pi from mpmath, so high-precision runs mean what they say.
-Factors are multiplied in ascending ell for determinism.
+Factors are multiplied in ascending ell for determinism, on raw libmp
+tuples: each step makes the calls that ``acc *= mpf(num) / den`` makes on
+the reduced Fraction, with the same roundings (the numerator rounded to the
+working precision, divided by the denominator, then multiplied in), so the
+value is the mpf loop's bit for bit without an mpf object per step.
 
 Two tail figures are reported: a conservative bound sum(8/ell^1.5) over the
 omitted primes, safe for every trace pair, and an empirical sum(4/ell^3)
 matching the generic factor shape 1 - 4/ell^3 + O(1/ell^4).  The empirical
 figure is not a bound when a trace is 0: those factors are 1 + O(1/ell^2),
 and ``pair_constant(0, 0, 100_000)`` states 1.7e-11 while its true error
-against 35/96 is 8.8e-7 (ROADMAP, item 1).
+against 35/96 is 8.8e-7 (ROADMAP, item 1).  Both sums over the primes in
+(lmax, 8 * lmax] come from ``_kernels.tail_sums``, bit for bit the floats
+of a plain ``+=`` loop (and of Python 3.11's ``sum``; 3.12's ``sum``
+compensates).
 
 ``lmax`` must be in [2, ``LMAX_BOUND``] and ``digits`` in [1,
 ``DIGITS_BOUND``]; both are checked before the sieve.
@@ -25,9 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import from_int, mpf_div, mpf_mul, mpf_pos, round_nearest
 
+from . import _kernels
 from .arith import _SIEVE_HARD_LIMIT, is_prime, sieve_primes
-from .local import PROVENANCE_CONJECTURE, local_limit
 
 DEFAULT_DIGITS = 50
 DIGITS_BOUND = 10_000  # 10^4 digits at lmax = 1e5 take ~10 s
@@ -63,24 +71,29 @@ def _euler_product(lmax, digits, prefactor, factor):
     head = primes[:split].tolist()
     conjectural = 0
     with mpmath.workdps(digits + 15):
-        acc = prefactor()
+        prec = mpmath.mp.prec
+        acc = prefactor()._mpf_
         for ell in head:
             frac, conj = factor(ell)
             conjectural += conj
-            acc *= mpmath.mpf(frac.numerator) / frac.denominator
-        value = +acc
+            term = mpf_pos(from_int(frac.numerator), prec, round_nearest)
+            term = mpf_div(term, from_int(frac.denominator), prec, round_nearest)
+            acc = mpf_mul(acc, term, prec, round_nearest)
+        value = mpmath.mpf(acc)
     # |log tail| bounds: exact partial sums to 8*lmax plus an integral bound
     # for the rest (prime density 1/log x, decreasing integrands).  Both are
     # floats, taken at mpmath's default precision outside the product's.
-    tail = primes[split:]
+    cons, emp = _kernels.tail_sums(primes[split:])
     log_l = mpmath.log(8 * lmax)
-    cons = sum(8.0 / int(p) ** 1.5 for p in tail) + float(16 / (mpmath.sqrt(8 * lmax) * log_l))
-    emp = sum(4.0 / int(p) ** 3 for p in tail) + float(2 / ((8 * lmax) ** 2 * log_l))
+    cons += float(16 / (mpmath.sqrt(8 * lmax) * log_l))
+    emp += float(2 / ((8 * lmax) ** 2 * log_l))
     return EulerProductEstimate(value, digits, head[-1], cons, emp, conjectural)
 
 
 def pair_constant(t1, t2, lmax, digits=DEFAULT_DIGITS):
     """(1/pi^2) * prod of local factors c_ell over ell <= lmax."""
+    from .local import PROVENANCE_CONJECTURE, local_limit  # only this constant needs them
+
     def factor(ell):
         lf = local_limit(t1, t2, ell)
         return lf.c_ell, lf.provenance == PROVENANCE_CONJECTURE

@@ -4,9 +4,10 @@
 unit the case code of its matrix count under each trace (int64-safe), the
 pairs of codes are counted with ``bincount``, and the exact integer sum is
 assembled from that histogram with big-int arithmetic, so results are
-identical for any block size.  Blocks of 2^20 units run one after another;
-threads would pay off only above one block (about 40% less time on two
-cores at 2^22 units), a size that no workload or check reaches.
+identical for any block size.  Blocks of 2^17 integers run one after
+another, each with scratch arrays of at most 1 MB (at ell = 2 only the odd
+ones are built), so ``--ell 2 --k 20`` peaks near 35 MB of resident memory
+with the interpreter and numpy, where one block of 2^20 took 60 MB.
 
 Closed forms are exposed with a provenance tag; conjectural ones are always
 recomputable against ``s_direct`` through the verify suite.  All normalized
@@ -30,7 +31,7 @@ PROVENANCE_DIRECT = "direct-with-stability-check"
 
 UNIT_CAP = 10 ** 8
 K_MAX = 6
-_BLOCK = 1 << 20
+_BLOCK = 1 << 17
 
 
 class UnstableLocalFactor(Exception):
@@ -67,10 +68,12 @@ def s_direct(t1, t2, pp):
     hist = 0
     for lo in range(1, q, _BLOCK):
         hi = min(lo + _BLOCK, q)
-        _, code1, values = _kernels.m_values(t1, pp.ell, pp.k, lo, hi)
+        _, key, values = _kernels.m_values(t1, pp.ell, pp.k, lo, hi)
         _, code2, _ = _kernels.m_values(t2, pp.ell, pp.k, lo, hi)
         width = len(values)
-        hist += np.bincount(code1 * width + code2, minlength=width * width)
+        key *= width
+        key += code2
+        hist += np.bincount(key, minlength=width * width)
     values = values.tolist()
     total = 0
     for code in np.flatnonzero(hist).tolist():

@@ -67,16 +67,16 @@ def _split_sum(num, den):
     return int(P[0]), int(Q[0])
 
 
-def class_sum(t1, t2, x, checkpoints=None):
-    """Partial sums of H(t1^2-4p) H(t2^2-4p) / p^2 over the primed range.
+def _threshold(t1, t2):
+    return max(3.0, t1 * t1 / 4.0, t2 * t2 / 4.0)
 
-    The primed range is p > max(3, t1^2/4, t2^2/4), which keeps both
-    discriminants negative.  x may not exceed ``CLASS_SUM_X_BOUND`` (2e6):
-    the Hurwitz table holds 4x + 1 int64 entries, 64 MB at the bound.  The
-    default checkpoint ladder is clipped to x; explicitly passed checkpoints
-    outside (threshold, x] are rejected.
+
+def checkpoint_ladder(t1, t2, x, checkpoints=None):
+    """The ascending checkpoints ``class_sum`` reports for these arguments, x last.
+
+    Checks x and the ladder as ``class_sum`` does, and builds nothing.
     """
-    lo = max(3.0, t1 * t1 / 4.0, t2 * t2 / 4.0)
+    lo = _threshold(t1, t2)
     if x < lo + 1:
         raise ValueError(f"x must be at least {lo + 1} for traces ({t1}, {t2})")
     if x > CLASS_SUM_X_BOUND:
@@ -88,9 +88,21 @@ def class_sum(t1, t2, x, checkpoints=None):
         raise ValueError("checkpoints must not exceed x")
     if any(c <= lo for c in checkpoints[:-1]):
         raise ValueError(f"checkpoints must exceed the primed-range threshold {lo}")
+    return checkpoints
 
+
+def class_sum(t1, t2, x, checkpoints=None):
+    """Partial sums of H(t1^2-4p) H(t2^2-4p) / p^2 over the primed range.
+
+    The primed range is p > max(3, t1^2/4, t2^2/4), which keeps both
+    discriminants negative.  x may not exceed ``CLASS_SUM_X_BOUND`` (2e6):
+    the Hurwitz table holds 4x + 1 int64 entries, 64 MB at the bound.  The
+    default checkpoint ladder is clipped to x; explicitly passed checkpoints
+    outside (threshold, x] are rejected (``checkpoint_ladder``).
+    """
+    checkpoints = checkpoint_ladder(t1, t2, x, checkpoints)
     primes = sieve_primes(x)
-    primes = primes[primes > lo]
+    primes = primes[primes > _threshold(t1, t2)]
     table = _kernels.hurwitz_table(4 * int(x))
     # hurwitz_weighted(t^2 - 4p) = table[4p - t^2] / 12, so each term is num / (144 p^2)
     num = table[4 * primes - t1 * t1] * table[4 * primes - t2 * t2]
@@ -116,10 +128,15 @@ class SlopeFit:
     residual: float
 
 
+def check_fit_size(n):
+    """Refuse a slope fit over fewer than 3 checkpoints."""
+    if n < 3:
+        raise ValueError(f"slope fit needs at least 3 checkpoints, got {n}")
+
+
 def slope_fit(series):
     """Ordinary least squares of partial sums against loglog x."""
-    if len(series.checkpoints) < 3:
-        raise ValueError("slope fit needs at least 3 checkpoints")
+    check_fit_size(len(series.checkpoints))
     xs = np.array([llx for _, _, llx in series.checkpoints])
     ys = np.array([s for _, s, _ in series.checkpoints])
     if np.ptp(xs) == 0:

@@ -172,6 +172,10 @@ def test_average_default_ladder_small_x(capsys):
     ("average", "--t1", "0", "--t2", "0", "--x", "5000", "--reference-lmax", "1"),
     ("curves", "--e1", "1,0", "--e2", "0,1", "--t1", "0", "--t2", "0", "--x", "1000",
      "--predict-lmax", "1"),
+    # ladders of two checkpoints leave the slope fit short: the default one clipped
+    # to x = 3000, and an explicit one
+    ("average", "--t1", "1", "--t2", "1", "--x", "3000"),
+    ("average", "--t1", "1", "--t2", "1", "--x", "5000", "--checkpoints", "1000"),
 ])
 def test_out_of_domain_rejected_before_work(capsys, monkeypatch, argv):
     def fail(*args):
@@ -391,6 +395,9 @@ def _loaded_modules(*argv):
     # mpmath still loads, for the reference constant
     (("average", "--t1", "1", "--t2", "1", "--x", "5000"),
      ("tracepair.gekeler", "tracepair.class_numbers", "tracepair.verify")),
+    # only pair_constant reads the local factors
+    (("constant", "--kind", "universal", "--lmax", "1000"),
+     ("tracepair.local", "tracepair.matcount", "tracepair.verify")),
 ])
 def test_job_loads_only_what_it_runs(argv, absent):
     loaded = _loaded_modules(*argv)

@@ -215,3 +215,60 @@ def test_outputs_pinned():
         assert got == (value, conjectural), (kind, t1, t2, lmax, digits)
         tails = (est.truncation_prime, est.tail_conservative, est.tail_empirical)
         assert tails == PINNED_TAILS[lmax], (kind, t1, t2, lmax, digits)
+
+
+def _oracle_product(lmax, digits, prefactor, factor):
+    """The plain loops behind ``_euler_product``: one mpf operation per factor,
+    and each tail added term by term (not ``sum()``, which Python 3.12
+    compensates)."""
+    primes = sieve_primes(8 * lmax).tolist()
+    head = [p for p in primes if p <= lmax]
+    tail = [p for p in primes if p > lmax]
+    conjectural = 0
+    with mpmath.workdps(digits + 15):
+        acc = prefactor()
+        for ell in head:
+            frac, conj = factor(ell)
+            conjectural += conj
+            acc *= mpmath.mpf(frac.numerator) / frac.denominator
+        value = +acc
+    cons = emp = 0.0
+    for p in tail:
+        cons += 8.0 / p ** 1.5
+    for p in tail:
+        emp += 4.0 / p ** 3
+    log_l = mpmath.log(8 * lmax)
+    cons += float(16 / (mpmath.sqrt(8 * lmax) * log_l))
+    emp += float(2 / ((8 * lmax) ** 2 * log_l))
+    return value._mpf_, head[-1], cons, emp, conjectural
+
+
+_KIND_ARGS = (("pair", 1, -2), ("same-trace", 3, None), ("universal", None, None),
+              ("single", -2, None))
+_DIGITS = (1, 15, 50, 120)
+
+
+@pytest.mark.parametrize("lmax", [2, 3, 2000, 300_000])
+def test_euler_product_matches_plain_loops(monkeypatch, lmax):
+    """Bit for bit, on the mpf tuple: a reversed product order, fewer guard
+    digits or a pairwise tail sum all fail here.  lmax = 300000 has tail
+    primes above 2^21, whose cubes pass 2^63; it runs each kind at one of the
+    digit counts, the smaller ones every pair."""
+    seen = []
+    real = constants._euler_product
+
+    def spy(lmax, digits, prefactor, factor):
+        seen.append((prefactor, factor))
+        return real(lmax, digits, prefactor, factor)
+
+    monkeypatch.setattr(constants, "_euler_product", spy)
+    if lmax < 300_000:
+        cases = [(kind, digits) for kind in _KIND_ARGS for digits in _DIGITS]
+    else:
+        cases = list(zip(_KIND_ARGS, _DIGITS))
+    for (kind, t1, t2), digits in cases:
+        est = _estimate(kind, t1, t2, lmax, digits)
+        prefactor, factor = seen.pop()
+        got = (est.value._mpf_, est.truncation_prime, est.tail_conservative,
+               est.tail_empirical, est.conjectural_factors)
+        assert got == _oracle_product(lmax, digits, prefactor, factor), (kind, lmax, digits)

@@ -31,6 +31,41 @@ def test_m_values_match_scalar_closed_form():
                 assert m == m_closed(t, u, pp)
 
 
+def _m_codes_plain(t, ell, k, u_lo, u_hi):
+    """(units, codes) of ``m_values`` by repeated division of each D on Python ints."""
+    t %= ell ** k
+    cap = k if ell > 2 else k + 2
+    units, codes = [], []
+    for u in range(u_lo, u_hi):
+        if u % ell == 0:
+            continue
+        rem, n = t * t - 4 * u, 0
+        while n < cap and rem % ell == 0:
+            rem //= ell
+            n += 1
+        if ell == 2:
+            code = 8 * n + rem % 8
+        else:
+            code = 2 * n + any((x * x - rem) % ell == 0 for x in range(1, ell))
+        units.append(u)
+        codes.append(code)
+    return units, codes
+
+
+@pytest.mark.parametrize("ell,k", [(2, 5), (2, 9), (3, 4), (5, 3), (7, 3)])
+def test_m_values_match_plain_valuation_loop(ell, k):
+    q = ell ** k
+    # t = 2, u = 1 gives D = 0, which divides to the cap
+    traces = (0, 1, 2, 3, 4, 6, q - 1, q, q + 2, 3 * q + 5, -1, -2, -q - 3)
+    blocks = ((1, q), (2, q), (0, 1), (2, 3), (q // 2 * 2, q + 10), (64, 64 + 3 * ell))
+    for t in traces:
+        for u_lo, u_hi in blocks:
+            units, codes, values = _kernels.m_values(t, ell, k, u_lo, u_hi)
+            assert (units.tolist(), codes.tolist()) == _m_codes_plain(t, ell, k, u_lo, u_hi), (
+                t, u_lo, u_hi)
+            assert codes.dtype == units.dtype == values.dtype == np.int64
+
+
 @pytest.mark.parametrize("ell,k", [(2, 12), (3, 7)])
 def test_s_direct_block_and_worker_invariance(monkeypatch, ell, k):
     pp = PrimePower(ell, k)
@@ -43,6 +78,21 @@ def test_s_direct_block_and_worker_invariance(monkeypatch, ell, k):
     monkeypatch.setattr(local, "_BLOCK", 64)
     for (t1, t2), want in expected.items():
         assert local.s_direct(t1, t2, pp) == want
+
+
+def test_tail_sums_match_python_floats():
+    # numpy's SIMD power differs from libm's pow in the last bit at 7, 61, 151, ...;
+    # above _EXACT_SQUARE a float cube of the float square rounds twice (edge + 2)
+    edge = _kernels._EXACT_SQUARE
+    terms = (3, 7, 61, 151, 349, 1009, 2 ** 21 + 23, edge - 1, edge, edge + 1, edge + 2,
+             1_999_999_973)
+    for p in terms:  # one term: the sum is the term itself
+        assert _kernels.tail_sums(np.array([p])) == (8.0 / p ** 1.5, 4.0 / p ** 3), p
+    cons = emp = 0.0
+    for p in terms:
+        cons += 8.0 / p ** 1.5
+        emp += 4.0 / p ** 3
+    assert _kernels.tail_sums(np.array(terms)) == (cons, emp)
 
 
 def test_hurwitz_table_matches_per_discriminant_route():
