@@ -2,8 +2,11 @@
 
 All kernels stay within int64: moduli are capped by the callers (unit budget
 1e8), traces are reduced mod ell^k before they are squared, and closed-form
-matrix counts never exceed ~4e16.  The per-discriminant class number needs
-|D| < 2^62 (``CLASS_NUMBER_D_BOUND``), so that (b^2 + |D|) / 4 fits.  The
+matrix counts never exceed ~4e16.  The per-discriminant class number takes
+|D| < 2^34 (``CLASS_NUMBER_D_BOUND``).  int64 would allow 2^62, but its
+reduced-form loop does O(|D|) work: 9 s at |D| = 2^34 on a 2-core machine,
+so a bound near 2^62 admits inputs that never finish.  Every gekeler
+discriminant t^2 - 4p lies inside, since |t^2 - 4p| < 4p < 2^33.  The
 Frobenius-trace kernel needs primes p < 2^31 (``TRACE_P_BOUND``): curve
 coefficients are reduced mod p as Python ints, and every product it forms is
 of two residues, so below 2^62.  The Philox kernel works in uint64, where
@@ -31,8 +34,11 @@ def _simple_sieve(limit):
     return np.flatnonzero(flags).astype(np.int64)
 
 
-def sieve(limit, segment=1 << 22):
-    """All primes <= limit, ascending; segments of the given length above sqrt(limit)."""
+_SEGMENT = 1 << 22  # integers per sieve segment above sqrt(limit)
+
+
+def sieve(limit):
+    """All primes <= limit, ascending; segmented above sqrt(limit)."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     root = math.isqrt(limit)
@@ -42,7 +48,7 @@ def sieve(limit, segment=1 << 22):
     chunks = [base]
     low = root + 1
     while low <= limit:
-        high = min(low + segment, limit + 1)
+        high = min(low + _SEGMENT, limit + 1)
         mask = np.ones(high - low, dtype=bool)
         for p in base:
             start = max(p * p, ((low + p - 1) // p) * p)
@@ -121,7 +127,7 @@ def m_values(t, ell, k, u_lo, u_hi):
 # class numbers via reduced forms: h(D) for one D, 6 H(n) for all n <= N
 # ---------------------------------------------------------------------------
 
-CLASS_NUMBER_D_BOUND = 1 << 62  # class_number needs |D| below this
+CLASS_NUMBER_D_BOUND = 1 << 34  # class_number takes |D| below this; see the module docstring
 
 
 def class_number(D):

@@ -5,8 +5,8 @@ D < 0: b = D mod 2, |b| <= a <= c, gcd(a, b, c) = 1, and b >= 0 when |b| = a
 or a = c.  The weighted invariants sum h over the divisors of the conductor,
 plainly and divided by the unit-group order w.
 
-This is the per-discriminant route, for D > -2^62 (the kernel's int64
-domain; larger |D| is rejected before any work).  It serves the class-number
+This is the per-discriminant route, for D > -2^34 (the kernel does O(|D|)
+work; larger |D| is rejected before any work).  It serves the class-number
 and gekeler commands and the verify checks, with a process-wide memo keyed by
 D.  The prime sums of ``prime_stats`` read a table of all Hurwitz numbers
 instead (``_kernels.hurwitz_table``), checked against this route.
@@ -42,7 +42,7 @@ def _check_discriminant(D):
     if D >= 0 or D % 4 not in (0, 1):
         raise ValueError(f"D must be negative and 0 or 1 mod 4, got {D}")
     if -D >= _kernels.CLASS_NUMBER_D_BOUND:
-        raise ValueError(f"|D| must be below 2^62, got {D}")
+        raise ValueError(f"|D| must be below 2^34, got {D}")
 
 
 def split_discriminant(D):

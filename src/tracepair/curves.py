@@ -69,6 +69,18 @@ def point_count_brute(curve, p):
     return cnt
 
 
+def good_primes(x, *curves):
+    """Primes 5 <= p <= x of good reduction for every given curve, as int64.
+
+    A prime divides some discriminant iff it divides their product, which is
+    tested on Python ints, so the discriminants may have any size.
+    """
+    primes = sieve_primes(x)
+    primes = primes[primes >= 5]
+    disc = math.prod(c.disc for c in curves)
+    return primes[[disc % p != 0 for p in primes.tolist()]]
+
+
 def pair_count(e1, e2, t1, t2, x, list_primes=False, prediction_lmax=None):
     """#{5 <= p <= x : good for both, a_p(e1) = t1 and a_p(e2) = t2}.
 
@@ -84,10 +96,7 @@ def pair_count(e1, e2, t1, t2, x, list_primes=False, prediction_lmax=None):
         from .constants import pair_constant
 
         c = pair_constant(t1, t2, prediction_lmax)  # rejects a bad lmax before the sweep
-    primes = sieve_primes(x)
-    primes = primes[primes >= 5]
-    d1, d2 = e1.disc, e2.disc  # any size: tested on Python ints
-    primes = primes[[d1 % p != 0 and d2 % p != 0 for p in primes.tolist()]]
+    primes = good_primes(x, e1, e2)
     tr1 = _kernels.trace_batch(e1.a, e1.b, primes)
     sel = primes[tr1 == t1]
     if sel.size:

@@ -1,15 +1,18 @@
 """Cross-verification suites behind the ``verify`` CLI subcommand.
 
 Every check has a stable id, runs independently, and records lhs/rhs plus a
-tolerance; a failing check never aborts the run.  Checks of conjectural
+tolerance; a failing check never aborts the run.  ``SUITES`` lists every check
+in report order with its tolerance and conjectural flag.  Checks of conjectural
 closed forms are flagged so the report can separate them from proven ones.
 The acceptance test module drives the same functions, so the CLI and pytest
 agree by construction.
 """
 
+import functools
 import math
+import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from statistics import median
 
@@ -39,7 +42,7 @@ from .constants import (
     single_curve_constant,
     universal_product,
 )
-from .curves import Curve, pair_count, point_count_brute, trace_ap, trace_table
+from .curves import Curve, good_primes, pair_count, point_count_brute, trace_ap, trace_table
 from .gekeler import delta_exponent, f_ell, f_infinity, f_level_k, product_check
 from .local import (
     PROVENANCE_CONJECTURE,
@@ -85,14 +88,14 @@ class Check:
     rhs: str
     tolerance: str
     elapsed: float
-    conjectural: bool = False
-    detail: str = ""
+    conjectural: bool
+    detail: str
 
 
 @dataclass
 class VerifyReport:
     suites: dict
-    environment: dict = field(default_factory=dict)
+    environment: dict
 
     @property
     def checks(self):
@@ -125,7 +128,7 @@ class VerifyReport:
         }
 
 
-def _run(checks, cid, fn, tolerance="exact", conjectural=False):
+def _run(cid, fn, tolerance, conjectural):
     t0 = time.perf_counter()
     try:
         ok, lhs, rhs, *rest = fn()
@@ -133,11 +136,8 @@ def _run(checks, cid, fn, tolerance="exact", conjectural=False):
         status = "pass" if ok else "fail"
     except Exception as exc:  # surfaced in the report, never aborts the suite
         status, lhs, rhs, detail = "fail", "exception", repr(exc), ""
-    checks.append(
-        Check(cid, status, str(lhs), str(rhs), tolerance,
-              time.perf_counter() - t0, conjectural, detail)
-    )
-    return checks[-1]
+    return Check(cid, status, str(lhs), str(rhs), tolerance,
+                 time.perf_counter() - t0, conjectural, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -216,25 +216,13 @@ def check_alpha():
     return True, "alpha cases", "expected"
 
 
-def suite_arith(full=False):
-    checks = []
-    _run(checks, "arith:legendre-multiplicative", check_legendre_multiplicative)
-    _run(checks, "arith:legendre-balance", check_legendre_balance)
-    _run(checks, "arith:legendre-euler-oracle", check_legendre_euler_oracle)
-    _run(checks, "arith:padic-valuation", check_padic)
-    _run(checks, "arith:nu-residue-determinism", check_nu_residue_determinism)
-    _run(checks, "arith:sieve-oracle", check_sieve)
-    _run(checks, "arith:alpha-cases", check_alpha)
-    return checks
-
-
 # ---------------------------------------------------------------------------
 # matcount
 # ---------------------------------------------------------------------------
 
-def check_threeway(moduli=THREEWAY_MODULI):
+def check_threeway():
     cells = 0
-    for ell, k in moduli:
+    for ell, k in THREEWAY_MODULI:
         pp = PrimePower(ell, k)
         q = pp.modulus
         for t in range(q):
@@ -302,16 +290,6 @@ def check_m_spot_values():
         if not (m_closed(t, u, pp) == m_brute(t, u, pp) == want):
             return False, f"m({t},{u};{ell}^{k})", str(want)
     return True, "spot values", "frozen oracle values"
-
-
-def suite_matcount(full=False):
-    checks = []
-    _run(checks, "matcount:threeway-grid", check_threeway)
-    _run(checks, "matcount:sign-symmetry", check_sign_symmetry_m)
-    _run(checks, "matcount:column-sum", check_column_sum)
-    _run(checks, "matcount:residue-determinism", check_m_residue_determinism)
-    _run(checks, "matcount:spot-values", check_m_spot_values)
-    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -508,20 +486,6 @@ def check_interpolation():
     return True, "rational fits", "expanded closed forms"
 
 
-def suite_local(full=False):
-    checks = []
-    _run(checks, "local:delta-enumeration", check_delta_enumeration)
-    _run(checks, "local:sign-symmetry", check_s_sign_symmetry)
-    _run(checks, "local:theorem-same-trace", check_theorem_same_trace)
-    _run(checks, "local:volume-table", check_volume_table)
-    _run(checks, "local:one-divides-adjudication", check_prop_distinct_adjudication)
-    _run(checks, "local:gcd4-condition-adjudication", check_two_adic_gcd4_adjudication)
-    _run(checks, "local:stability-direct", check_conjecture_stability, conjectural=True)
-    _run(checks, "local:normalized-bounds", check_s_bounds)
-    _run(checks, "local:rational-interpolation", check_interpolation)
-    return checks
-
-
 # ---------------------------------------------------------------------------
 # constants
 # ---------------------------------------------------------------------------
@@ -600,19 +564,6 @@ def check_single_curve():
     return abs(v1 - v2) < 1e-6, f"{float(est.value):.8f} / drift {abs(v1 - v2):.2e}", "pi/3 / < 1e-6"
 
 
-def suite_constants(full=False):
-    checks = []
-    _run(checks, "constants:c00-reference", check_c00_reference, tolerance="1e-3")
-    _run(checks, "constants:universal-product", check_universal_reference, tolerance="1e-6")
-    _run(checks, "constants:routes-agree", check_routes_agree, tolerance="summed tails")
-    _run(checks, "constants:sign-invariance", check_sign_invariance_constants)
-    _run(checks, "constants:convergence-witness", check_convergence_witness, tolerance="tail bound")
-    _run(checks, "constants:universal-monotone", check_universal_monotone)
-    _run(checks, "constants:same-trace-ratio", check_same_trace_ratio, tolerance="1e-6")
-    _run(checks, "constants:single-curve", check_single_curve, tolerance="1e-4")
-    return checks
-
-
 # ---------------------------------------------------------------------------
 # class numbers
 # ---------------------------------------------------------------------------
@@ -630,13 +581,13 @@ def hurwitz_eichler_lhs(n):
     return total
 
 
-def check_kronecker_hurwitz(n_max=500):
-    for n in range(1, n_max + 1):
+def check_kronecker_hurwitz():
+    for n in range(1, 501):
         rhs = sum(max(d, n // d) for d in divisors(n))
         lhs = hurwitz_eichler_lhs(n)
         if lhs != rhs:
             return False, f"n={n}: {lhs}", str(rhs)
-    return True, f"identity holds for n <= {n_max}", "divisor sums"
+    return True, "identity holds for n <= 500", "divisor sums"
 
 
 def check_class_spot_values():
@@ -673,15 +624,6 @@ def check_class_positivity():
             if class_number_h(d) < 1 or hurwitz_weighted(d) <= 0:
                 return False, f"h({d})", ">= 1"
     return True, "h >= 1, H > 0", "all valid D >= -400"
-
-
-def suite_classnum(full=False):
-    checks = []
-    _run(checks, "classnum:kronecker-hurwitz-identity", check_kronecker_hurwitz)
-    _run(checks, "classnum:spot-values", check_class_spot_values)
-    _run(checks, "classnum:fundamental", check_fundamental_consistency)
-    _run(checks, "classnum:positivity", check_class_positivity)
-    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -743,23 +685,17 @@ def check_gekeler_spots():
     return True, "spot product checks", "class-number side"
 
 
-def sample_gekeler_errors(n_samples=100, lmax=100_000, seed=7):
-    import random as _random
-
-    rng = _random.Random(seed)
+def check_product_heuristic():
+    # 100 seeded (t, p) samples, each checked against the product at lmax = 1e5
+    rng = random.Random(7)
     primes = [int(p) for p in sieve_primes(10_000) if p > 3]
     errors = []
-    while len(errors) < n_samples:
+    while len(errors) < 100:
         t = rng.randint(0, 4)
         p = rng.choice(primes)
         if t * t - 4 * p >= 0:
             continue
-        errors.append(product_check(t, p, lmax)["rel_error"])
-    return errors
-
-
-def check_product_heuristic():
-    errors = sample_gekeler_errors()
+        errors.append(product_check(t, p, 100_000)["rel_error"])
     med = median(errors)
     mx = max(errors)
     ok = med <= 0.02 and mx <= 0.10
@@ -783,27 +719,15 @@ def check_delta_convention():
     return True, "2-adic delta reading", "level stabilization oracle"
 
 
-def suite_gekeler(full=False):
-    checks = []
-    _run(checks, "gekeler:level-consistency", check_level_consistency)
-    _run(checks, "gekeler:density-bounds", check_f_bounds)
-    _run(checks, "gekeler:archimedean", check_f_infinity)
-    _run(checks, "gekeler:two-adic-delta", check_delta_convention)
-    _run(checks, "gekeler:spot-products", check_gekeler_spots, tolerance="heuristic")
-    _run(checks, "gekeler:product-heuristic", check_product_heuristic,
-         tolerance="median 2%, max 10%")
-    return checks
-
-
 # ---------------------------------------------------------------------------
 # prime_stats
 # ---------------------------------------------------------------------------
 
-def check_average_f_product(x=1_000_000):
+def check_average_f_product():
     grid = [(3, 0, 0, Fraction(45, 32)), (2, 0, 0, Fraction(35, 18)), (5, 1, 2, Fraction(275, 288))]
     worst = 0.0
     for ell, t1, t2, want in grid:
-        avg, ref = average_f_product(t1, t2, ell, x)
+        avg, ref = average_f_product(t1, t2, ell, 1_000_000)
         if ref != want:
             return False, f"reference c_{ell}({t1},{t2}) = {ref}", str(want)
         rel = abs(avg - float(want)) / float(want)
@@ -821,10 +745,11 @@ def check_class_sum_trend():
     return ok, f"c_hat = {fit.c_hat:.4f}", f"within [{target / 2:.4f}, {target * 2:.4f}]"
 
 
-def check_class_sum_determinism(x=4000, checkpoints=(1000, 2000, 4000)):
+def check_class_sum_determinism():
     """The Hurwitz-table route of class_sum against a running sum of per-D terms."""
-    series = class_sum(0, 0, x, checkpoints=checkpoints)
-    terms = {p: hurwitz_weighted(-4 * p) ** 2 / (p * p) for p in map(int, sieve_primes(x)) if p > 3}
+    checkpoints = (1000, 2000, 4000)
+    series = class_sum(0, 0, 4000, checkpoints=checkpoints)
+    terms = {p: hurwitz_weighted(-4 * p) ** 2 / (p * p) for p in map(int, sieve_primes(4000)) if p > 3}
     want = [sum((v for p, v in terms.items() if p <= cx), Fraction(0)) for cx in checkpoints]
     if series.exact_partials != want:
         return False, "partials table vs per-D route", "identical"
@@ -844,24 +769,12 @@ def check_slope_fit_exact():
     return ok and abs(flat.c_hat) < 1e-12, f"c={fit.c_hat}, a={fit.intercept}", "0.75, 2.5"
 
 
-def suite_primestats(full=False):
-    checks = []
-    _run(checks, "primestats:average-f-product", check_average_f_product, tolerance="1%")
-    _run(checks, "primestats:class-sum-trend", check_class_sum_trend, tolerance="factor 2")
-    _run(checks, "primestats:determinism-cache", check_class_sum_determinism)
-    _run(checks, "primestats:slope-fit", check_slope_fit_exact, tolerance="1e-12")
-    return checks
-
-
 # ---------------------------------------------------------------------------
 # curves
 # ---------------------------------------------------------------------------
 
-def check_trace_oracle(seed=11):
-    import random as _random
-
-    rng = _random.Random(seed)
-    primes = [int(p) for p in sieve_primes(200) if p > 3]
+def check_trace_oracle():
+    rng = random.Random(11)
     tested = 0
     curves = []
     while len(curves) < 20:
@@ -869,9 +782,7 @@ def check_trace_oracle(seed=11):
         if -16 * (4 * a ** 3 + 27 * b ** 2) != 0:
             curves.append(Curve(a, b))
     for cur in curves:
-        for p in primes:
-            if not cur.good_reduction(p):
-                continue
+        for p in good_primes(200, cur).tolist():
             ap = trace_ap(cur, p)
             if ap != p + 1 - point_count_brute(cur, p):
                 return False, f"a_{p} of {cur}", "point-count oracle"
@@ -879,29 +790,25 @@ def check_trace_oracle(seed=11):
     return True, f"{tested} traces match point counts", "oracle"
 
 
-def check_hasse(x=100_000):
+def check_hasse():
     for cur in (Curve(1, 0), Curve(0, 1), Curve(-2, 3)):
-        primes = sieve_primes(x)
-        primes = primes[primes > 3]
-        primes = primes[np.gcd(primes, abs(cur.disc)) == 1]
+        primes = good_primes(100_000, cur)
         traces = trace_table(cur, primes)
         if not np.all(traces * traces <= 4 * primes):
             return False, f"Hasse violated for {cur}", "a_p^2 <= 4p"
     return True, "all traces to 1e5", "inside Hasse interval"
 
 
-def check_cm_properties(x=10_000):
+def check_cm_properties():
     cur = Curve(-1, 0)  # y^2 = x^3 - x
-    primes = sieve_primes(x)
-    primes = primes[primes > 3]
-    good = primes[np.gcd(primes, abs(cur.disc)) == 1]
+    good = good_primes(10_000, cur)
     traces = trace_table(cur, good)
     for p in good[traces == 2]:
         n = math.isqrt(int(p) - 1)
         if n * n != int(p) - 1:
             return False, f"p = {p} with a_p = 2", "p - 1 a square"
     cur2 = Curve(0, 1)  # y^2 = x^3 + 1
-    good2 = primes[np.gcd(primes, abs(cur2.disc)) == 1]
+    good2 = good_primes(10_000, cur2)
     traces2 = trace_table(cur2, good2)
     for p in good2[traces2 == 1]:
         p = int(p)
@@ -911,10 +818,9 @@ def check_cm_properties(x=10_000):
     return True, "CM trace congruence properties", "polynomial prime forms"
 
 
-def check_cm_two_routes(x=1000):
+def check_cm_two_routes():
     for cur in (Curve(-1, 0), Curve(0, 1)):
-        primes = [int(p) for p in sieve_primes(x) if cur.good_reduction(int(p))]
-        for p in primes:
+        for p in good_primes(1000, cur).tolist():
             if trace_ap(cur, p) != p + 1 - point_count_brute(cur, p):
                 return False, f"{cur} at {p}", "two routes"
     return True, "character-sum route", "point-count route"
@@ -926,10 +832,7 @@ def check_pair_count_identities():
     if r["count"] != 0:
         return False, "same curve, different traces", "0"
     r12 = pair_count(e, e, 2, 2, 500, list_primes=True)
-    primes = sieve_primes(500)
-    primes = primes[primes > 3]
-    primes = primes[np.gcd(primes, abs(e.disc)) == 1]
-    singles = int(np.count_nonzero(trace_table(e, primes) == 2))
+    singles = int(np.count_nonzero(trace_table(e, good_primes(500, e)) == 2))
     if r12["count"] != singles:
         return False, f"pair diag {r12['count']}", f"single count {singles}"
     c1 = pair_count(Curve(1, 0), Curve(0, 1), 0, 0, 300)["count"]
@@ -937,49 +840,34 @@ def check_pair_count_identities():
     return c2 >= c1 > 0, f"monotone {c1} <= {c2}", "non-decreasing, nonzero"
 
 
-def suite_curves(full=False):
-    checks = []
-    _run(checks, "curves:trace-oracle", check_trace_oracle)
-    _run(checks, "curves:hasse-bound", check_hasse)
-    _run(checks, "curves:cm-properties", check_cm_properties)
-    _run(checks, "curves:cm-two-routes", check_cm_two_routes)
-    _run(checks, "curves:pair-count-identities", check_pair_count_identities)
-    return checks
-
-
 # ---------------------------------------------------------------------------
 # model_sim
 # ---------------------------------------------------------------------------
 
-_RUN_CACHE = {}
+@functools.cache
+def model_run(m, seed):
+    """The seeded (1, 1) run at level m to N = 1e5; sampled once per process."""
+    return sample_run(ModelConfig(m, 100_000, seed, 1, 1))
 
 
-def model_run(m, n_max, seed, t1=1, t2=1):
-    key = (m, n_max, seed, t1, t2)
-    if key not in _RUN_CACHE:
-        _RUN_CACHE[key] = sample_run(ModelConfig(m, n_max, seed, t1, t2))
-    return _RUN_CACHE[key]
+def _within_three_sigma(zs):
+    """Pass when at least 95% of the deviations, in units of sigma, are <= 3."""
+    frac = sum(1 for z in zs if z <= 3.0) / len(zs)
+    return frac >= 0.95, f"{frac:.3%} of {len(zs)} cells within 3 sigma", ">= 95%"
 
 
-def principle1_cells(n_max=100_000, seeds=MODEL_SEEDS, levels=(2, 4)):
-    cells = []
-    for m in levels:
+def check_principle1():
+    zs = []
+    for m in (2, 4):
         dens = {(r1, r2): float(class_density(m, r1, r2)) for r1 in range(m) for r2 in range(m)}
-        for seed in seeds:
-            run = model_run(m, n_max, seed)
+        for seed in MODEL_SEEDS:
+            run = model_run(m, seed)
             n = run.primes.shape[0]
             for (r1, r2), q in dens.items():
                 freq = run.class_counts[r1, r2] / n
                 sigma = math.sqrt(q * (1 - q) / n)
-                cells.append((m, seed, r1, r2, abs(freq - q) / sigma))
-    return cells
-
-
-def check_principle1():
-    cells = principle1_cells()
-    ok_cells = sum(1 for *_, z in cells if z <= 3.0)
-    frac = ok_cells / len(cells)
-    return frac >= 0.95, f"{frac:.3%} of {len(cells)} cells within 3 sigma", ">= 95%"
+                zs.append(abs(freq - q) / sigma)
+    return _within_three_sigma(zs)
 
 
 RECTANGLES = (
@@ -989,32 +877,25 @@ RECTANGLES = (
 )
 
 
-def principle2_cells(n_max=100_000, seeds=MODEL_SEEDS, levels=(2, 4)):
-    cells = []
-    for m in levels:
-        for seed in seeds:
-            run = model_run(m, n_max, seed)
+def check_principle2():
+    zs = []
+    for m in (2, 4):
+        for seed in MODEL_SEEDS:
+            run = model_run(m, seed)
             n = run.primes.shape[0]
             for rect in RECTANGLES:
                 q = rectangle_mass_exact(*rect)
                 emp = rectangle_mass_empirical(run, *rect)
                 sigma = math.sqrt(q * (1 - q) / n)
-                cells.append((m, seed, rect, abs(emp - q) / sigma))
-    return cells
-
-
-def check_principle2():
-    cells = principle2_cells()
-    ok_cells = sum(1 for *_, z in cells if z <= 3.0)
-    frac = ok_cells / len(cells)
-    return frac >= 0.95, f"{frac:.3%} of {len(cells)} cells within 3 sigma", ">= 95%"
+                zs.append(abs(emp - q) / sigma)
+    return _within_three_sigma(zs)
 
 
 def check_growth_ratio():
     total_hits = 0
     total_pred = 0.0
     for seed in MODEL_SEEDS:
-        run = model_run(2, 100_000, seed, 1, 1)
+        run = model_run(2, seed)
         g = growth_check(run, run.config)
         total_hits += g.hits
         total_pred += g.predicted
@@ -1022,7 +903,7 @@ def check_growth_ratio():
     return 0.5 <= ratio <= 2.0, f"hits={total_hits}, predicted={total_pred:.3f}, ratio={ratio:.3f}", "in [0.5, 2]"
 
 
-def check_growth_hit_mass(n_max=100_000):
+def check_growth_hit_mass():
     # deterministic form of the growth law: the sampler's exact per-prime
     # probability of an exact (1,1) hit, summed over primes, must track the
     # (weight / pi^2) * sum(1/p) prediction
@@ -1030,7 +911,7 @@ def check_growth_hit_mass(n_max=100_000):
 
     m = 2
     fw = np.array([[float(trace_weight(m, a, b)) for b in range(m)] for a in range(m)])
-    primes = sieve_primes(n_max)
+    primes = sieve_primes(100_000)
     primes = primes[primes >= 5]
     exact = 0.0
     asym = 0.0
@@ -1081,7 +962,7 @@ def check_deviation_shrink():
     for n_cut in ns:
         tot, cnt = 0.0, 0
         for seed in MODEL_SEEDS:
-            run = model_run(m, 100_000, seed)
+            run = model_run(m, seed)
             sel = run.primes <= n_cut
             n = int(np.count_nonzero(sel))
             cc = np.bincount(
@@ -1095,24 +976,12 @@ def check_deviation_shrink():
     return -0.7 <= slope <= -0.3, f"log-log slope {slope:.3f}", "in [-0.7, -0.3]"
 
 
-def suite_modelsim(full=False):
-    checks = []
-    _run(checks, "modelsim:density-partition", check_density_partition)
-    _run(checks, "modelsim:determinism", check_model_determinism)
-    _run(checks, "modelsim:principle1", check_principle1, tolerance="3 sigma, 95% cells")
-    _run(checks, "modelsim:principle2", check_principle2, tolerance="3 sigma, 95% cells")
-    _run(checks, "modelsim:growth-hit-mass", check_growth_hit_mass, tolerance="5%")
-    _run(checks, "modelsim:growth-ratio", check_growth_ratio, tolerance="[0.5, 2]")
-    _run(checks, "modelsim:deviation-shrink", check_deviation_shrink, tolerance="slope in [-0.7,-0.3]")
-    return checks
-
-
 # ---------------------------------------------------------------------------
 # conjectured distinct-trace grid
 # ---------------------------------------------------------------------------
 
-def conjecture_grid_mismatches(t_max=30, prime_max=17, k_extra=3):
-    """Cells (t1, t2, ell, k) where direct sums disagree with the conjecture."""
+def conjecture_grid_mismatches(t_max, prime_max):
+    """Cells (t1, t2, ell, k <= alpha + 3) where direct sums disagree with the conjecture."""
     primes = [int(p) for p in sieve_primes(prime_max)]
     mismatches = []
     cells = 0
@@ -1129,7 +998,7 @@ def conjecture_grid_mismatches(t_max=30, prime_max=17, k_extra=3):
                 closed = s_closed_distinct(t1, t2, ell, a + 1)
                 if closed is None or closed[1] != PROVENANCE_CONJECTURE:
                     continue
-                for k in range(a + 1, a + k_extra + 1):
+                for k in range(a + 1, a + 4):
                     got = s_normalized(t1, t2, PrimePower(ell, k))
                     cells += 1
                     if got != closed[0]:
@@ -1137,36 +1006,93 @@ def conjecture_grid_mismatches(t_max=30, prime_max=17, k_extra=3):
     return cells, mismatches
 
 
-def check_conjecture_grid(full=False):
-    if full:
-        cells, mism = conjecture_grid_mismatches(100, 19, 3)
-    else:
-        cells, mism = conjecture_grid_mismatches(30, 17, 3)
+def check_conjecture_grid(full):
+    cells, mism = conjecture_grid_mismatches(100, 19) if full else conjecture_grid_mismatches(30, 17)
     return not mism, f"{cells} cells, {len(mism)} mismatches", "0 mismatches", str(mism[:5])
-
-
-def suite_conjecture71(full=False):
-    checks = []
-    _run(checks, "conj71:grid", lambda: check_conjecture_grid(full),
-         tolerance="exact", conjectural=True)
-    return checks
 
 
 # ---------------------------------------------------------------------------
 # runner
 # ---------------------------------------------------------------------------
 
+# suite -> ordered (check id, check, tolerance, conjectural) entries
 SUITES = {
-    "arith": suite_arith,
-    "matcount": suite_matcount,
-    "local": suite_local,
-    "constants": suite_constants,
-    "classnum": suite_classnum,
-    "gekeler": suite_gekeler,
-    "primestats": suite_primestats,
-    "curves": suite_curves,
-    "modelsim": suite_modelsim,
-    "conjecture71-grid": suite_conjecture71,
+    "arith": (
+        ("arith:legendre-multiplicative", check_legendre_multiplicative, "exact", False),
+        ("arith:legendre-balance", check_legendre_balance, "exact", False),
+        ("arith:legendre-euler-oracle", check_legendre_euler_oracle, "exact", False),
+        ("arith:padic-valuation", check_padic, "exact", False),
+        ("arith:nu-residue-determinism", check_nu_residue_determinism, "exact", False),
+        ("arith:sieve-oracle", check_sieve, "exact", False),
+        ("arith:alpha-cases", check_alpha, "exact", False),
+    ),
+    "matcount": (
+        ("matcount:threeway-grid", check_threeway, "exact", False),
+        ("matcount:sign-symmetry", check_sign_symmetry_m, "exact", False),
+        ("matcount:column-sum", check_column_sum, "exact", False),
+        ("matcount:residue-determinism", check_m_residue_determinism, "exact", False),
+        ("matcount:spot-values", check_m_spot_values, "exact", False),
+    ),
+    "local": (
+        ("local:delta-enumeration", check_delta_enumeration, "exact", False),
+        ("local:sign-symmetry", check_s_sign_symmetry, "exact", False),
+        ("local:theorem-same-trace", check_theorem_same_trace, "exact", False),
+        ("local:volume-table", check_volume_table, "exact", False),
+        ("local:one-divides-adjudication", check_prop_distinct_adjudication, "exact", False),
+        ("local:gcd4-condition-adjudication", check_two_adic_gcd4_adjudication, "exact", False),
+        ("local:stability-direct", check_conjecture_stability, "exact", True),
+        ("local:normalized-bounds", check_s_bounds, "exact", False),
+        ("local:rational-interpolation", check_interpolation, "exact", False),
+    ),
+    "constants": (
+        ("constants:c00-reference", check_c00_reference, "1e-3", False),
+        ("constants:universal-product", check_universal_reference, "1e-6", False),
+        ("constants:routes-agree", check_routes_agree, "summed tails", False),
+        ("constants:sign-invariance", check_sign_invariance_constants, "exact", False),
+        ("constants:convergence-witness", check_convergence_witness, "tail bound", False),
+        ("constants:universal-monotone", check_universal_monotone, "exact", False),
+        ("constants:same-trace-ratio", check_same_trace_ratio, "1e-6", False),
+        ("constants:single-curve", check_single_curve, "1e-4", False),
+    ),
+    "classnum": (
+        ("classnum:kronecker-hurwitz-identity", check_kronecker_hurwitz, "exact", False),
+        ("classnum:spot-values", check_class_spot_values, "exact", False),
+        ("classnum:fundamental", check_fundamental_consistency, "exact", False),
+        ("classnum:positivity", check_class_positivity, "exact", False),
+    ),
+    "gekeler": (
+        ("gekeler:level-consistency", check_level_consistency, "exact", False),
+        ("gekeler:density-bounds", check_f_bounds, "exact", False),
+        ("gekeler:archimedean", check_f_infinity, "exact", False),
+        ("gekeler:two-adic-delta", check_delta_convention, "exact", False),
+        ("gekeler:spot-products", check_gekeler_spots, "heuristic", False),
+        ("gekeler:product-heuristic", check_product_heuristic, "median 2%, max 10%", False),
+    ),
+    "primestats": (
+        ("primestats:average-f-product", check_average_f_product, "1%", False),
+        ("primestats:class-sum-trend", check_class_sum_trend, "factor 2", False),
+        ("primestats:determinism-cache", check_class_sum_determinism, "exact", False),
+        ("primestats:slope-fit", check_slope_fit_exact, "1e-12", False),
+    ),
+    "curves": (
+        ("curves:trace-oracle", check_trace_oracle, "exact", False),
+        ("curves:hasse-bound", check_hasse, "exact", False),
+        ("curves:cm-properties", check_cm_properties, "exact", False),
+        ("curves:cm-two-routes", check_cm_two_routes, "exact", False),
+        ("curves:pair-count-identities", check_pair_count_identities, "exact", False),
+    ),
+    "modelsim": (
+        ("modelsim:density-partition", check_density_partition, "exact", False),
+        ("modelsim:determinism", check_model_determinism, "exact", False),
+        ("modelsim:principle1", check_principle1, "3 sigma, 95% cells", False),
+        ("modelsim:principle2", check_principle2, "3 sigma, 95% cells", False),
+        ("modelsim:growth-hit-mass", check_growth_hit_mass, "5%", False),
+        ("modelsim:growth-ratio", check_growth_ratio, "[0.5, 2]", False),
+        ("modelsim:deviation-shrink", check_deviation_shrink, "slope in [-0.7,-0.3]", False),
+    ),
+    "conjecture71-grid": (
+        ("conj71:grid", check_conjecture_grid, "exact", True),
+    ),
 }
 
 
@@ -1175,7 +1101,12 @@ def verify_suites(names=None, full=False):
     unknown = [n for n in chosen if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
-    suites = {name: SUITES[name](full=full) for name in chosen}
+    grid = functools.partial(check_conjecture_grid, full)  # --full widens only this check
+    suites = {
+        name: [_run(cid, grid if fn is check_conjecture_grid else fn, tolerance, conjectural)
+               for cid, fn, tolerance, conjectural in SUITES[name]]
+        for name in chosen
+    }
     env = {
         "backend": "numpy",
         "full": full,

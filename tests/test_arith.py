@@ -95,11 +95,13 @@ def test_sieve_count_oracle():
     assert len(sieve_primes(100)) == 25
 
 
-def test_sieve_segmented_consistency():
+def test_sieve_segmented_consistency(monkeypatch):
     # force segment boundaries with a small segment size
     from tracepair import _kernels
 
-    assert _kernels.sieve(10_000, 256).tolist() == sieve_primes(10_000).tolist()
+    want = sieve_primes(10_000).tolist()
+    monkeypatch.setattr(_kernels, "_SEGMENT", 256)
+    assert _kernels.sieve(10_000).tolist() == want
 
 
 def test_sieve_rejects_absurd_limit():

@@ -103,11 +103,11 @@ def test_discriminant_domain_checked_before_kernel(monkeypatch):
         raise AssertionError("kernel started")
 
     monkeypatch.setattr(class_numbers._kernels, "class_number", fail)
-    for bad in (-(2 ** 62), -99999999999999999999):
-        with pytest.raises(ValueError, match=r"2\^62"):
+    for bad in (-(2 ** 34), -(2 ** 62), -99999999999999999999):
+        with pytest.raises(ValueError, match=r"2\^34"):
             class_number_h(bad)
-        with pytest.raises(ValueError, match=r"2\^62"):
+        with pytest.raises(ValueError, match=r"2\^34"):
             hurwitz_kronecker(bad)
     monkeypatch.setattr(class_numbers._kernels, "class_number", lambda D: 7)
     monkeypatch.setattr(class_numbers, "_H_CACHE", {})  # keep the stub's 7 out of the memo
-    assert class_number_h(-(2 ** 62) + 4) == 7  # the largest |D| allowed
+    assert class_number_h(-(2 ** 34) + 4) == 7  # the largest |D| allowed

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from tracepair import _kernels
 from tracepair.arith import sieve_primes
-from tracepair.curves import Curve, pair_count, point_count_brute, trace_ap, trace_table
+from tracepair.curves import (
+    Curve, good_primes, pair_count, point_count_brute, trace_ap, trace_table,
+)
 
 SMALL_PRIMES = [int(p) for p in sieve_primes(300) if p > 3]  # straddles the 229 cutoff
 
@@ -141,6 +143,14 @@ def test_cm_trace_two_means_square():
     for p in primes[traces == 2].tolist():
         n = math.isqrt(p - 1)
         assert n * n == p - 1
+
+
+def test_good_primes_matches_good_reduction():
+    big = Curve(2 ** 70 + 1, 3 ** 40)  # |disc| far above 2^63
+    for curves in ((Curve(-1, 0),), (Curve(1, 0), Curve(0, 1)), (big, Curve(-2, 3))):
+        want = [p for p in sieve_primes(3000).tolist() if all(c.good_reduction(p) for c in curves)]
+        got = good_primes(3000, *curves)
+        assert got.dtype == np.int64 and got.tolist() == want
 
 
 def test_pair_count_same_curve():
