@@ -6,11 +6,13 @@ comparisons behave as expected in the case dispatch downstream.
 
 import math
 
-from . import _kernels
+import numpy as np
 
 INFINITY = math.inf
 
-_SIEVE_HARD_LIMIT = 2_000_000_000
+SIEVE_HARD_LIMIT = 2_000_000_000
+# is_prime's trial division takes ~5 ms just below this; callers check it first
+TRIAL_DIVISION_BOUND = 1 << 31
 
 
 def legendre_symbol(a, ell):
@@ -86,13 +88,81 @@ def is_prime(n):
     return True
 
 
+def _simple_sieve(limit):
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags).astype(np.int64)
+
+
+_SEGMENT = 1 << 22  # integers per sieve segment above sqrt(limit)
+
+
 def sieve_primes(limit):
-    """All primes <= limit, ascending, as an int64 array."""
+    """All primes <= limit, ascending, as an int64 array; segmented above sqrt(limit)."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    if limit > _SIEVE_HARD_LIMIT:
-        raise ValueError(f"sieve limit {limit} exceeds the supported {_SIEVE_HARD_LIMIT}")
-    return _kernels.sieve(int(limit))
+    if limit > SIEVE_HARD_LIMIT:
+        raise ValueError(f"sieve limit {limit} exceeds the supported {SIEVE_HARD_LIMIT}")
+    limit = int(limit)
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    root = math.isqrt(limit)
+    base = _simple_sieve(root)
+    chunks = [base]
+    low = root + 1
+    while low <= limit:
+        high = min(low + _SEGMENT, limit + 1)
+        mask = np.ones(high - low, dtype=bool)
+        for p in base:
+            start = max(p * p, ((low + p - 1) // p) * p)
+            if start < high:
+                mask[start - low :: p] = False
+        chunks.append((np.flatnonzero(mask) + low).astype(np.int64))
+        low = high
+    return np.concatenate(chunks)
+
+
+def residues(c, primes):
+    """c mod p for each prime, on Python ints so that any c is exact."""
+    return np.array([c % p for p in primes.tolist()], dtype=np.int64)
+
+
+def powmod(base, e, p):
+    """base^e mod p elementwise for int64 arrays, per-prime exponents e >= 0.
+
+    Every product is of two residues, so p must be below 2^31.
+    """
+    result = np.ones_like(base)
+    e = e.copy()
+    while e.any():
+        result = np.where(e & 1, result * base % p, result)
+        base = base * base % p
+        e >>= 1
+    return result
+
+
+def prime_factors(n):
+    """[(p, e), ...] with n = prod p^e over ascending primes p, by trial division; n >= 1."""
+    if n < 1:
+        raise ValueError("prime_factors needs n >= 1")
+    factors = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            factors.append((d, e))
+        d += 1
+    if n > 1:
+        factors.append((n, 1))
+    return factors
 
 
 def divisors(n):

@@ -20,7 +20,7 @@ matching the generic factor shape 1 - 4/ell^3 + O(1/ell^4).  The empirical
 figure is not a bound when a trace is 0: those factors are 1 + O(1/ell^2),
 and ``pair_constant(0, 0, 100_000)`` states 1.7e-11 while its true error
 against 35/96 is 8.8e-7 (ROADMAP, item 1).  Both sums over the primes in
-(lmax, 8 * lmax] come from ``_kernels.tail_sums``, bit for bit the floats
+(lmax, 8 * lmax] come from ``tail_sums``, bit for bit the floats
 of a plain ``+=`` loop (and of Python 3.11's ``sum``; 3.12's ``sum``
 compensates).
 
@@ -28,18 +28,20 @@ compensates).
 ``DIGITS_BOUND``]; both are checked before the sieve.
 """
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 from mpmath.libmp import from_int, mpf_div, mpf_mul, mpf_pos, round_nearest
 
-from . import _kernels
-from .arith import _SIEVE_HARD_LIMIT, is_prime, sieve_primes
+from .arith import SIEVE_HARD_LIMIT, prime_factors, sieve_primes
 
 DEFAULT_DIGITS = 50
 DIGITS_BOUND = 10_000  # 10^4 digits at lmax = 1e5 take ~10 s
-LMAX_BOUND = _SIEVE_HARD_LIMIT // 8  # the tail sums run over primes up to 8 * lmax
+LMAX_BOUND = SIEVE_HARD_LIMIT // 8  # the tail sums run over primes up to 8 * lmax
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,38 @@ def _check_domain(lmax, digits):
         raise ValueError(f"lmax must be in [2, {LMAX_BOUND}], got {lmax}")
     if not 1 <= digits <= DIGITS_BOUND:
         raise ValueError(f"digits must be in [1, {DIGITS_BOUND}], got {digits}")
+
+
+_EXACT_SQUARE = math.isqrt(2 ** 53)  # p^2 is exact in float64 up to this p
+
+
+def tail_sums(primes):
+    """(sum of 8.0 / p ** 1.5, sum of 4.0 / p ** 3) over a non-empty ascending int64 array.
+
+    The primes must be below 2^53, so that float64 holds them exactly.
+
+    Bit for bit the floats of a plain ``+=`` loop over Python ints: each term
+    is the float Python's expression gives, and one in-place ``cumsum`` adds
+    the terms left to right.  p ** 1.5 comes from libm's pow, as Python's
+    ``**`` calls it; numpy's own power can take a SIMD route that differs in
+    the last bit (at p = 7 with AVX-512).  p ** 3 is the exact cube rounded
+    once: p * p is exact up to ``_EXACT_SQUARE`` and one float product
+    rounds the cube, and above it the cube is formed on Python ints.
+    """
+    p = primes.astype(np.float64)  # exact: every prime is below 2^53
+    powers = np.fromiter(map(math.pow, p, itertools.repeat(1.5)), np.float64, p.size)
+    cons = _left_to_right_sum(8.0, powers)
+    cubes = np.square(p, out=p)  # exact up to _EXACT_SQUARE
+    cubes *= primes  # one rounding of the exact cube
+    cut = primes.searchsorted(_EXACT_SQUARE, side="right")
+    cubes[cut:] = [float(x ** 3) for x in primes[cut:].tolist()]
+    return cons, _left_to_right_sum(4.0, cubes)
+
+
+def _left_to_right_sum(c, denominators):
+    """sum of c / d over the denominators, added in order; overwrites them."""
+    np.divide(c, denominators, out=denominators)
+    return float(np.cumsum(denominators, out=denominators)[-1])
 
 
 def _euler_product(lmax, digits, prefactor, factor):
@@ -83,7 +117,7 @@ def _euler_product(lmax, digits, prefactor, factor):
     # |log tail| bounds: exact partial sums to 8*lmax plus an integral bound
     # for the rest (prime density 1/log x, decreasing integrands).  Both are
     # floats, taken at mpmath's default precision outside the product's.
-    cons, emp = _kernels.tail_sums(primes[split:])
+    cons, emp = tail_sums(primes[split:])
     log_l = mpmath.log(8 * lmax)
     cons += float(16 / (mpmath.sqrt(8 * lmax) * log_l))
     emp += float(2 / ((8 * lmax) ** 2 * log_l))
@@ -139,8 +173,9 @@ def same_trace_ratio(t):
     if t == 0:
         raise ValueError("the t = 0 constant is exactly 35/96, not a ratio")
     q = Fraction(9, 8) * _two_adic_same_trace(t)
-    for ell in {p for p in range(3, abs(t) + 1) if abs(t) % p == 0 and is_prime(p)}:
-        q *= Fraction(ell ** 4 - 1, ell ** 4 - 2 * ell ** 2 - 3 * ell - 1)
+    for ell, _ in prime_factors(abs(t)):
+        if ell > 2:
+            q *= Fraction(ell ** 4 - 1, ell ** 4 - 2 * ell ** 2 - 3 * ell - 1)
     return q
 
 

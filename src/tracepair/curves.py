@@ -12,8 +12,208 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .arith import sieve_primes
+from .arith import powmod, residues, sieve_primes
+
+# Every prime must be below this.  Curve coefficients are reduced mod p as
+# Python ints, and every product the kernel forms is of two residues, so it
+# stays below 2^62 in int64.
+TRACE_P_BOUND = 1 << 31
+_MESTRE_BOUND = 229  # above it, E or its twist has a point that settles #E (Mestre)
+_BSGS_BLOCK = 1024  # primes per lockstep block; bounds the scratch arrays
+_BSGS_STARTS = 8  # start values tried before a prime goes to the character sum
+_START_STEP = 0x9E3779B1  # start x = t * step mod p: far from the small x of torsion points
+
+
+def _trace_charsum(a, b, primes):
+    """a_p = -sum_x chi(x^3 + ax + b): O(p) per prime; oracle for ``trace_batch``."""
+    primes = np.asarray(primes, dtype=np.int64)
+    out = np.empty(len(primes), dtype=np.int64)
+    for i, (p, ar, br) in enumerate(zip(primes.tolist(), residues(a, primes).tolist(),
+                                        residues(b, primes).tolist())):
+        x = np.arange(p, dtype=np.int64)
+        square = np.zeros(p, dtype=bool)
+        square[x[1 : (p + 1) // 2] ** 2 % p] = True
+        rhs = ((x * x % p + ar) * x + br) % p
+        out[i] = np.count_nonzero(rhs) - 2 * np.count_nonzero(square[rhs])
+    return out
+
+
+def _double(X, Y, Z, A, p):
+    """2(X:Y:Z) in Jacobian coordinates on y^2 = x^3 + Ax + B; Z = 0 stays 0."""
+    XX = X * X % p
+    YY = Y * Y % p
+    ZZ = Z * Z % p
+    S = 4 * (X * YY % p) % p
+    M = (3 * XX + A * (ZZ * ZZ % p)) % p
+    X3 = (M * M - 2 * S) % p
+    Y3 = (M * ((S - X3) % p) - 8 * (YY * YY % p)) % p
+    return X3, Y3, 2 * (Y * Z % p) % p
+
+
+def _add_affine(X1, Y1, Z1, x2, y2, p):
+    """(X1:Y1:Z1) + (x2, y2) in Jacobian coordinates.
+
+    Z3 = 0 exactly when the first summand is O or shares its x with the
+    second (true sum O, or a doubling these formulas cannot do), and O stays
+    O, so a nonzero Z certifies every step that led to it.
+    """
+    Z1Z1 = Z1 * Z1 % p
+    H = (x2 * Z1Z1 - X1) % p
+    r = (y2 * (Z1 * Z1Z1 % p) - Y1) % p
+    HH = H * H % p
+    HHH = H * HH % p
+    V = X1 * HH % p
+    X3 = (r * r - HHH - 2 * V) % p
+    Y3 = (r * ((V - X3) % p) - Y1 * HHH) % p
+    return X3, Y3, Z1 * H % p
+
+
+def _multiply(c, x, y, A, p):
+    """c (x, y) in Jacobian coordinates, left-to-right double-and-add; c >= 1."""
+    X, Y, Z = x, y, np.ones_like(p)
+    started = np.zeros(p.shape, dtype=bool)
+    for bit in range(int(c.max()).bit_length() - 1, -1, -1):
+        on = (c >> bit) & 1 == 1
+        D = _double(X, Y, Z, A, p)
+        DP = _add_affine(*D, x, y, p)
+        X, Y, Z = (np.where(started, np.where(on, dp, d), r) for d, dp, r in zip(D, DP, (X, Y, Z)))
+        started |= on
+    return X, Y, Z
+
+
+def _to_affine(X, Y, Z, p):
+    """Affine (x, y) of (n, B) Jacobian arrays, one modular inversion per prime
+    (Montgomery's trick along axis 0); entries with Z = 0 come out as garbage."""
+    Z = np.where(Z == 0, 1, Z)
+    zinv = np.empty_like(Z)  # prefix products first, overwritten from the top down
+    acc = np.ones_like(p)
+    for i in range(Z.shape[0]):
+        acc = acc * Z[i] % p
+        zinv[i] = acc
+    inv = powmod(acc, p - 2, p)
+    for i in range(Z.shape[0] - 1, 0, -1):
+        zinv[i] = inv * zinv[i - 1] % p
+        inv = inv * Z[i] % p
+    zinv[0] = inv
+    del Z  # in place from here on: these (n, B) arrays set the kernel's peak memory
+    zz = zinv * zinv % p
+    x = X * zz % p
+    zz *= zinv
+    zz %= p
+    zz *= Y
+    zz %= p
+    return x, zz
+
+
+def _bsgs_block(a, b, p, t):
+    """(a_p, resolved) for one block of primes p > 229 from start value t >= 1.
+
+    With d = f(x0) = x0^3 + a x0 + b != 0, the point P = (d x0, d^2) lies on
+    E_d: y^2 = x^3 + a d^2 x + b d^3, which is E when d is a square mod p and
+    its quadratic twist otherwise, so #E_d = p + 1 - chi(d) a_p.  Baby steps
+    jP (j = 1..m) and giant steps (c + i(2m+1)) P, c = lo + m, find every k
+    in the Hasse interval [lo, hi] = p + 1 -+ floor(2 sqrt p) with kP = O.
+    A prime is resolved only when there is exactly one such k: #E_d lies in
+    the interval and kills P, so then #E_d = k.  Every product is of two
+    residues below p < 2^31, hence below 2^62.
+    """
+    B = p.size
+    ar, br = residues(a, p), residues(b, p)
+    x0 = t * _START_STEP % p
+    d = ((x0 * x0 % p) * x0 + ar * x0 + br) % p
+    clean = d != 0
+    d = np.where(clean, d, 1)
+    px, py = d * x0 % p, d * d % p
+    A = ar * py % p
+    chi = powmod(d, (p - 1) // 2, p)
+    r = np.array([math.isqrt(4 * q) for q in p.tolist()], dtype=np.int64)
+    lo, hi = p + 1 - r, p + 1 + r
+    m = math.isqrt(int(r.max())) + 1  # balances m baby steps against ~2r/(2m+1) giant steps
+    s = 2 * m + 1
+    giants = 2 * r // s + 1  # giant steps per prime that cover [lo, hi]
+
+    # baby steps; all jP != O with distinct x and y != 0 certify ord(P) > 2m,
+    # so each k below is found once, from the unique baby j with x(jP) = x(giant)
+    BX, BY, BZ = (np.empty((m, B), dtype=np.int64) for _ in range(3))
+    BX[0], BY[0], BZ[0] = px, py, 1
+    BX[1], BY[1], BZ[1] = _double(px, py, BZ[0], A, p)  # m >= 2 as r >= 2
+    for j in range(2, m):
+        BX[j], BY[j], BZ[j] = _add_affine(BX[j - 1], BY[j - 1], BZ[j - 1], px, py, p)
+    clean &= (BZ != 0).all(axis=0)
+    # the stride S = sP = 2(mP) + P, affine, for the giant steps below
+    SX, SY, SZ = _add_affine(*_double(BX[m - 1], BY[m - 1], BZ[m - 1], A, p), px, py, p)
+    clean &= SZ != 0
+    sx, sy = (v[0] for v in _to_affine(SX[None], SY[None], SZ[None], p))
+    bx, by = _to_affine(BX, BY, BZ, p)
+    del BX, BY, BZ
+    clean &= (by != 0).all(axis=0)
+    row = np.arange(B, dtype=np.int64)
+    bkey = (bx + (row << 32)).ravel()  # index j * B + row
+    order = np.argsort(bkey)
+    bkey = bkey[order]
+    clean[order[1:][bkey[1:] == bkey[:-1]] % B] = False
+
+    # giant steps G_i = (c + i s) P, c = lo + m.  A step that reaches O is the
+    # hit k = c + i s (j = 0) and restarts the chain at S, whose next step is
+    # a doubling; so below, Z = 0 at i > 0 always means O.
+    n = int(giants.max())
+    GX, GY, GZ = (np.empty((n, B), dtype=np.int64) for _ in range(3))
+    X, Y, Z = _multiply(lo + m, px, py, A, p)
+    clean &= Z != 0  # cP = O, or a doubling the multiply could not do
+    ZZ = Z * Z % p
+    at_s = (X == sx * ZZ % p) & (Y == sy * (ZZ * Z % p) % p)
+    GX[0], GY[0], GZ[0] = X, Y, Z
+    for i in range(1, n):
+        X, Y, Z = _add_affine(X, Y, Z, sx, sy, p)
+        if at_s.any():
+            X[at_s], Y[at_s], Z[at_s] = _double(sx[at_s], sy[at_s], 1, A[at_s], p[at_s])
+        GX[i], GY[i], GZ[i] = X, Y, Z
+        at_s = Z == 0
+        X, Y, Z = np.where(at_s, sx, X), np.where(at_s, sy, Y), np.where(at_s, 1, Z)
+    gx, gy = _to_affine(GX, GY, GZ, p)
+    del GX, GY
+
+    gkey = np.where(GZ == 0, -1, gx + (row << 32)).ravel()  # index i * B + row
+    pos = np.minimum(np.searchsorted(bkey, gkey), bkey.size - 1)
+    gidx = np.flatnonzero(bkey[pos] == gkey)
+    bidx = order[pos[gidx]]
+    same = gy.ravel()[gidx] == by.ravel()[bidx]  # giant = jP, else giant = -jP
+    zi, zrow = np.nonzero(GZ[1:] == 0)
+    i = np.concatenate([gidx // B, zi + 1])
+    rows = np.concatenate([gidx % B, zrow])
+    j = np.concatenate([np.where(same, -1, 1) * (bidx // B + 1), np.zeros_like(zi)])
+    k = lo[rows] + m + i * s + j
+    inside = k <= hi[rows]
+    rows, k = rows[inside], k[inside]
+    resolved = clean & (np.bincount(rows, minlength=B) == 1)
+    group_order = np.zeros(B, dtype=np.int64)
+    group_order[rows] = k
+    ap = p + 1 - group_order
+    return np.where(chi == 1, ap, -ap), resolved
+
+
+def trace_batch(a, b, primes):
+    """a_p of y^2 = x^3 + ax + b at each prime 5 <= p < 2^31 of good reduction.
+
+    Primes p > 229 are counted by baby-step giant-step in lockstep blocks,
+    O(p^(1/4)) group operations per prime; a prime that no start value
+    resolves, and every p <= 229, goes to the character sum.  Each output is
+    exact: a prime counts as resolved only when the group order is certain.
+    """
+    primes = np.asarray(primes, dtype=np.int64)
+    out = np.empty(primes.size, dtype=np.int64)
+    pending = np.flatnonzero(primes > _MESTRE_BOUND)
+    for t in range(1, _BSGS_STARTS + 1):
+        left = []
+        for start in range(0, pending.size, _BSGS_BLOCK):
+            idx = pending[start : start + _BSGS_BLOCK]
+            ap, ok = _bsgs_block(a, b, primes[idx], t)
+            out[idx[ok]] = ap[ok]
+            left.append(idx[~ok])
+        pending = np.concatenate(left) if left else pending
+    rest = np.concatenate([np.flatnonzero(primes <= _MESTRE_BOUND), pending])
+    out[rest] = _trace_charsum(a, b, primes[rest])
+    return out
 
 
 @dataclass(frozen=True)
@@ -34,7 +234,7 @@ class Curve:
 
 
 def _check_prime(curve, p):
-    if p >= _kernels.TRACE_P_BOUND:
+    if p >= TRACE_P_BOUND:
         raise ValueError(f"p = {p} is outside the trace kernel's range p < 2^31")
     if not curve.good_reduction(p):
         raise ValueError(f"p = {p} is not a good prime for {curve}")
@@ -43,7 +243,7 @@ def _check_prime(curve, p):
 def trace_ap(curve, p):
     """a_p = p + 1 - #E(F_p) for a good prime 5 <= p < 2^31."""
     _check_prime(curve, p)
-    ap = int(_kernels.trace_batch(curve.a, curve.b, [p])[0])
+    ap = int(trace_batch(curve.a, curve.b, [p])[0])
     assert ap * ap <= 4 * p
     return ap
 
@@ -53,7 +253,7 @@ def trace_table(curve, primes):
     primes = [int(p) for p in primes]
     for p in primes:
         _check_prime(curve, p)
-    return _kernels.trace_batch(curve.a, curve.b, np.array(primes, dtype=np.int64))
+    return trace_batch(curve.a, curve.b, np.array(primes, dtype=np.int64))
 
 
 def point_count_brute(curve, p):
@@ -90,17 +290,17 @@ def pair_count(e1, e2, t1, t2, x, list_primes=False, prediction_lmax=None):
     """
     if x < 5:
         raise ValueError("x must be >= 5")
-    if x >= _kernels.TRACE_P_BOUND:
+    if x >= TRACE_P_BOUND:
         raise ValueError("x must be below 2^31, the trace kernel's range")
     if prediction_lmax is not None:
         from .constants import pair_constant
 
         c = pair_constant(t1, t2, prediction_lmax)  # rejects a bad lmax before the sweep
     primes = good_primes(x, e1, e2)
-    tr1 = _kernels.trace_batch(e1.a, e1.b, primes)
+    tr1 = trace_batch(e1.a, e1.b, primes)
     sel = primes[tr1 == t1]
     if sel.size:
-        tr2 = _kernels.trace_batch(e2.a, e2.b, sel)
+        tr2 = trace_batch(e2.a, e2.b, sel)
         matched = sel[tr2 == t2]
     else:
         matched = sel

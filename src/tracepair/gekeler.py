@@ -15,8 +15,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
-from .arith import is_prime, legendre_symbol, padic_valuation, sieve_primes
+from .arith import (
+    TRIAL_DIVISION_BOUND,
+    is_prime,
+    legendre_symbol,
+    padic_valuation,
+    powmod,
+    residues,
+    sieve_primes,
+)
 from .class_numbers import hurwitz_weighted
 from .matcount import PrimePower, m_closed
 
@@ -92,7 +99,7 @@ def product_check(t, p, lmax):
         raise ValueError("product check needs t^2 - 4p < 0")
     if p <= 3:
         raise ValueError("product check needs p > 3")
-    if p >= _kernels.TRACE_P_BOUND:  # before the trial division in is_prime
+    if p >= TRIAL_DIVISION_BOUND:
         raise ValueError(f"product check needs p < 2^31, got {p}")
     if not is_prime(p):
         raise ValueError(f"product check needs a prime p, got {p}")
@@ -101,8 +108,8 @@ def product_check(t, p, lmax):
     factors = np.empty(ells.size + 1, dtype=np.float64)
     factors[0] = p * f_infinity(t, p)
     if ells.size:
-        odd = ells[1:]  # below the sieve's 2e9, so _powmod's products fit int64
-        euler = _kernels._powmod(_kernels._residues(d, odd), (odd - 1) // 2, odd)
+        odd = ells[1:]  # below the sieve's 2e9 < 2^31, as powmod needs
+        euler = powmod(residues(d, odd), (odd - 1) // 2, odd)
         lf = odd.astype(np.float64)
         factors[2:] = lf / np.where(euler == 1, lf - 1.0, lf + 1.0)
         for i in [0] + (np.flatnonzero(euler == 0) + 1).tolist():  # ell = 2 and ell | d

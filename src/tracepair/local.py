@@ -20,9 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
 from .arith import alpha
-from .matcount import PrimePower
+from .matcount import PrimePower, m_values
 
 PROVENANCE_THEOREM = "closed-form-theorem"
 PROVENANCE_PROPOSITION = "closed-form-proposition"
@@ -68,8 +67,8 @@ def s_direct(t1, t2, pp):
     hist = 0
     for lo in range(1, q, _BLOCK):
         hi = min(lo + _BLOCK, q)
-        _, key, values = _kernels.m_values(t1, pp.ell, pp.k, lo, hi)
-        _, code2, _ = _kernels.m_values(t2, pp.ell, pp.k, lo, hi)
+        _, key, values = m_values(t1, pp.ell, pp.k, lo, hi)
+        _, code2, _ = m_values(t2, pp.ell, pp.k, lo, hi)
         width = len(values)
         key *= width
         key += code2

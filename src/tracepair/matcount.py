@@ -5,19 +5,21 @@ Three independent routes to m(t, u; ell^k):
 * ``m_closed`` -- the thirteen-case closed form (four cases for odd ell, one
   for ell = 2 with odd trace, eight for ell = 2 with even trace), written
   once in ``_case`` and keyed by a valuation and a residue, so each branch
-  has an id that tests can name and the batch kernel can tabulate;
+  has an id that tests can name and ``m_values`` can tabulate;
 * ``m_dks``    -- the square-count recursion over N_D(ell^j), evaluated in
   exact rationals with an integrality assertion;
 * ``m_brute``  -- direct enumeration of (a, b, c) with d = t - a, budgeted.
 
-They are cross-checked exhaustively in the verify suite.
+They are cross-checked exhaustively in the verify suite.  ``m_values`` gives
+the closed form of a whole block of units at once, in numpy.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _kernels
-from .arith import is_prime, legendre_symbol, nu_lk, padic_valuation
+import numpy as np
+
+from .arith import TRIAL_DIVISION_BOUND, is_prime, legendre_symbol, nu_lk, padic_valuation
 
 BRUTE_BUDGET = 2_000_000
 K_BOUND = 64  # covers alpha + 1 for any pair of int64 traces
@@ -37,7 +39,7 @@ class PrimePower:
     def __post_init__(self):
         if not 1 <= self.k <= K_BOUND:
             raise ValueError(f"k must be in [1, {K_BOUND}], got {self.k}")
-        if self.ell >= _kernels.TRACE_P_BOUND:
+        if self.ell >= TRIAL_DIVISION_BOUND:
             raise ValueError(f"ell must be below 2^31, got {self.ell}")
         if not is_prime(self.ell):
             raise ValueError(f"ell must be prime, got {self.ell}")
@@ -87,6 +89,54 @@ def _case(n, key, ell, k):
     if key == 1:
         return "two:n-lt-k-r1mod8", base
     return "two:n-lt-k-r5mod8", base - 2 ** (2 * k - n // 2)
+
+
+def m_values(t, ell, k, u_lo, u_hi):
+    """(units, codes, values) with m(t, u; ell^k) = values[code] for each unit u.
+
+    A code packs the capped valuation n of D = t^2 - 4u and the residue key
+    of ``_case``: code = 2n + [D/ell^n is a square mod ell] for odd ell,
+    code = 8n + (D/2^n mod 8) for ell = 2.  ``values`` depends only on
+    (ell, k), so codes of two traces can be histogrammed jointly.
+
+    Each pass of the valuation loop visits only the units whose D is still
+    divisible by ell, and D, the codes and the keys are formed in place.
+    Everything stays within int64: the callers cap the unit count at 1e8
+    (``local.UNIT_CAP``), t is reduced mod ell^k before it is squared, and
+    the counts stay below ~4e16.
+    """
+    t %= ell ** k
+    if ell == 2:
+        u = np.arange(u_lo | 1, u_hi, 2, dtype=np.int64)
+    else:
+        u = np.arange(u_lo, u_hi, dtype=np.int64)
+        u = u[u % ell != 0]
+    cap = k if ell > 2 else k + 2
+    width = 2 if ell > 2 else 8
+    rem = u * -4
+    rem += t * t
+    n = np.zeros(u.shape, dtype=np.int64)
+    active = np.flatnonzero(rem % ell == 0)
+    for _ in range(cap):  # D = 0 divides every time and reaches the cap
+        if not active.size:
+            break
+        n[active] += 1
+        rem[active] //= ell
+        active = active[rem[active] % ell == 0]
+    if ell > 2:
+        square = np.zeros(ell, dtype=np.int64)
+        square[(np.arange(1, ell, dtype=np.int64) ** 2) % ell] = 1
+        rem %= ell
+        rem = square[rem]
+    else:
+        rem %= 8
+    n *= width
+    n += rem
+    values = np.array(
+        [_case(nn, kk, ell, k)[1] for nn in range(cap + 1) for kk in range(width)],
+        dtype=np.int64,
+    )
+    return u, n, values
 
 
 def m_closed_case(t, u, pp):
@@ -145,4 +195,9 @@ def m_brute(t, u, pp):
     q = pp.modulus
     if q ** 3 > BRUTE_BUDGET:
         raise ValueError(f"brute-force budget exceeded: {q}^3 > {BRUTE_BUDGET}")
-    return _kernels.m_brute(t % q, u % q, q)
+    t, u = t % q, u % q
+    b = np.arange(q, dtype=np.int64)
+    bc_counts = np.bincount(((b[:, None] * b[None, :]) % q).ravel(), minlength=q)
+    a = np.arange(q, dtype=np.int64)
+    need = (a * ((t - a) % q) - u) % q
+    return int(bc_counts[need].sum())

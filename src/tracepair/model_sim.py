@@ -12,7 +12,7 @@ normalization is exact, so the measure's leading constant never appears.
 Streams: prime index i uses the Philox4x64-10 stream keyed (seed, i), making
 runs bit-reproducible for any evaluation order or block size.  The keys are
 those of one ``np.random.Philox(key=(seed, i))`` per prime; the draws are made
-in blocks of primes (``_kernels.philox_uniforms``, ``_sample_block``), and the
+in blocks of primes (``philox_uniforms``, ``_sample_block``), and the
 per-prime loop is kept as the test oracle ``_sample_run_scalar``.  The seed
 lies in [0, 2^64) and the level m in [2, ``MODEL_LEVEL_BOUND``].
 """
@@ -23,8 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import philox_uniforms
-from .arith import sieve_primes
+from .arith import prime_factors, sieve_primes
 from .local import delta_group_size, s_direct
 from .matcount import PrimePower
 
@@ -32,6 +31,45 @@ from .matcount import PrimePower
 MODEL_LEVEL_BOUND = 128  # the m^2 trace_weight table takes ~5-6 s at this level
 _BLOCK_ELEMENTS = 1 << 17  # grid cells per block of primes; bounds the scratch arrays
 _DRAW_CHUNK = 1 << 14  # Philox keys drawn per kernel call
+
+# Philox4x64-10 works in uint64, where sums and products wrap mod 2^64 as the
+# generator defines them.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # round multipliers
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key bumps (Weyl sequence)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _mulhilo(x, c):
+    """(hi, lo) 64-bit halves of x * c for uint64 x and a constant c < 2^64."""
+    c_lo, c_hi = np.uint64(c & 0xFFFFFFFF), np.uint64(c >> 32)
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    ll, lh, hl = x_lo * c_lo, x_lo * c_hi, x_hi * c_lo
+    cross = (ll >> _SHIFT32) + (lh & _LOW32) + (hl & _LOW32)
+    hi = x_hi * c_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (cross >> _SHIFT32)
+    return hi, x * np.uint64(c)
+
+
+def philox_uniforms(seed, n, start=0):
+    """First three doubles of Philox4x64-10 keyed (seed, i), for start <= i < start + n.
+
+    Row j equals ``np.random.Generator(np.random.Philox(key=[seed, start + j])).random(3)``:
+    one block at counter 1 (numpy bumps the counter before its first block),
+    each word x read as (x >> 11) * 2^-53.  ``seed`` and the keys i are in [0, 2^64).
+    """
+    key1 = np.arange(start, start + n, dtype=np.uint64)
+    x0 = np.ones(n, dtype=np.uint64)
+    x1 = np.zeros(n, dtype=np.uint64)
+    x2 = np.zeros(n, dtype=np.uint64)
+    x3 = np.zeros(n, dtype=np.uint64)
+    for r in range(10):
+        k0 = np.uint64((seed + r * _PHILOX_W[0]) & 0xFFFFFFFFFFFFFFFF)
+        k1 = key1 + np.uint64(r * _PHILOX_W[1] & 0xFFFFFFFFFFFFFFFF)
+        hi0, lo0 = _mulhilo(x0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(x2, _PHILOX_M[1])
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    words = np.stack([x0, x1, x2], axis=1)
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -66,22 +104,6 @@ class SampleRun:
     hits: int                 # primes with (u1, u2) == (t1, t2)
 
 
-def _prime_power_factors(m):
-    factors = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            k = 0
-            while m % d == 0:
-                m //= d
-                k += 1
-            factors.append((d, k))
-        d += 1
-    if m > 1:
-        factors.append((m, 1))
-    return factors
-
-
 def class_density(m, r1, r2):
     """|pairs with equal det and traces (r1, r2)| / |all equal-det pairs| at level m.
 
@@ -90,7 +112,7 @@ def class_density(m, r1, r2):
     if m < 2:
         raise ValueError("level m must be >= 2")
     density = Fraction(1)
-    for ell, k in _prime_power_factors(m):
+    for ell, k in prime_factors(m):
         pp = PrimePower(ell, k)
         density *= Fraction(s_direct(r1, r2, pp), delta_group_size(pp))
     return density

@@ -4,7 +4,10 @@ class-number sums whose partial sums grow like a constant times loglog x.
 The class-number sums read every H(t^2 - 4p) from one table of Hurwitz class
 numbers up to 4x, built by enumerating reduced forms, and add the terms of
 each segment between checkpoints exactly by binary splitting.  Partial sums
-are exact Fractions, converted to floats only at checkpoints.
+are exact integer pairs (A, B), never reduced: the float at a checkpoint is
+A / B, which CPython rounds correctly as it does ``float(Fraction(A, B))``,
+and the reduced Fractions are built only when ``exact_partials`` is read.
+Reducing them costs a gcd of multi-megabit integers (~13 s at x = 1e6).
 """
 
 import math
@@ -13,7 +16,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
 from .arith import sieve_primes
 
 CHECKPOINTS_DEFAULT = (1_000, 3_000, 10_000, 30_000, 100_000)
@@ -47,7 +49,50 @@ class CheckpointSeries:
     t1: int
     t2: int
     checkpoints: list  # (x, partial_sum: float, loglog_x: float)
-    exact_partials: list  # Fractions aligned with checkpoints
+    partials: list  # unreduced (numerator, denominator) pairs aligned with checkpoints
+
+    @property
+    def exact_partials(self):
+        """The partial sums as reduced Fractions."""
+        return [Fraction(a, b) for a, b in self.partials]
+
+
+def hurwitz_table(N):
+    """int64 array T with T[n] = 6 H(n) for 0 <= n <= N, so hurwitz_weighted(-n) = T[n]/12.
+
+    H(n) counts every reduced form (a, b, c) with 4ac - b^2 = n, primitive or
+    not (Cohen, GTM 138, 5.3): weight 1 for an ordinary form, 1/2 for
+    (a, 0, a), 1/3 for (a, a, a).  For fixed (a, b) the n run through a
+    progression of step 4a in c.  Viewed as rows of width 4a, n = 4a (c - k) +
+    col with k = ceil(b^2 / 4a), so every row past a holds one form of each b:
+    one broadcast adds them all, and only the forms with c <= a + k are counted
+    one by one.  O(N^(3/2)) in total, bounded by memory traffic.
+    """
+    T = np.zeros(N + 1, dtype=np.int32)  # 6 H(n) < 2^31 far beyond any table that fits in memory
+    for a in range(1, math.isqrt(N // 3) + 1):
+        step = 4 * a
+        b = np.arange(a + 1, dtype=np.int64)
+        k = -(-b * b // step)
+        col = step * k - b * b
+        w_more = np.where((b == 0) | (b == a), 6, 12)  # c > a: b and -b, or b alone if b = 0 or a
+        w_equal = np.where(b == 0, 3, np.where(b == a, 2, 6))  # c = a: (a,0,a), (a,a,a), b > 0
+        # c = a .. a + k, all below n = 4a (a + 1): form by form; distinct b can share an n
+        lo, hi = 3 * a * a, min(step * (a + 1), N + 1)
+        which = np.repeat(b, k + 1)
+        j = np.arange(which.size) - np.repeat(np.cumsum(k + 1) - (k + 1), k + 1)
+        n = step * (a + j) - which * which
+        w = np.where(j == 0, w_equal[which], w_more[which])
+        keep = n < hi
+        T[lo:hi] += np.bincount(n[keep] - lo, w[keep], hi - lo).astype(np.int32)
+        # c > a + k: the same vector of width 4a on every row from n = 4a (a + 1) on
+        if hi <= N:
+            row = np.bincount(col, w_more, step).astype(np.int32)
+            rows = (N + 1 - hi) // step
+            end = hi + rows * step
+            block = T[hi:end].reshape(rows, step)
+            block += row
+            T[end:] += row[: N + 1 - end]
+    return T.astype(np.int64)
 
 
 def _split_sum(num, den):
@@ -103,22 +148,23 @@ def class_sum(t1, t2, x, checkpoints=None):
     checkpoints = checkpoint_ladder(t1, t2, x, checkpoints)
     primes = sieve_primes(x)
     primes = primes[primes > _threshold(t1, t2)]
-    table = _kernels.hurwitz_table(4 * int(x))
+    table = hurwitz_table(4 * int(x))
     # hurwitz_weighted(t^2 - 4p) = table[4p - t^2] / 12, so each term is num / (144 p^2)
     num = table[4 * primes - t1 * t1] * table[4 * primes - t2 * t2]
     squares = primes.astype(object) ** 2
 
-    acc = Fraction(0)
+    A, B = 0, 1  # the partial sum A / B
     series = []
-    exacts = []
+    partials = []
     start = 0
     for cx, stop in zip(checkpoints, np.searchsorted(primes, checkpoints, side="right")):
         P, Q = _split_sum(num[start:stop], squares[start:stop])
-        acc += Fraction(P, 144 * Q)
-        series.append((cx, float(acc), math.log(math.log(cx))))
-        exacts.append(acc)
+        Q *= 144
+        A, B = A * Q + P * B, B * Q
+        series.append((cx, A / B, math.log(math.log(cx))))
+        partials.append((A, B))
         start = stop
-    return CheckpointSeries(t1, t2, series, exacts)
+    return CheckpointSeries(t1, t2, series, partials)
 
 
 @dataclass(frozen=True)

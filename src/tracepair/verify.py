@@ -58,6 +58,7 @@ from .local import (
     s_closed_same,
     s_direct,
     s_normalized,
+    volume,
 )
 from .matcount import BRUTE_BUDGET, PrimePower, m_brute, m_closed, m_dks
 from .model_sim import (
@@ -67,6 +68,7 @@ from .model_sim import (
     rectangle_mass_empirical,
     rectangle_mass_exact,
     sample_run,
+    semicircle_weights,
     trace_weight,
 )
 from .prime_stats import average_f_product, class_sum, slope_fit
@@ -380,8 +382,6 @@ def check_volume_table():
         ((2, 2, 2), Fraction(103, 192)),
         ((2, -2, 2), Fraction(103, 192)),
     ]
-    from .local import volume
-
     for (t1, t2, ell), want in expected:
         got = volume(t1, t2, ell)
         if got != want:
@@ -907,8 +907,6 @@ def check_growth_hit_mass():
     # deterministic form of the growth law: the sampler's exact per-prime
     # probability of an exact (1,1) hit, summed over primes, must track the
     # (weight / pi^2) * sum(1/p) prediction
-    from .model_sim import semicircle_weights
-
     m = 2
     fw = np.array([[float(trace_weight(m, a, b)) for b in range(m)] for a in range(m)])
     primes = sieve_primes(100_000)

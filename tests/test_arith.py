@@ -11,6 +11,7 @@ from tracepair.arith import (
     legendre_symbol,
     nu_lk,
     padic_valuation,
+    prime_factors,
     sieve_primes,
 )
 
@@ -97,11 +98,11 @@ def test_sieve_count_oracle():
 
 def test_sieve_segmented_consistency(monkeypatch):
     # force segment boundaries with a small segment size
-    from tracepair import _kernels
+    from tracepair import arith
 
     want = sieve_primes(10_000).tolist()
-    monkeypatch.setattr(_kernels, "_SEGMENT", 256)
-    assert _kernels.sieve(10_000).tolist() == want
+    monkeypatch.setattr(arith, "_SEGMENT", 256)
+    assert sieve_primes(10_000).tolist() == want
 
 
 def test_sieve_rejects_absurd_limit():
@@ -117,3 +118,11 @@ def test_divisors_sigma():
         assert ds == sorted(ds)
         assert all(n % d == 0 for d in ds)
         assert ds == [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_prime_factors_match_divisors():
+    for n in range(1, 2001):
+        want = [(p, int(padic_valuation(p, n))) for p in divisors(n) if is_prime(p)]
+        assert prime_factors(n) == want, n
+    with pytest.raises(ValueError):
+        prime_factors(0)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracepair import _kernels, constants, curves, gekeler, matcount, model_sim, prime_stats
+from tracepair import class_numbers, constants, curves, gekeler, matcount, model_sim, prime_stats
 from tracepair.cli import main
 from tracepair.curves import Curve, point_count_brute
 
@@ -181,8 +181,8 @@ def test_out_of_domain_rejected_before_work(capsys, monkeypatch, argv):
     def fail(*args):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(_kernels, "class_number", fail)
-    monkeypatch.setattr(_kernels, "hurwitz_table", fail)
+    monkeypatch.setattr(class_numbers, "_class_number", fail)
+    monkeypatch.setattr(prime_stats, "hurwitz_table", fail)
     monkeypatch.setattr(prime_stats, "sieve_primes", fail)
     monkeypatch.setattr(constants, "sieve_primes", fail)
     monkeypatch.setattr(curves, "sieve_primes", fail)
@@ -398,6 +398,11 @@ def _loaded_modules(*argv):
     # only pair_constant reads the local factors
     (("constant", "--kind", "universal", "--lmax", "1000"),
      ("tracepair.local", "tracepair.matcount", "tracepair.verify")),
+    # the shared array helpers live in arith, which pulls in no other layer
+    (("gekeler", "--t", "1", "--p", "101", "--lmax", "1000"),
+     ("tracepair.curves", "tracepair.constants", "mpmath", "tracepair.verify")),
+    (("local-factor", "--t1", "1", "--t2", "2", "--ell", "3", "--k", "2"),
+     ("tracepair.curves", "tracepair.class_numbers", "mpmath", "tracepair.verify")),
 ])
 def test_job_loads_only_what_it_runs(argv, absent):
     loaded = _loaded_modules(*argv)

@@ -1,11 +1,12 @@
 import math
+import signal
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from tracepair import constants
-from tracepair.arith import sieve_primes
+from tracepair.arith import is_prime, sieve_primes
 from tracepair.constants import (
     LMAX_BOUND,
     pair_constant,
@@ -79,6 +80,31 @@ def test_same_trace_ratio():
     est = pair_constant(1, 1, 4000)
     uni = universal_product(4000)
     assert abs(float(est.value) / float(uni.value) - 0.5) < 1e-4
+
+
+def test_same_trace_ratio_matches_prime_loop():
+    # the odd primes dividing t, found by testing every p <= |t|
+    for t in range(-300, 301):
+        if t == 0:
+            continue
+        q = Fraction(9, 8) * constants._two_adic_same_trace(t)
+        for ell in (p for p in range(3, abs(t) + 1) if t % p == 0 and is_prime(p)):
+            q *= Fraction(ell ** 4 - 1, ell ** 4 - 2 * ell ** 2 - 3 * ell - 1)
+        assert same_trace_ratio(t) == q, t
+
+
+def test_same_trace_ratio_large_trace_returns_at_once():
+    def expire(signum, frame):
+        raise TimeoutError("same_trace_ratio(10**12) took over 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        q = same_trace_ratio(10 ** 12)  # 2^12 5^12
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert q == Fraction(9, 8) * Fraction(35, 18) * Fraction(5 ** 4 - 1, 5 ** 4 - 50 - 15 - 1)
 
 
 def test_single_curve_constant():

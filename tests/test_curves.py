@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tracepair import _kernels
+from tracepair import curves
 from tracepair.arith import sieve_primes
 from tracepair.curves import (
     Curve, good_primes, pair_count, point_count_brute, trace_ap, trace_table,
@@ -71,7 +71,7 @@ def test_trace_batch_matches_point_count_any_coefficients(a, b):
     assume(4 * a ** 3 + 27 * b ** 2 != 0)
     cur = Curve(a, b)
     primes = [p for p in SMALL_PRIMES if cur.good_reduction(p)]
-    traces = _kernels.trace_batch(a, b, primes)
+    traces = curves.trace_batch(a, b, primes)
     assert traces.tolist() == [p + 1 - point_count_brute(cur, p) for p in primes]
 
 
@@ -79,18 +79,18 @@ def test_trace_batch_matches_point_count_any_coefficients(a, b):
 def test_trace_batch_matches_character_sum(a, b):
     # (-1, 0) and (0, 1) have CM: their small-exponent groups need retries and fallbacks
     primes = _good_primes(Curve(a, b), 30_000)
-    assert np.array_equal(_kernels.trace_batch(a, b, primes), _kernels._trace_charsum(a, b, primes))
+    assert np.array_equal(curves.trace_batch(a, b, primes), curves._trace_charsum(a, b, primes))
 
 
 def test_trace_batch_one_start_small_blocks(monkeypatch):
     # with one start value every prime its point does not settle goes to the
     # character sum; blocks of 37 put block boundaries everywhere
-    monkeypatch.setattr(_kernels, "_BSGS_STARTS", 1)
-    monkeypatch.setattr(_kernels, "_BSGS_BLOCK", 37)
+    monkeypatch.setattr(curves, "_BSGS_STARTS", 1)
+    monkeypatch.setattr(curves, "_BSGS_BLOCK", 37)
     for a, b in ((-1, 0), (0, 1), (-11, 14)):
         primes = _good_primes(Curve(a, b), 6000)
-        assert np.array_equal(_kernels.trace_batch(a, b, primes),
-                              _kernels._trace_charsum(a, b, primes))
+        assert np.array_equal(curves.trace_batch(a, b, primes),
+                              curves._trace_charsum(a, b, primes))
 
 
 def test_bsgs_block_certifies_only_exact_traces():
@@ -100,9 +100,9 @@ def test_bsgs_block_certifies_only_exact_traces():
     for a, b in ((-1, 0), (0, 1), (1, 1), (-2, 3), (2, 5), (-11, 14), (0, 7), (5, 0)):
         cur = Curve(a, b)
         primes = np.array([p for p in small if cur.good_reduction(p)] + [999_983], dtype=np.int64)
-        want = _kernels._trace_charsum(a, b, primes[:-1])
+        want = curves._trace_charsum(a, b, primes[:-1])
         for t in range(1, 9):
-            ap, ok = _kernels._bsgs_block(a, b, primes, t)
+            ap, ok = curves._bsgs_block(a, b, primes, t)
             assert np.array_equal(ap[:-1][ok[:-1]], want[ok[:-1]])
 
 

@@ -4,9 +4,11 @@ scalar and brute-force oracles."""
 import numpy as np
 import pytest
 
-from tracepair import _kernels, local
+from tracepair import constants, local
 from tracepair.class_numbers import hurwitz_weighted
-from tracepair.matcount import PrimePower, m_closed
+from tracepair.matcount import PrimePower, m_brute, m_closed, m_values
+from tracepair.model_sim import philox_uniforms
+from tracepair.prime_stats import hurwitz_table
 
 GRID = ((2, 1), (2, 3), (2, 5), (3, 1), (3, 3), (5, 2), (7, 1), (13, 1))
 
@@ -15,10 +17,10 @@ def test_m_values_match_brute():
     for ell, k in GRID:
         q = ell ** k
         for t in (0, 1, 2, 3, 4, q - 1, q + 5):
-            units, codes, values = _kernels.m_values(t, ell, k, 1, q)
+            units, codes, values = m_values(t, ell, k, 1, q)
             assert units.tolist() == [u for u in range(1, q) if u % ell]
             for u, m in zip(units.tolist(), values[codes].tolist()):
-                assert m == _kernels.m_brute(t % q, u, q)
+                assert m == m_brute(t, u, PrimePower(ell, k))
 
 
 def test_m_values_match_scalar_closed_form():
@@ -26,7 +28,7 @@ def test_m_values_match_scalar_closed_form():
         pp = PrimePower(ell, k)
         q = pp.modulus
         for t in range(q):
-            units, codes, values = _kernels.m_values(t, ell, k, 1, q)
+            units, codes, values = m_values(t, ell, k, 1, q)
             for u, m in zip(units.tolist(), values[codes].tolist()):
                 assert m == m_closed(t, u, pp)
 
@@ -60,7 +62,7 @@ def test_m_values_match_plain_valuation_loop(ell, k):
     blocks = ((1, q), (2, q), (0, 1), (2, 3), (q // 2 * 2, q + 10), (64, 64 + 3 * ell))
     for t in traces:
         for u_lo, u_hi in blocks:
-            units, codes, values = _kernels.m_values(t, ell, k, u_lo, u_hi)
+            units, codes, values = m_values(t, ell, k, u_lo, u_hi)
             assert (units.tolist(), codes.tolist()) == _m_codes_plain(t, ell, k, u_lo, u_hi), (
                 t, u_lo, u_hi)
             assert codes.dtype == units.dtype == values.dtype == np.int64
@@ -83,21 +85,21 @@ def test_s_direct_block_and_worker_invariance(monkeypatch, ell, k):
 def test_tail_sums_match_python_floats():
     # numpy's SIMD power differs from libm's pow in the last bit at 7, 61, 151, ...;
     # above _EXACT_SQUARE a float cube of the float square rounds twice (edge + 2)
-    edge = _kernels._EXACT_SQUARE
+    edge = constants._EXACT_SQUARE
     terms = (3, 7, 61, 151, 349, 1009, 2 ** 21 + 23, edge - 1, edge, edge + 1, edge + 2,
              1_999_999_973)
     for p in terms:  # one term: the sum is the term itself
-        assert _kernels.tail_sums(np.array([p])) == (8.0 / p ** 1.5, 4.0 / p ** 3), p
+        assert constants.tail_sums(np.array([p])) == (8.0 / p ** 1.5, 4.0 / p ** 3), p
     cons = emp = 0.0
     for p in terms:
         cons += 8.0 / p ** 1.5
         emp += 4.0 / p ** 3
-    assert _kernels.tail_sums(np.array(terms)) == (cons, emp)
+    assert constants.tail_sums(np.array(terms)) == (cons, emp)
 
 
 def test_hurwitz_table_matches_per_discriminant_route():
     N = 20_000
-    table = _kernels.hurwitz_table(N)
+    table = hurwitz_table(N)
     assert table.dtype.name == "int64" and table.shape == (N + 1,)
     for n in range(N + 1):
         if n > 0 and n % 4 in (0, 3):
@@ -105,13 +107,13 @@ def test_hurwitz_table_matches_per_discriminant_route():
         else:
             assert table[n] == 0, n
     for small in (0, 2, 3, 12, 13):  # sizes that cut the rows short
-        assert (_kernels.hurwitz_table(small) == table[: small + 1]).all()
+        assert (hurwitz_table(small) == table[: small + 1]).all()
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 63, 2 ** 64 - 1])
 def test_philox_uniforms_match_numpy(seed):
     for start, n in ((0, 200), (2 ** 31 - 2, 4), (2 ** 32 - 2, 3)):
-        got = _kernels.philox_uniforms(seed, n, start)
+        got = philox_uniforms(seed, n, start)
         assert got.shape == (n, 3) and got.dtype == np.float64
         for j in range(n):
             key = np.array([seed, start + j], dtype=np.uint64)

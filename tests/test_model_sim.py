@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracepair import model_sim
-from tracepair.arith import _SIEVE_HARD_LIMIT, sieve_primes
+from tracepair.arith import SIEVE_HARD_LIMIT, sieve_primes
 from tracepair.local import delta_group_size, s_direct
 from tracepair.matcount import PrimePower
 from tracepair.model_sim import (
@@ -200,4 +200,4 @@ def test_block_size_within_element_budget():
             B = model_sim._block_size(m, n_max)
             assert B >= 1
             assert B * max(width, m * m) <= model_sim._BLOCK_ELEMENTS
-    assert model_sim._block_size(MODEL_LEVEL_BOUND, _SIEVE_HARD_LIMIT) == 1
+    assert model_sim._block_size(MODEL_LEVEL_BOUND, SIEVE_HARD_LIMIT) == 1

@@ -1,7 +1,9 @@
+import ast
 import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,3 +60,57 @@ def test_unknown_attribute():
     assert not hasattr(tracepair, "verify_suites")  # public in verify, not in the package
     with pytest.raises(ImportError):
         from tracepair import no_such_name  # noqa: F401
+
+
+def _private_reaches(source):
+    """(line, text) of each use in one module's source of another tracepair module's private names.
+
+    Flags an import of an underscore-prefixed module, or of an
+    underscore-prefixed name from a tracepair module, and the read of an
+    underscore-prefixed attribute of a name bound to a tracepair module.
+    """
+    tree = ast.parse(source)
+    modules = set()  # local names bound to tracepair modules
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith(
+                "tracepair")):
+            parts = (node.module or "").split(".")
+            if any(part.startswith("_") for part in parts):
+                found.append((node.lineno, f"from {node.module} import ..."))
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append((node.lineno, f"import {alias.name}"))
+                if node.module is None or node.module == "tracepair":
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] != "tracepair":
+                    continue
+                if any(part.startswith("_") for part in alias.name.split(".")):
+                    found.append((node.lineno, f"import {alias.name}"))
+                if alias.asname:
+                    modules.add(alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+def test_modules_use_no_private_names_of_other_modules():
+    package = Path(tracepair.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) > 10
+    reaches = {path.name: _private_reaches(path.read_text()) for path in sources}
+    assert {name: found for name, found in reaches.items() if found} == {}
+
+
+def test_private_reach_detector():
+    source = ("from . import _hidden, arith\n"
+              "from ._hidden import f\n"
+              "from .matcount import PrimePower, _case\n"
+              "import tracepair._hidden\n"
+              "x = arith._SEGMENT + arith.SIEVE_HARD_LIMIT\n"
+              "y = PrimePower._x + (1).__abs__() + np._mean\n")
+    assert [line for line, _ in _private_reaches(source)] == [1, 2, 3, 4, 5]

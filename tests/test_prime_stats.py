@@ -74,6 +74,14 @@ def test_class_sum_matches_per_discriminant_sum(t1, t2, x, ladder):
     assert series.exact_partials == want
 
 
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.integers(-12, 12), st.integers(-12, 12), st.integers(40, 12_000))
+def test_class_sum_floats_are_the_exact_partials_rounded(t1, t2, x):
+    # each float is the quotient of an unreduced pair; it must round as the Fraction does
+    series = class_sum(t1, t2, x)
+    assert [s for _, s, _ in series.checkpoints] == [float(f) for f in series.exact_partials]
+
+
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 10 ** 12)), max_size=70))
 def test_split_sum_matches_running_sum(terms):
