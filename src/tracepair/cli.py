@@ -7,7 +7,10 @@ count alongside.
 
 Every job runs in a fresh process, so each ``cmd_*`` function imports the
 modules it runs and nothing else: numpy, mpmath and ``verify`` are loaded
-only by the subcommands that need them.
+only by the subcommands that need them.  ``main`` sets
+``OPENBLAS_NUM_THREADS`` to 1, unless the caller has set it, before it parses
+the arguments, because the ``--e1``/``--e2`` converter already imports numpy:
+no job calls BLAS, and a single-threaded OpenBLAS loads ~60 ms faster.
 """
 
 import argparse
@@ -362,6 +365,8 @@ def build_parser():
 
 
 def main(argv=None):
+    # no job calls BLAS: let OpenBLAS start without its thread pool when numpy loads
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

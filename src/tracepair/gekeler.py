@@ -59,6 +59,11 @@ def f_ell(t, p, ell):
         else:
             assert reduced % 4 == 1
             sym = 1 if reduced % 8 == 1 else -1
+    return _f_class(ell, delta, sym)
+
+
+def _f_class(ell, delta, sym):
+    """f_ell from delta and the symbol of the reduced discriminant, exact."""
     lead = Fraction(ell ** 2, ell ** 2 - 1)
     core = 1 + Fraction(1, ell)
     if sym == -1:
@@ -66,6 +71,46 @@ def f_ell(t, p, ell):
     elif sym == 0:
         core -= Fraction(ell + 1, ell ** (delta + 2))
     return lead * core
+
+
+def f_ell_floats(t, primes, ell):
+    """float(f_ell(t, p, ell)) for each p of an int64 prime array, p = ell included.
+
+    f_ell depends on p only through (delta, symbol), so delta and the symbol
+    are computed over the array in int64 (Euler's criterion for odd ell, the
+    reduced value mod 8 at ell = 2) and each class takes the float of its
+    exact value.  ``f_ell`` itself is the per-prime oracle.
+    """
+    if not 2 <= ell < TRIAL_DIVISION_BOUND:
+        raise ValueError(f"ell must be a prime below 2^31, got {ell}")
+    if ell == 2 and t % 2 == 1:
+        return np.full(primes.size, 2 / 3)
+    if primes.size and t * t + 4 * int(primes.max()) >= 1 << 63:
+        raise ValueError("t^2 - 4p must fit in int64")
+    d = t * t - 4 * primes.astype(np.int64)
+    v = np.zeros(d.size, dtype=np.int64)
+    rest = d.copy()
+    hit = rest % ell == 0
+    while hit.any():  # v = v_ell(d); d != 0, as t^2 = 4p has no prime p
+        v += hit
+        rest = np.where(hit, rest // ell, rest)
+        hit &= rest % ell == 0
+    delta = v // 2
+    if ell > 2:
+        reduced = d // ell ** (2 * delta)
+        euler = powmod(reduced % ell, np.full(d.size, (ell - 1) // 2, dtype=np.int64), ell)
+        sym = np.where(euler == ell - 1, -1, euler)
+    else:
+        while True:  # step down until d / 4^delta is 0 or 1 mod 4
+            bad = (d >> (2 * delta)) % 4 >= 2
+            if not bad.any():
+                break
+            delta -= bad
+        reduced = d >> (2 * delta)
+        sym = np.where(reduced % 2 == 0, 0, np.where(reduced % 8 == 1, 1, -1))
+    keys, index = np.unique(3 * delta + sym + 1, return_inverse=True)
+    values = np.array([float(_f_class(ell, key // 3, key % 3 - 1)) for key in keys.tolist()])
+    return values[index]
 
 
 def f_infinity(t, p):

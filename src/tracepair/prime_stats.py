@@ -26,22 +26,20 @@ def average_f_product(t1, t2, ell, x):
     """Mean of f_ell(t1, p) f_ell(t2, p) over p <= x, with its exact limit.
 
     Returns (average, reference) where reference is the local Euler factor
-    the average converges to.
+    the average converges to.  The p = ell term is 0 but p = ell still counts
+    in the denominator.  The terms are summed left to right (``cumsum``, not
+    the pairwise ``sum``), so the float equals that of a plain per-prime loop.
     """
-    from .gekeler import f_ell  # loads class_numbers, which class_sum does not need
+    from .gekeler import f_ell_floats  # loads class_numbers, which class_sum does not need
     from .local import local_limit
 
     if x < 10:
         raise ValueError("x must be >= 10")
     primes = sieve_primes(x)
-    total = 0.0
-    for p in primes:
-        p = int(p)
-        if p == ell:
-            continue
-        total += float(f_ell(t1, p, ell)) * float(f_ell(t2, p, ell))
+    terms = f_ell_floats(t1, primes, ell) * f_ell_floats(t2, primes, ell)
+    terms[primes == ell] = 0.0
     reference = local_limit(t1, t2, ell).c_ell
-    return total / len(primes), reference
+    return float(np.cumsum(terms)[-1]) / len(primes), reference
 
 
 @dataclass

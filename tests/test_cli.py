@@ -365,7 +365,7 @@ def test_closed_stdout_exits_141():
 
 
 _LOADED = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 from tracepair.cli import main
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -373,16 +373,31 @@ if sys.argv[1:]:
             main(sys.argv[1:])
         except SystemExit:
             pass
-print(json.dumps(sorted(sys.modules)))
+threads = None
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as status:
+        threads = next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
+print(json.dumps({"modules": sorted(sys.modules), "threads": threads,
+                  "openblas": os.environ.get("OPENBLAS_NUM_THREADS")}))
 """
+
+
+def _job_state(*argv, openblas=None):
+    """Loaded modules, OS thread count and OPENBLAS_NUM_THREADS of a fresh
+    interpreter that imports the CLI and runs ``argv``; ``openblas`` presets
+    the variable, which is otherwise absent from the child's environment."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def _loaded_modules(*argv):
     """Modules loaded by a fresh interpreter that imports the CLI and runs ``argv``."""
-    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout))
+    return set(_job_state(*argv)["modules"])
 
 
 @pytest.mark.parametrize("argv,absent", [
@@ -408,6 +423,29 @@ def test_job_loads_only_what_it_runs(argv, absent):
     loaded = _loaded_modules(*argv)
     assert "tracepair.cli" in loaded
     assert not loaded & set(absent)
+
+
+_THREAD_JOBS = [
+    # numpy loads while argparse converts --e1/--e2
+    ("curves", "--e1", "1,0", "--e2", "0,1", "--t1", "0", "--t2", "0", "--x", "300"),
+    ("gekeler", "--t", "1", "--p", "101", "--lmax", "1000"),
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("argv", _THREAD_JOBS, ids=lambda argv: argv[0])
+def test_job_starts_no_blas_thread_pool(argv):
+    state = _job_state(*argv)
+    assert "numpy" in state["modules"]
+    assert state["threads"] == 1
+    assert state["openblas"] == "1"
+
+
+@pytest.mark.parametrize("argv", _THREAD_JOBS, ids=lambda argv: argv[0])
+def test_job_keeps_callers_openblas_threads(argv):
+    state = _job_state(*argv, openblas="2")
+    assert "numpy" in state["modules"]
+    assert state["openblas"] == "2"
 
 
 def test_suite_choices_match_verify():

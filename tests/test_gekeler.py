@@ -9,6 +9,7 @@ from tracepair.arith import sieve_primes
 from tracepair.gekeler import (
     delta_exponent,
     f_ell,
+    f_ell_floats,
     f_infinity,
     f_level_k,
     product_check,
@@ -112,3 +113,22 @@ def test_product_check_matches_plain_loop(t, p, lmax):
 def test_product_check_matches_plain_loop_at_square_factors(t, p):
     # d = -27 and d = -75 carry the squares 9 and 25; d = -20 has ell = p = 5
     assert product_check(t, p, 20_000)["rhs"] == _plain_product(t, p, 20_000)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(-150, 150), st.sampled_from([2, 3, 5, 7, 11, 13]))
+def test_f_ell_floats_match_f_ell(t, ell):
+    primes = sieve_primes(5_000)
+    assert f_ell_floats(t, primes, ell).tolist() == [
+        float(f_ell(t, p, ell)) for p in primes.tolist()
+    ]
+
+
+def test_f_ell_floats_bounds():
+    primes = sieve_primes(100)
+    with pytest.raises(ValueError):
+        f_ell_floats(0, primes, 2**31 + 11)  # Euler's criterion squares residues in int64
+    with pytest.raises(ValueError):
+        f_ell_floats(0, primes, 1)  # no valuation at 1
+    with pytest.raises(ValueError):
+        f_ell_floats(2**32, primes, 3)  # t^2 - 4p outside int64

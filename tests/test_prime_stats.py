@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracepair.arith import is_prime
+from tracepair.arith import is_prime, sieve_primes
 from tracepair.class_numbers import hurwitz_weighted
+from tracepair.gekeler import f_ell
 from tracepair.prime_stats import (
     CheckpointSeries,
     _split_sum,
@@ -20,6 +21,31 @@ def test_average_f_product_reference_attached():
     avg, ref = average_f_product(0, 0, 3, 20_000)
     assert ref == Fraction(45, 32)
     assert abs(avg - 45 / 32) / (45 / 32) < 0.02
+
+
+def _average_f_product_loop(t1, t2, ell, x):
+    """Per-prime exact f_ell, summed in prime order: the float oracle."""
+    primes = sieve_primes(x)
+    total = 0.0
+    for p in primes.tolist():
+        if p != ell:
+            total += float(f_ell(t1, p, ell)) * float(f_ell(t2, p, ell))
+    return total / len(primes)
+
+
+@pytest.mark.parametrize("ell, t1, t2", [
+    (3, 0, 0), (2, 0, 0), (5, 1, 2),  # verify's grid
+    (2, 1, 4), (3, 3, -6), (7, 0, 5), (2, 2, 6),
+])
+def test_average_f_product_matches_loop(ell, t1, t2):
+    assert average_f_product(t1, t2, ell, 50_000)[0] == _average_f_product_loop(t1, t2, ell, 50_000)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.integers(-30, 30), st.integers(-30, 30), st.sampled_from([2, 3, 5, 7]),
+       st.integers(10, 5_000))
+def test_average_f_product_matches_loop_anywhere(t1, t2, ell, x):
+    assert average_f_product(t1, t2, ell, x)[0] == _average_f_product_loop(t1, t2, ell, x)
 
 
 def test_average_f_product_rejects_small_x():
