@@ -10,7 +10,7 @@ modules it runs and nothing else: numpy, mpmath and ``verify`` are loaded
 only by the subcommands that need them.  ``main`` sets
 ``OPENBLAS_NUM_THREADS`` to 1, unless the caller has set it, before it parses
 the arguments, because the ``--e1``/``--e2`` converter already imports numpy:
-no job calls BLAS, and a single-threaded OpenBLAS loads ~60 ms faster.
+no job calls BLAS, and a single-threaded OpenBLAS loads up to ~80 ms faster.
 """
 
 import argparse
