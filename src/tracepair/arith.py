@@ -49,7 +49,9 @@ def euler_criterion(a, ell):
 
 
 def padic_valuation(ell, n):
-    """Largest e with ell^e | n; INFINITY for n = 0."""
+    """Largest e with ell^e | n; INFINITY for n = 0.  ell must be at least 2."""
+    if ell < 2:
+        raise ValueError(f"valuation needs ell >= 2, got {ell}")
     if n == 0:
         return INFINITY
     e = 0

@@ -14,6 +14,7 @@ no job calls BLAS, and a single-threaded OpenBLAS loads up to ~80 ms faster.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -63,6 +64,11 @@ def _parse_curve(text):
         return Curve(a, b)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _open_csv(path):
+    """The --csv file, opened before any work so that a bad path fails first."""
+    return open(path, "w") if path else contextlib.nullcontext()
 
 
 def _checkpoint_list(text):
@@ -192,21 +198,21 @@ def cmd_gekeler(args):
 
 
 def cmd_average(args):
-    from .constants import pair_constant
+    from .constants import DEFAULT_DIGITS, check_domain, pair_constant
     from .prime_stats import check_fit_size, checkpoint_ladder, class_sum, slope_fit
 
-    # the ladder checks and the reference constant (which checks its lmax) precede the sums
     ladder = checkpoint_ladder(args.t1, args.t2, args.x, args.checkpoints)
     check_fit_size(len(ladder))
-    reference = float(pair_constant(args.t1, args.t2, args.reference_lmax).value)
-    series = class_sum(args.t1, args.t2, args.x, checkpoints=ladder)
-    fit = slope_fit(series)
-    if args.csv:
-        with open(args.csv, "w") as fh:
+    check_domain(args.reference_lmax, DEFAULT_DIGITS)
+    with _open_csv(args.csv) as fh:
+        reference = float(pair_constant(args.t1, args.t2, args.reference_lmax).value)
+        series = class_sum(args.t1, args.t2, args.x, checkpoints=ladder)
+        fit = slope_fit(series)
+        if fh:
             fh.write("x,loglog_x,partial_sum\n")
             for x, s, llx in series.checkpoints:
                 fh.write(f"{x},{llx!r},{s!r}\n")
-        print(f"wrote {args.csv}", file=sys.stderr)
+            print(f"wrote {args.csv}", file=sys.stderr)
     _emit(
         {
             "t1": args.t1,
@@ -241,20 +247,20 @@ def cmd_simulate(args):
     from .model_sim import ModelConfig, growth_check, sample_run
 
     config = ModelConfig(args.m, args.n, args.seed, args.t1, args.t2)
-    run = sample_run(config)
-    ladder = [c for c in (1000, 10_000, 100_000, 1_000_000) if c <= args.n]
-    if not ladder or ladder[-1] != args.n:
-        ladder.append(args.n)
-    rows = []
-    for n_cut in ladder:
-        g = growth_check(run, config, upto=n_cut)
-        rows.append({"n": n_cut, "hits": g.hits, "predicted": g.predicted, "ratio": g.ratio})
-    if args.csv:
-        with open(args.csv, "w") as fh:
+    with _open_csv(args.csv) as fh:
+        run = sample_run(config)
+        ladder = [c for c in (1000, 10_000, 100_000, 1_000_000) if c <= args.n]
+        if not ladder or ladder[-1] != args.n:
+            ladder.append(args.n)
+        rows = []
+        for n_cut in ladder:
+            g = growth_check(run, config, upto=n_cut)
+            rows.append({"n": n_cut, "hits": g.hits, "predicted": g.predicted, "ratio": g.ratio})
+        if fh:
             fh.write("n,hits,predicted,ratio\n")
             for r in rows:
                 fh.write(f"{r['n']},{r['hits']},{r['predicted']!r},{r['ratio']!r}\n")
-        print(f"wrote {args.csv}", file=sys.stderr)
+            print(f"wrote {args.csv}", file=sys.stderr)
     g = growth_check(run, config)
     _emit(
         {

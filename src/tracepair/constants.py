@@ -54,7 +54,8 @@ class EulerProductEstimate:
     conjectural_factors: int
 
 
-def _check_domain(lmax, digits):
+def check_domain(lmax, digits):
+    """Refuse an lmax or a digit count that the Euler products do not take."""
     if not 2 <= lmax <= LMAX_BOUND:
         raise ValueError(f"lmax must be in [2, {LMAX_BOUND}], got {lmax}")
     if not 1 <= digits <= DIGITS_BOUND:
@@ -99,7 +100,7 @@ def _euler_product(lmax, digits, prefactor, factor):
     ``factor(ell)`` returns the exact Fraction at ell and whether it is
     conjectural.
     """
-    _check_domain(lmax, digits)
+    check_domain(lmax, digits)
     primes = sieve_primes(8 * lmax)
     split = primes.searchsorted(lmax, side="right")
     head = primes[:split].tolist()

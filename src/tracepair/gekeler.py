@@ -8,6 +8,9 @@ the finite-level quotients stabilize to f_ell (checked on a grid in verify);
 a reduced value of 3 mod 4 cannot occur at that delta.  The one case the
 three-branch formula cannot express is ell = 2 with odd t, where the count is
 2^(2k-1) outright, density 2/3.
+
+This reading is coded once, in ``delta_exponent`` and ``f_ell``; the array
+route ``f_ell_floats`` only classifies t^2 - 4p and calls ``f_ell`` per class.
 """
 
 import math
@@ -25,7 +28,7 @@ from .arith import (
     sieve_primes,
 )
 from .class_numbers import hurwitz_weighted
-from .matcount import PrimePower, m_closed
+from .matcount import PrimePower, m_closed, valuations
 
 
 def delta_exponent(t, p, ell):
@@ -53,63 +56,37 @@ def f_ell(t, p, ell):
     reduced = d // ell ** (2 * delta)
     if ell > 2:
         sym = legendre_symbol(reduced, ell)
+    elif reduced % 2 == 0:
+        sym = 0
     else:
-        if reduced % 2 == 0:
-            sym = 0
-        else:
-            assert reduced % 4 == 1
-            sym = 1 if reduced % 8 == 1 else -1
-    return _f_class(ell, delta, sym)
-
-
-def _f_class(ell, delta, sym):
-    """f_ell from delta and the symbol of the reduced discriminant, exact."""
-    lead = Fraction(ell ** 2, ell ** 2 - 1)
+        assert reduced % 4 == 1
+        sym = 1 if reduced % 8 == 1 else -1
     core = 1 + Fraction(1, ell)
     if sym == -1:
         core -= Fraction(2, ell ** (delta + 1))
     elif sym == 0:
         core -= Fraction(ell + 1, ell ** (delta + 2))
-    return lead * core
+    return Fraction(ell ** 2, ell ** 2 - 1) * core
 
 
 def f_ell_floats(t, primes, ell):
     """float(f_ell(t, p, ell)) for each p of an int64 prime array, p = ell included.
 
-    f_ell depends on p only through (delta, symbol), so delta and the symbol
-    are computed over the array in int64 (Euler's criterion for odd ell, the
-    reduced value mod 8 at ell = 2) and each class takes the float of its
-    exact value.  ``f_ell`` itself is the per-prime oracle.
+    f_ell depends on p only through the class of D = t^2 - 4p at ell: v_ell(D)
+    and D/ell^v mod w, with w = 8 at ell = 2 and w = ell otherwise.  The classes
+    come from ``matcount.valuations`` in int64, and each class takes ``f_ell``
+    at its first prime.  ``f_ell`` itself is the per-prime oracle.
     """
     if not 2 <= ell < TRIAL_DIVISION_BOUND:
         raise ValueError(f"ell must be a prime below 2^31, got {ell}")
-    if ell == 2 and t % 2 == 1:
-        return np.full(primes.size, 2 / 3)
     if primes.size and t * t + 4 * int(primes.max()) >= 1 << 63:
         raise ValueError("t^2 - 4p must fit in int64")
     d = t * t - 4 * primes.astype(np.int64)
-    v = np.zeros(d.size, dtype=np.int64)
-    rest = d.copy()
-    hit = rest % ell == 0
-    while hit.any():  # v = v_ell(d); d != 0, as t^2 = 4p has no prime p
-        v += hit
-        rest = np.where(hit, rest // ell, rest)
-        hit &= rest % ell == 0
-    delta = v // 2
-    if ell > 2:
-        reduced = d // ell ** (2 * delta)
-        euler = powmod(reduced % ell, np.full(d.size, (ell - 1) // 2, dtype=np.int64), ell)
-        sym = np.where(euler == ell - 1, -1, euler)
-    else:
-        while True:  # step down until d / 4^delta is 0 or 1 mod 4
-            bad = (d >> (2 * delta)) % 4 >= 2
-            if not bad.any():
-                break
-            delta -= bad
-        reduced = d >> (2 * delta)
-        sym = np.where(reduced % 2 == 0, 0, np.where(reduced % 8 == 1, 1, -1))
-    keys, index = np.unique(3 * delta + sym + 1, return_inverse=True)
-    values = np.array([float(_f_class(ell, key // 3, key % 3 - 1)) for key in keys.tolist()])
+    width = 8 if ell == 2 else ell
+    # d != 0, as t^2 = 4p has no prime p; valuations() leaves the unit part in d
+    key = valuations(d, ell, 63) * width + d % width
+    _, first, index = np.unique(key, return_index=True, return_inverse=True)
+    values = np.array([float(f_ell(t, p, ell)) for p in primes[first].tolist()])
     return values[index]
 
 

@@ -91,6 +91,22 @@ def _case(n, key, ell, k):
     return "two:n-lt-k-r5mod8", base - 2 ** (2 * k - n // 2)
 
 
+def valuations(d, ell, cap):
+    """min(v_ell(d), cap) for an int64 array d, which is left holding d / ell^v.
+
+    Each pass divides only the entries still divisible by ell; 0 stops at the cap.
+    """
+    v = np.zeros(d.shape, dtype=np.int64)
+    active = np.flatnonzero(d % ell == 0)
+    for _ in range(cap):
+        if not active.size:
+            break
+        v[active] += 1
+        d[active] //= ell
+        active = active[d[active] % ell == 0]
+    return v
+
+
 def m_values(t, ell, k, u_lo, u_hi):
     """(units, codes, values) with m(t, u; ell^k) = values[code] for each unit u.
 
@@ -99,9 +115,8 @@ def m_values(t, ell, k, u_lo, u_hi):
     code = 8n + (D/2^n mod 8) for ell = 2.  ``values`` depends only on
     (ell, k), so codes of two traces can be histogrammed jointly.
 
-    Each pass of the valuation loop visits only the units whose D is still
-    divisible by ell, and D, the codes and the keys are formed in place.
-    Everything stays within int64: the callers cap the unit count at 1e8
+    n comes from ``valuations``, and D, the codes and the keys are formed in
+    place.  Everything stays within int64: the callers cap the unit count at 1e8
     (``local.UNIT_CAP``), t is reduced mod ell^k before it is squared, and
     the counts stay below ~4e16.
     """
@@ -115,14 +130,7 @@ def m_values(t, ell, k, u_lo, u_hi):
     width = 2 if ell > 2 else 8
     rem = u * -4
     rem += t * t
-    n = np.zeros(u.shape, dtype=np.int64)
-    active = np.flatnonzero(rem % ell == 0)
-    for _ in range(cap):  # D = 0 divides every time and reaches the cap
-        if not active.size:
-            break
-        n[active] += 1
-        rem[active] //= ell
-        active = active[rem[active] % ell == 0]
+    n = valuations(rem, ell, cap)
     if ell > 2:
         square = np.zeros(ell, dtype=np.int64)
         square[(np.arange(1, ell, dtype=np.int64) ** 2) % ell] = 1

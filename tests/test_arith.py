@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import tracepair
 from tracepair.arith import (
     INFINITY,
     alpha,
@@ -57,6 +58,16 @@ def test_padic_valuation():
     for ell in (2, 3, 7):
         for e in range(5):
             assert padic_valuation(ell, ell ** e * 5 * (ell + 2)) >= e
+
+
+@pytest.mark.parametrize("ell", [1, 0, -1])
+def test_padic_valuation_rejects_ell_below_two(ell):
+    # ell = +-1 divides every n forever and ell = 0 divides by zero
+    for n in (0, 5, -12):
+        with pytest.raises(ValueError):
+            padic_valuation(ell, n)
+    with pytest.raises(ValueError):
+        tracepair.f_ell(0, 5, ell)
 
 
 def test_nu_lk():

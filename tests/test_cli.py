@@ -176,6 +176,10 @@ def test_average_default_ladder_small_x(capsys):
     # to x = 3000, and an explicit one
     ("average", "--t1", "1", "--t2", "1", "--x", "3000"),
     ("average", "--t1", "1", "--t2", "1", "--x", "5000", "--checkpoints", "1000"),
+    # a --csv path that cannot be opened fails before the sums or the draws
+    ("average", "--t1", "0", "--t2", "0", "--x", "1000000", "--csv", "/nonexistent/s.csv"),
+    ("simulate", "--m", "2", "--n", "1000000", "--seed", "0", "--t1", "1", "--t2", "1",
+     "--csv", "/nonexistent/s.csv"),
 ])
 def test_out_of_domain_rejected_before_work(capsys, monkeypatch, argv):
     def fail(*args):
@@ -186,6 +190,7 @@ def test_out_of_domain_rejected_before_work(capsys, monkeypatch, argv):
     monkeypatch.setattr(prime_stats, "sieve_primes", fail)
     monkeypatch.setattr(constants, "sieve_primes", fail)
     monkeypatch.setattr(curves, "sieve_primes", fail)
+    monkeypatch.setattr(model_sim, "sieve_primes", fail)
     monkeypatch.setattr(matcount, "is_prime", fail)
     monkeypatch.setattr(gekeler, "is_prime", fail)
     code, out, err = run_cli(capsys, *argv)

@@ -1,18 +1,28 @@
 """Every verify check runs in tier-1: each one that test_acceptance.py does not
 already run is run here through the report's runner and must pass."""
 
+import types
+
 import pytest
+import test_acceptance
 
 from tracepair import verify
 
-# the checks that test_acceptance.py runs
+
+def _global_names(code):
+    """The global names that compiled code reads, its nested lambdas' included."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _global_names(const)
+    return names
+
+
+# the checks that test_acceptance.py runs, read from its test functions
 IN_ACCEPTANCE = {
-    verify.check_average_f_product, verify.check_c00_reference, verify.check_class_sum_trend,
-    verify.check_cm_properties, verify.check_conjecture_grid, verify.check_growth_ratio,
-    verify.check_hasse, verify.check_kronecker_hurwitz, verify.check_principle1,
-    verify.check_principle2, verify.check_prop_distinct_adjudication,
-    verify.check_product_heuristic, verify.check_theorem_same_trace, verify.check_threeway,
-    verify.check_trace_oracle, verify.check_universal_reference, verify.check_volume_table,
+    getattr(verify, name)
+    for test_name, test in vars(test_acceptance).items() if test_name.startswith("test_")
+    for name in _global_names(test.__code__) if name.startswith("check_")
 }
 ENTRIES = [entry for entries in verify.SUITES.values() for entry in entries
            if entry[1] not in IN_ACCEPTANCE]
