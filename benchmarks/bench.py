@@ -4,8 +4,10 @@
 
 Each ROOT is a source checkout; the default is the one this file is in.  The
 jobs are ``--help``, the seed-0 first job of each jobbench workload
-(``jobbench/workloads.py``), and desk-mix seed 0's ``local-factor --ell 2``
-and ``constant --kind universal`` jobs, the workload's two heaviest layers.
+(``jobbench/workloads.py``), desk-mix seed 0's ``local-factor --ell 2``
+and ``constant --kind universal`` jobs, the workload's two heaviest layers,
+and ``simulate`` at the largest level m = 128, which builds the largest
+class-density table.
 Every run is a fresh ``python -m tracepair.cli ...`` process with
 ``PYTHONPATH=ROOT/src`` and stdout discarded; a run that does not exit 0
 stops the bench.  Each run's wall time and its maximum resident set size
@@ -43,14 +45,17 @@ REPS = 15  # timed runs per job and root
 
 
 def jobs():
-    """Job name -> CLI arguments: --help, each workload's seed-0 first job, and
-    desk-mix seed 0's 2-adic local sum and universal Euler product."""
+    """Job name -> CLI arguments: --help, each workload's seed-0 first job,
+    desk-mix seed 0's 2-adic local sum and universal Euler product, and a
+    simulate job at m = 128."""
     table = {"help": ("--help",)}
     for name in workloads.NAMES:
         table[name] = workloads.BATCHES[name](0)[0].argv
     for job in workloads.BATCHES["desk-mix"](0):
         if job.info.get("ell") == 2 or job.info.get("kind") == "universal":
             table[f"desk-mix:{job.kind}"] = job.argv
+    table["simulate-m128"] = ("simulate", "--m", "128", "--n", "10000", "--seed", "0",
+                              "--t1", "1", "--t2", "1")
     return table
 
 

@@ -254,14 +254,14 @@ def cmd_simulate(args):
             ladder.append(args.n)
         rows = []
         for n_cut in ladder:
-            g = growth_check(run, config, upto=n_cut)
+            g = growth_check(run, upto=n_cut)
             rows.append({"n": n_cut, "hits": g.hits, "predicted": g.predicted, "ratio": g.ratio})
         if fh:
             fh.write("n,hits,predicted,ratio\n")
             for r in rows:
                 fh.write(f"{r['n']},{r['hits']},{r['predicted']!r},{r['ratio']!r}\n")
             print(f"wrote {args.csv}", file=sys.stderr)
-    g = growth_check(run, config)
+    g = growth_check(run)
     _emit(
         {
             "m": args.m,

@@ -30,6 +30,10 @@ from .arith import (
 from .class_numbers import hurwitz_weighted
 from .matcount import PrimePower, m_closed, valuations
 
+# product_check's residues hold one Python int per prime: a job peaks at 95 MB
+# max RSS here, +6 MB per 1e6 above, so the sieve's 2e9 would need ~8 GB
+LMAX_BOUND = 10 ** 7
+
 
 def delta_exponent(t, p, ell):
     """Largest i >= 0 with ell^(2i) | t^2 - 4p (mod-4 constraint at ell = 2)."""
@@ -114,8 +118,10 @@ def product_check(t, p, lmax):
     ell/(ell + 1) when (d/ell) = -1; these come from Euler's criterion over all
     ell at once, as float divisions of integers below 2^53, which round as
     ``float(f_ell)`` does.  ell = 2 and the few ell dividing d use the exact
-    ``f_ell``.
+    ``f_ell``.  lmax must be in [0, ``LMAX_BOUND``].
     """
+    if not 0 <= lmax <= LMAX_BOUND:
+        raise ValueError(f"lmax must be in [0, {LMAX_BOUND}], got {lmax}")
     d = t * t - 4 * p
     if d >= 0:
         raise ValueError("product check needs t^2 - 4p < 0")
@@ -130,7 +136,7 @@ def product_check(t, p, lmax):
     factors = np.empty(ells.size + 1, dtype=np.float64)
     factors[0] = p * f_infinity(t, p)
     if ells.size:
-        odd = ells[1:]  # below the sieve's 2e9 < 2^31, as powmod needs
+        odd = ells[1:]  # below LMAX_BOUND < 2^31, as powmod needs
         euler = powmod(residues(d, odd), (odd - 1) // 2, odd)
         lf = odd.astype(np.float64)
         factors[2:] = lf / np.where(euler == 1, lf - 1.0, lf + 1.0)

@@ -2,12 +2,13 @@
 
 Per prime p, an integer pair inside the open Hasse square is drawn from the
 measure proportional to w(u1) w(u2) F[u1 mod m, u2 mod m], where w is the
-semicircle weight sqrt(1 - u^2/4p) and F is m^2 times the class density of
-the full equal-determinant pair group at level m (the largest image the
-joint mod-m representation can have; curve-specific smaller images are out
-of scope here).  Sampling is two-stage: pick the class pair by its total
-mass, then each coordinate by inverse CDF inside its class.  Per-prime
-normalization is exact, so the measure's leading constant never appears.
+semicircle weight sqrt(1 - u^2/4p) and F is m^2 times ``class_density(m)``,
+the exact table of class densities of the full equal-determinant pair group
+at level m (the largest image the joint mod-m representation can have;
+curve-specific smaller images are out of scope here).  Each run carries F.
+Sampling is two-stage: pick the class pair by its total mass, then each
+coordinate by inverse CDF inside its class.  Per-prime normalization is
+exact, so the measure's leading constant never appears.
 
 Streams: prime index i uses the Philox4x64-10 stream keyed (seed, i), making
 runs bit-reproducible for any evaluation order or block size.  The keys are
@@ -24,11 +25,13 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import prime_factors, sieve_primes
-from .local import delta_group_size, s_direct
-from .matcount import PrimePower
+from .local import delta_group_size
+from .matcount import PrimePower, m_values
 
 
-MODEL_LEVEL_BOUND = 128  # the m^2 trace_weight table takes ~5-6 s at this level
+# keeps class_density's sums S(t1, t2; q) <= 2.25 q^5 and their products over
+# the prime powers of m exact in int64 (all below 2^35), its table within ~1.4 MB
+MODEL_LEVEL_BOUND = 128
 _BLOCK_ELEMENTS = 1 << 17  # grid cells per block of primes; bounds the scratch arrays
 _DRAW_CHUNK = 1 << 14  # Philox keys drawn per kernel call
 
@@ -84,10 +87,8 @@ class ModelConfig:
     t2: int
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("level m must be >= 2")
-        if self.m > MODEL_LEVEL_BOUND:
-            raise ValueError(f"level m must be <= {MODEL_LEVEL_BOUND}, got {self.m}")
+        if not 2 <= self.m <= MODEL_LEVEL_BOUND:
+            raise ValueError(f"level m must be in [2, {MODEL_LEVEL_BOUND}], got {self.m}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.n_max < 5:
@@ -102,25 +103,28 @@ class SampleRun:
     u2: np.ndarray
     class_counts: np.ndarray  # m x m, counts of (u1 mod m, u2 mod m)
     hits: int                 # primes with (u1, u2) == (t1, t2)
+    weights: np.ndarray       # m x m floats F = m^2 * class_density(m), each rounded once
 
 
-def class_density(m, r1, r2):
-    """|pairs with equal det and traces (r1, r2)| / |all equal-det pairs| at level m.
+def class_density(m):
+    """Exact m x m table: [r1][r2] is |equal-det pairs with traces (r1, r2)| / |all|.
 
-    Multiplicative over the prime-power factors of m.
+    At each prime power q of m, row t of v lists m(t, u; q) over the units u, so
+    v @ v.T holds every S(t1, t2; q); a cell is the product over q of
+    S(r1, r2; q) / ``delta_group_size`` (CRT).
     """
-    if m < 2:
-        raise ValueError("level m must be >= 2")
-    density = Fraction(1)
+    if not 2 <= m <= MODEL_LEVEL_BOUND:
+        raise ValueError(f"level m must be in [2, {MODEL_LEVEL_BOUND}], got {m}")
+    numerator = np.ones((m, m), dtype=np.int64)
+    denominator = 1
     for ell, k in prime_factors(m):
-        pp = PrimePower(ell, k)
-        density *= Fraction(s_direct(r1, r2, pp), delta_group_size(pp))
-    return density
-
-
-def trace_weight(m, r1, r2):
-    """The congruence weight m^2 * class_density, an exact Fraction."""
-    return m * m * class_density(m, r1, r2)
+        q = ell ** k
+        v = np.array([values[codes] for _, codes, values in
+                      (m_values(t, ell, k, 1, q) for t in range(q))])
+        r = np.arange(m) % q
+        numerator *= (v @ v.T)[np.ix_(r, r)]
+        denominator *= delta_group_size(PrimePower(ell, k))
+    return [[Fraction(n, denominator) for n in row] for row in numerator.tolist()]
 
 
 def semicircle_weights(p):
@@ -131,25 +135,16 @@ def semicircle_weights(p):
     return u, w
 
 
-def _level_weights(m):
-    """The m x m table of trace_weight(m, r1, r2) as floats."""
-    fweight = np.empty((m, m), dtype=np.float64)
-    for r1 in range(m):
-        for r2 in range(m):
-            fweight[r1, r2] = float(trace_weight(m, r1, r2))
-    return fweight
-
-
 def _model_primes(config):
     primes = sieve_primes(config.n_max)
     return primes[primes >= 5]
 
 
-def _finish(config, primes, out1, out2):
+def _finish(config, primes, out1, out2, fweight):
     m = config.m
     cc = np.bincount((out1 % m) * m + (out2 % m), minlength=m * m).reshape(m, m)
     hits = int(np.count_nonzero((out1 == config.t1) & (out2 == config.t2)))
-    return SampleRun(config, primes, out1, out2, cc, hits)
+    return SampleRun(config, primes, out1, out2, cc, hits, fweight)
 
 
 def _grid_columns(m, umax):
@@ -205,7 +200,7 @@ def _sample_block(primes, draws, m, fweight):
 def sample_run(config):
     """Draw one trace-pair sequence; deterministic given config.seed."""
     m = config.m
-    fweight = _level_weights(m)
+    fweight = np.array([[float(m * m * d) for d in row] for row in class_density(m)])
     primes = _model_primes(config)
     n = primes.shape[0]
     out1 = np.empty(n, dtype=np.int64)
@@ -219,13 +214,13 @@ def sample_run(config):
             out1[start:end], out2[start:end] = _sample_block(
                 primes[start:end], draws[start - chunk : end - chunk], m, fweight
             )
-    return _finish(config, primes, out1, out2)
+    return _finish(config, primes, out1, out2, fweight)
 
 
 def _sample_run_scalar(config):
     """Per-prime loop with a fresh Philox per prime; oracle for ``sample_run``."""
     m = config.m
-    fweight = _level_weights(m)
+    fweight = np.array([[float(m * m * d) for d in row] for row in class_density(m)])
     primes = _model_primes(config)
     n = primes.shape[0]
     out1 = np.empty(n, dtype=np.int64)
@@ -233,7 +228,7 @@ def _sample_run_scalar(config):
     for i in range(n):
         rng = np.random.Generator(np.random.Philox(key=np.array([config.seed, i], dtype=np.uint64)))
         out1[i], out2[i] = _sample_prime(int(primes[i]), rng.random(3), m, fweight)
-    return _finish(config, primes, out1, out2)
+    return _finish(config, primes, out1, out2, fweight)
 
 
 def _sample_prime(p, draws, m, fweight):
@@ -264,17 +259,18 @@ class GrowthCheck:
     ratio: float | None
 
 
-def growth_check(run, config, upto=None):
-    """Exact-trace hits against the finite-level loglog-law prediction.
+def growth_check(run, upto=None):
+    """The run's exact-trace hits against the finite-level loglog-law prediction.
 
     The prediction uses sum(1/p) over the sampled primes instead of
     loglog N, which removes the Mertens-constant offset at desk scale.
     """
+    config = run.config
     n_cut = upto if upto is not None else config.n_max
     sel = run.primes <= n_cut
     hits = int(np.count_nonzero((run.u1[sel] == config.t1) & (run.u2[sel] == config.t2)))
     sum_invp = float(np.sum(1.0 / run.primes[sel].astype(np.float64)))
-    weight = float(trace_weight(config.m, config.t1 % config.m, config.t2 % config.m))
+    weight = float(run.weights[config.t1 % config.m, config.t2 % config.m])
     predicted = weight / math.pi ** 2 * sum_invp
     ratio = hits / predicted if predicted > 0 else None
     return GrowthCheck(hits, predicted, ratio)

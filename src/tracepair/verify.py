@@ -69,7 +69,6 @@ from .model_sim import (
     rectangle_mass_exact,
     sample_run,
     semicircle_weights,
-    trace_weight,
 )
 from .prime_stats import average_f_product, class_sum, slope_fit
 
@@ -859,11 +858,11 @@ def _within_three_sigma(zs):
 def check_principle1():
     zs = []
     for m in (2, 4):
-        dens = {(r1, r2): float(class_density(m, r1, r2)) for r1 in range(m) for r2 in range(m)}
+        dens = np.array(class_density(m), dtype=float)
         for seed in MODEL_SEEDS:
             run = model_run(m, seed)
             n = run.primes.shape[0]
-            for (r1, r2), q in dens.items():
+            for (r1, r2), q in np.ndenumerate(dens):
                 freq = run.class_counts[r1, r2] / n
                 sigma = math.sqrt(q * (1 - q) / n)
                 zs.append(abs(freq - q) / sigma)
@@ -896,7 +895,7 @@ def check_growth_ratio():
     total_pred = 0.0
     for seed in MODEL_SEEDS:
         run = model_run(2, seed)
-        g = growth_check(run, run.config)
+        g = growth_check(run)
         total_hits += g.hits
         total_pred += g.predicted
     ratio = total_hits / total_pred
@@ -908,13 +907,11 @@ def check_growth_hit_mass():
     # probability of an exact (1,1) hit, summed over primes, must track the
     # (weight / pi^2) * sum(1/p) prediction
     m = 2
-    fw = np.array([[float(trace_weight(m, a, b)) for b in range(m)] for a in range(m)])
-    primes = sieve_primes(100_000)
-    primes = primes[primes >= 5]
+    run = model_run(m, MODEL_SEEDS[0])
+    fw = run.weights
     exact = 0.0
     asym = 0.0
-    for p in primes:
-        p = int(p)
+    for p in run.primes.tolist():
         u, w = semicircle_weights(p)
         res = (u % m).astype(np.int64)
         m1 = np.bincount(res, weights=w, minlength=m)
@@ -937,16 +934,16 @@ def check_model_determinism():
 
 def check_density_partition():
     for m in (2, 4, 6, 12):
-        total = sum(class_density(m, r1, r2) for r1 in range(m) for r2 in range(m))
+        total = sum(map(sum, class_density(m)))
         if total != 1:
             return False, f"sum of densities at m={m} = {total}", "1"
     # CRT multiplicativity against full enumeration at m = 6
     counts, order = enumerate_delta_counts(6)
-    for r1 in range(6):
-        for r2 in range(6):
-            if class_density(6, r1, r2) != Fraction(int(counts[r1][r2]), order):
-                return False, f"density(6;{r1},{r2})", "enumerated ratio"
-    if trace_weight(2, 1, 1) != Fraction(4, 9):
+    dens = class_density(6)
+    for r1, r2 in np.ndindex(6, 6):
+        if dens[r1][r2] != Fraction(int(counts[r1][r2]), order):
+            return False, f"density(6;{r1},{r2})", "enumerated ratio"
+    if 4 * class_density(2)[1][1] != Fraction(4, 9):
         return False, "weight(2;1,1)", "4/9"
     return True, "partition and CRT", "exact"
 
@@ -954,7 +951,7 @@ def check_density_partition():
 def check_deviation_shrink():
     # mean |freq - q| over classes should fall like N^(-1/2)
     m = 2
-    dens = {(r1, r2): float(class_density(m, r1, r2)) for r1 in range(m) for r2 in range(m)}
+    dens = np.array(class_density(m), dtype=float)
     ns = (1000, 10_000, 100_000)
     devs = []
     for n_cut in ns:
@@ -966,7 +963,7 @@ def check_deviation_shrink():
             cc = np.bincount(
                 (run.u1[sel] % m) * m + (run.u2[sel] % m), minlength=m * m
             ).reshape(m, m)
-            for (r1, r2), q in dens.items():
+            for (r1, r2), q in np.ndenumerate(dens):
                 tot += abs(cc[r1, r2] / n - q)
                 cnt += 1
         devs.append(tot / cnt)

@@ -167,6 +167,8 @@ def test_average_default_ladder_small_x(capsys):
     # 10^18 + 3 is prime: trial division up to 10^9 would run for minutes
     ("local-factor", "--t1", "1", "--t2", "2", "--ell", "1000000000000000003", "--k", "1"),
     ("gekeler", "--t", "1", "--p", "1000000000000000003"),
+    # residues' Python ints would need ~8 GB at the sieve's 2e9
+    ("gekeler", "--t", "1", "--p", "5", "--lmax", "2000000000"),
     # the tail sums sieve to 8 * lmax, beyond the sieve's 2e9 limit
     ("constant", "--lmax", "300000000"),
     ("average", "--t1", "0", "--t2", "0", "--x", "5000", "--reference-lmax", "1"),
@@ -302,7 +304,7 @@ def test_simulate_out_of_domain_rejected_before_work(capsys, monkeypatch, argv):
         raise AssertionError("work started")
 
     monkeypatch.setattr(model_sim, "sieve_primes", fail)
-    monkeypatch.setattr(model_sim, "trace_weight", fail)
+    monkeypatch.setattr(model_sim, "class_density", fail)
     opts = {"--m": "2", "--n": "1000", "--seed": "0", "--t1": "1", "--t2": "1"}
     opts.update([argv])
     code, out, err = run_cli(capsys, "simulate", *[x for kv in opts.items() for x in kv])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracepair import model_sim
-from tracepair.arith import SIEVE_HARD_LIMIT, sieve_primes
+from tracepair.arith import SIEVE_HARD_LIMIT, prime_factors, sieve_primes
 from tracepair.local import delta_group_size, s_direct
 from tracepair.matcount import PrimePower
 from tracepair.model_sim import (
@@ -21,7 +22,6 @@ from tracepair.model_sim import (
     rectangle_mass_exact,
     sample_run,
     semicircle_weights,
-    trace_weight,
 )
 from tracepair.verify import enumerate_delta_counts
 
@@ -39,29 +39,63 @@ def test_config_validation():
     ModelConfig(MODEL_LEVEL_BOUND, 100, 2 ** 64 - 1, 0, 0)
 
 
+def _density_by_s_direct(m, r1, r2):
+    """One cell of the table as the product of s_direct over the prime powers of m."""
+    density = Fraction(1)
+    for ell, k in prime_factors(m):
+        pp = PrimePower(ell, k)
+        density *= Fraction(s_direct(r1, r2, pp), delta_group_size(pp))
+    return density
+
+
 def test_class_density_prime_power():
     pp = PrimePower(2, 1)
-    assert class_density(2, 1, 1) == Fraction(s_direct(1, 1, pp), delta_group_size(pp))
-    assert class_density(2, 1, 1) == Fraction(1, 9)
-    assert trace_weight(2, 1, 1) == Fraction(4, 9)
+    table = class_density(2)
+    assert table[1][1] == Fraction(s_direct(1, 1, pp), delta_group_size(pp))
+    assert table[1][1] == Fraction(1, 9)
+    assert 4 * table[1][1] == Fraction(4, 9)
+
+
+@pytest.mark.parametrize("m", [*range(2, 13), 30])
+def test_class_density_matches_s_direct(m):
+    table = class_density(m)
+    assert len(table) == m and all(len(row) == m for row in table)
+    for r1, r2 in itertools.product(range(m), repeat=2):
+        assert table[r1][r2] == _density_by_s_direct(m, r1, r2), (r1, r2)
+
+
+@pytest.mark.parametrize("m", [64, MODEL_LEVEL_BOUND])
+def test_class_density_matches_s_direct_on_seeded_cells(m):
+    table = class_density(m)
+    rng = random.Random(m)
+    for _ in range(40):
+        r1, r2 = rng.randrange(m), rng.randrange(m)
+        assert table[r1][r2] == _density_by_s_direct(m, r1, r2), (r1, r2)
+    assert sum(map(sum, table)) == 1
+
+
+@pytest.mark.parametrize("m", [-1, 0, 1, MODEL_LEVEL_BOUND + 1])
+def test_class_density_refuses_level_out_of_bound(m):
+    with pytest.raises(ValueError):
+        class_density(m)
 
 
 def test_class_density_partition():
     for m in (2, 3, 4, 6):
-        assert sum(class_density(m, a, b) for a in range(m) for b in range(m)) == 1
+        assert sum(map(sum, class_density(m))) == 1
 
 
 def test_class_density_crt():
     counts, order = enumerate_delta_counts(6)
+    table = class_density(6)
     for r1 in range(6):
         for r2 in range(6):
-            assert class_density(6, r1, r2) == Fraction(int(counts[r1][r2]), order)
+            assert table[r1][r2] == Fraction(int(counts[r1][r2]), order)
     # multiplicativity across the coprime factors 4 and 3
+    t12, t4, t3 = class_density(12), class_density(4), class_density(3)
     for r1 in range(12):
         for r2 in range(12):
-            assert class_density(12, r1, r2) == class_density(4, r1 % 4, r2 % 4) * class_density(
-                3, r1 % 3, r2 % 3
-            )
+            assert t12[r1][r2] == t4[r1 % 4][r2 % 4] * t3[r1 % 3][r2 % 3]
 
 
 def test_semicircle_weights_inside_open_interval():
@@ -94,9 +128,10 @@ def test_class_frequencies_track_density():
     cfg = ModelConfig(2, 30_000, 1, 1, 1)
     run = sample_run(cfg)
     n = run.primes.shape[0]
+    table = class_density(2)
     for r1 in range(2):
         for r2 in range(2):
-            q = float(class_density(2, r1, r2))
+            q = float(table[r1][r2])
             sigma = math.sqrt(q * (1 - q) / n)
             assert abs(run.class_counts[r1, r2] / n - q) < 4 * sigma
 
@@ -115,12 +150,12 @@ def test_rectangle_masses():
 def test_growth_check_prediction():
     cfg = ModelConfig(2, 5000, 4, 1, 1)
     run = sample_run(cfg)
-    g = growth_check(run, cfg)
-    manual = float(trace_weight(2, 1, 1)) / math.pi ** 2 * float(
+    g = growth_check(run)
+    manual = float(4 * class_density(2)[1][1]) / math.pi ** 2 * float(
         np.sum(1.0 / run.primes.astype(float))
     )
     assert abs(g.predicted - manual) < 1e-12
-    g2 = growth_check(run, cfg, upto=1000)
+    g2 = growth_check(run, upto=1000)
     assert g2.predicted < g.predicted
 
 
@@ -128,7 +163,7 @@ def test_sampler_hit_mass_matches_prediction():
     # deterministic check of the growth law: exact per-prime hit probability
     # summed over primes stays within a few percent of the asymptotic form
     m = 2
-    fw = np.array([[float(trace_weight(m, a, b)) for b in range(m)] for a in range(m)])
+    fw = np.array([[float(m * m * d) for d in row] for row in class_density(m)])
     primes = sieve_primes(50_000)
     primes = primes[primes >= 5]
     exact = 0.0
@@ -178,7 +213,7 @@ def test_sample_run_matches_scalar_loop_across_blocks(monkeypatch):
 def test_sample_block_matches_scalar_at_extreme_draws():
     # Philox doubles lie in [0, 1 - 2^-53]; 1.0 also drives both clips
     m = 6
-    fweight = model_sim._level_weights(m)
+    fweight = np.array([[float(m * m * d) for d in row] for row in class_density(m)])
     primes = sieve_primes(400)
     primes = primes[primes >= 5]
     edges = (0.0, 0.5, 1 - 2 ** -53, 1.0)
