@@ -903,9 +903,9 @@ def check_growth_ratio():
 
 
 def check_growth_hit_mass():
-    # deterministic form of the growth law: the sampler's exact per-prime
-    # probability of an exact (1,1) hit, summed over primes, must track the
-    # (weight / pi^2) * sum(1/p) prediction
+    # deterministic growth law: the sampler's exact per-prime probability of an
+    # exact (1,1) hit, summed over a run's primes with its weights (neither
+    # depends on the seed), must track the (weight / pi^2) * sum(1/p) prediction
     m = 2
     run = model_run(m, MODEL_SEEDS[0])
     fw = run.weights

@@ -185,6 +185,7 @@ def _same_run(a, b):
         and np.array_equal(a.u2, b.u2)
         and np.array_equal(a.class_counts, b.class_counts)
         and a.hits == b.hits
+        and np.array_equal(a.weights, b.weights)
     )
 
 
