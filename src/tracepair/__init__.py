@@ -25,8 +25,8 @@ _MODULES = {
     "gekeler": ("delta_exponent", "f_ell", "f_infinity", "f_level_k", "product_check"),
     "local": (
         "LocalFactor", "RationalFunction", "UnstableLocalFactor", "delta_group_size",
-        "interpolate_rational", "local_limit", "s_closed_distinct", "s_closed_same",
-        "s_direct", "s_normalized", "volume",
+        "interpolate_rational", "local_limit", "s_closed", "s_direct", "s_normalized",
+        "volume",
     ),
     "matcount": ("PrimePower", "m_brute", "m_closed", "m_dks", "sqrt_count_N"),
     "model_sim": ("ModelConfig", "SampleRun", "class_density", "growth_check", "sample_run"),

@@ -79,24 +79,20 @@ def _checkpoint_list(text):
 
 
 def cmd_local_factor(args):
-    from .local import local_limit, s_closed_distinct, s_closed_same, s_direct
+    from .local import local_limit, s_closed, s_normalized
     from .matcount import PrimePower
 
     pp = PrimePower(args.ell, args.k)
-    norm = pp.ell ** (5 * pp.k - 5)
     results = {}
-    if args.method in ("direct", "both"):
-        results["direct"] = Fraction(s_direct(args.t1, args.t2, pp), norm)
+    # the closed form first: a pair below its depth fails before any unit sum
     if args.method in ("closed", "both"):
-        if args.t1 == args.t2 or args.t1 == -args.t2:
-            results["closed"] = s_closed_same(abs(args.t1), args.ell, args.k)
-        else:
-            closed = s_closed_distinct(args.t1, args.t2, args.ell, args.k)
-            if closed is None:
-                raise ValueError(
-                    f"no closed form at depth k={args.k} for ({args.t1},{args.t2},{args.ell})"
-                )
-            results["closed"] = closed[0]
+        closed = s_closed(args.t1, args.t2, pp)
+        if closed is None:
+            raise ValueError(f"no closed form at depth k={args.k} "
+                             f"for ({args.t1},{args.t2},{args.ell})")
+        results["closed"] = closed[0]
+    if args.method in ("direct", "both"):
+        results["direct"] = s_normalized(args.t1, args.t2, pp)
     if len(results) == 2 and results["direct"] != results["closed"]:
         print(f"warning: direct {results['direct']} != closed {results['closed']}", file=sys.stderr)
         return 1
@@ -108,7 +104,7 @@ def cmd_local_factor(args):
             "k": args.k,
             "t1": args.t1,
             "t2": args.t2,
-            "S": int(s_norm * norm),
+            "S": int(s_norm * pp.ell ** (5 * pp.k - 5)),
             "s_normalized": _frac(s_norm),
             "method": args.method,
             "stabilized_at": lf.stabilized_at,

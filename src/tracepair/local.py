@@ -103,18 +103,6 @@ def _same_closed(t, ell):
     return Fraction(103, 6), Fraction(32, 3), 3
 
 
-def s_closed_same(t, ell, k):
-    """Five-case closed form for S(t, t; ell^k)/ell^(5k-5).
-
-    Valid for every k >= 1 except the two even-trace ell = 2 cases, which
-    hold for k >= 3 only; smaller k is refused there.
-    """
-    lim, c, k_min = _same_closed(t, ell)
-    if k < k_min:
-        raise ValueError(f"closed form for ell=2, even t needs k >= 3, got {k}")
-    return lim - Fraction(c, ell ** (2 * k))
-
-
 def _distinct_closed(t1, t2, ell):
     """(limit, stabilized_at, provenance) for t1 != +-t2; all cases stabilize.
 
@@ -124,8 +112,6 @@ def _distinct_closed(t1, t2, ell):
     condition used here, t1^2 = t2^2 mod 32, is the one the direct sums
     confirm, and the verify suite re-adjudicates it per pair.
     """
-    if t1 == t2 or t1 == -t2:
-        raise ValueError("distinct closed forms need t1 != +-t2")
     g = math.gcd(t1, t2)
     if ell > 2:
         if (t1 * t2) % ell == 0:
@@ -156,18 +142,29 @@ def _distinct_closed(t1, t2, ell):
     return Fraction(33, 2), 3, PROVENANCE_PROPOSITION
 
 
-def s_closed_distinct(t1, t2, ell, k):
-    """Closed-form S(t1,t2;ell^k)/ell^(5k-5) with provenance, or None.
+def _closed(t1, t2, ell):
+    """(limit, c, k_min, provenance): S(t1,t2;ell^k)/ell^(5k-5) = limit - c/ell^(2k) for k >= k_min.
 
-    None means "no closed form at this depth": every distinct-trace case has
-    a stable closed value from some k0 on, and k < k0 is not covered.
+    The one place that decides the trace family: equal or opposite traces
+    take the five-case theorem; other pairs take the proven case table, then
+    the conjectural one, with c = 0.
     """
     if t1 == t2 or t1 == -t2:
-        raise ValueError("s_closed_distinct needs t1 != +-t2")
-    val, stab, prov = _distinct_closed(t1, t2, ell)
-    if k >= stab:
-        return val, prov
-    return None
+        return (*_same_closed(abs(t1), ell), PROVENANCE_THEOREM)
+    limit, k_min, provenance = _distinct_closed(t1, t2, ell)
+    return limit, 0, k_min, provenance
+
+
+def s_closed(t1, t2, pp):
+    """Closed-form S(t1, t2; ell^k)/ell^(5k-5) with its provenance, or None.
+
+    None means "no closed form at this depth": every closed form holds from
+    some depth k_min on, and k < k_min is not covered.
+    """
+    limit, c, k_min, provenance = _closed(t1, t2, pp.ell)
+    if pp.k < k_min:
+        return None
+    return limit - Fraction(c, pp.ell ** (2 * pp.k)), provenance
 
 
 def local_limit_direct(t1, t2, ell):
@@ -195,18 +192,13 @@ def _factor(ell, limit, stabilized_at, provenance):
 
 
 def local_limit(t1, t2, ell):
-    """The limit of S(t1,t2;ell^k)/ell^(5k-5) as a LocalFactor.
+    """The limit of S(t1,t2;ell^k)/ell^(5k-5) from ``_closed``, as a LocalFactor.
 
-    Dispatch: equal/opposite traces use the five-case theorem limits; other
-    pairs use the proven case table, then the conjectural one (flagged by
-    provenance).  ``local_limit_direct`` is the stability-checked fallback.
+    ``local_limit_direct`` is the stability-checked fallback.
     """
-    if t1 == t2 or t1 == -t2:
-        lim, c, k_min = _same_closed(abs(t1), ell)
-        # without a 1/ell^(2k) term the sums are constant from k_min on
-        return _factor(ell, lim, None if c else k_min, PROVENANCE_THEOREM)
-    lim, stab, prov = _distinct_closed(t1, t2, ell)
-    return _factor(ell, lim, stab, prov)
+    limit, c, k_min, provenance = _closed(t1, t2, ell)
+    # without a 1/ell^(2k) term the sums are constant from k_min on
+    return _factor(ell, limit, None if c else k_min, provenance)
 
 
 def delta_group_size(pp):

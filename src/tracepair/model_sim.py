@@ -15,7 +15,7 @@ runs bit-reproducible for any evaluation order or block size.  The keys are
 those of one ``np.random.Philox(key=(seed, i))`` per prime; the draws are made
 in blocks of primes (``philox_uniforms``, ``_sample_block``), and the
 per-prime loop is kept as the test oracle ``_sample_run_scalar``.  The seed
-lies in [0, 2^64) and the level m in [2, ``MODEL_LEVEL_BOUND``].
+lies in [0, 2^64); ``ModelConfig`` states the bounds of m and n_max.
 """
 
 import math
@@ -32,6 +32,9 @@ from .matcount import PrimePower, m_values
 # keeps class_density's sums S(t1, t2; q) <= 2.25 q^5 and their products over
 # the prime powers of m exact in int64 (all below 2^35), its table within ~1.4 MB
 MODEL_LEVEL_BOUND = 128
+# a fresh `simulate --n 10000000` job took 52 s at m = 2 and 122 s at m = 128
+# (2 cores, 58-59 MB); time grows about like n^1.4, so the sieve's 2e9 ~ a day
+MODEL_N_BOUND = 10 ** 7
 _BLOCK_ELEMENTS = 1 << 17  # grid cells per block of primes; bounds the scratch arrays
 _DRAW_CHUNK = 1 << 14  # Philox keys drawn per kernel call
 
@@ -78,7 +81,8 @@ def philox_uniforms(seed, n, start=0):
 @dataclass(frozen=True)
 class ModelConfig:
     """One sampler run: level 2 <= m <= ``MODEL_LEVEL_BOUND`` (128), primes
-    5 <= p <= n_max, seed in [0, 2^64), and the target pair (t1, t2)."""
+    5 <= p <= n_max <= ``MODEL_N_BOUND`` (10^7), seed in [0, 2^64), and the
+    target pair (t1, t2)."""
 
     m: int
     n_max: int
@@ -91,8 +95,8 @@ class ModelConfig:
             raise ValueError(f"level m must be in [2, {MODEL_LEVEL_BOUND}], got {self.m}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
-        if self.n_max < 5:
-            raise ValueError("n_max must be >= 5")
+        if not 5 <= self.n_max <= MODEL_N_BOUND:
+            raise ValueError(f"n_max must be in [5, {MODEL_N_BOUND}], got {self.n_max}")
 
 
 @dataclass
@@ -158,20 +162,17 @@ def _block_size(m, n_max):
     return max(1, _BLOCK_ELEMENTS // max(width, m * m))
 
 
-def _sample_block(primes, draws, m, fweight):
-    """Draw (u1, u2) for a block of ascending primes; see ``_sample_run_scalar``.
+def class_cdf(primes, m):
+    """(lo, cdf): semicircle weights of ascending primes, summed up along each class mod m.
 
-    The integers u lie on one grid of shape (m, R) that starts at a multiple
-    of m, so row r holds the u = r (mod m) in ascending order.  Outside a
-    prime's open Hasse range 1 - u^2/4p <= 0, and it is clipped to 0 before
-    the square root; inside it is > 0.  The cumulative sums along each row
-    then equal the scalar route's sequential sums from 0 in ascending u: their
-    last entry is the class mass, the row is the in-class CDF, and counting
-    the entries <= x reproduces ``searchsorted(side="right")``.
+    The integers u lie on one grid of shape (m, R) from lo, a multiple of m,
+    so row r holds the u = r (mod m) in ascending order.  Outside a prime's
+    open Hasse range 1 - u^2/4p <= 0, and it is clipped to 0 before the
+    square root.  The cumulative sums along each row equal the scalar
+    route's sums from 0 in ascending u: cdf[:, r] is the in-class CDF of
+    class r, and cdf[:, r, -1] its mass.
     """
-    B = primes.shape[0]
-    umax = np.floor(np.sqrt(4.0 * primes - 1)).astype(np.int64)  # exact: 4p < 2^52
-    top = int(umax[-1])
+    top = math.isqrt(4 * int(primes[-1]) - 1)
     lo = -m * -(-top // m)  # the multiple of m at or below -top
     u = lo + np.arange(m)[:, None] + m * np.arange(_grid_columns(m, top))
     # in place throughout: fresh block-sized temporaries cost page faults
@@ -180,6 +181,18 @@ def _sample_block(primes, draws, m, fweight):
     np.maximum(cdf, 0.0, out=cdf)
     np.sqrt(cdf, out=cdf)
     np.cumsum(cdf, axis=2, out=cdf)  # (B, m, R)
+    return lo, cdf
+
+
+def _sample_block(primes, draws, m, fweight):
+    """Draw (u1, u2) for a block of ascending primes; see ``_sample_run_scalar``.
+
+    Counting the entries <= x of a ``class_cdf`` row reproduces
+    ``searchsorted(side="right")``.
+    """
+    B = primes.shape[0]
+    umax = np.floor(np.sqrt(4.0 * primes - 1)).astype(np.int64)  # exact: 4p < 2^52
+    lo, cdf = class_cdf(primes, m)
     m1 = np.ascontiguousarray(cdf[:, :, -1])
     joint = m1[:, :, None] * m1[:, None, :]
     joint *= fweight

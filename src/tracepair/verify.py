@@ -54,8 +54,7 @@ from .local import (
     local_limit_direct,
     one_divides_limit,
     one_divides_limit_rejected,
-    s_closed_distinct,
-    s_closed_same,
+    s_closed,
     s_direct,
     s_normalized,
     volume,
@@ -63,12 +62,12 @@ from .local import (
 from .matcount import BRUTE_BUDGET, PrimePower, m_brute, m_closed, m_dks
 from .model_sim import (
     ModelConfig,
+    class_cdf,
     class_density,
     growth_check,
     rectangle_mass_empirical,
     rectangle_mass_exact,
     sample_run,
-    semicircle_weights,
 )
 from .prime_stats import average_f_product, class_sum, slope_fit
 
@@ -360,7 +359,7 @@ def check_theorem_same_trace():
             for k in range(1, 5):
                 if ell == 2 and t % 2 == 0 and k < 3:
                     continue
-                want = s_closed_same(t, ell, k)
+                want, _ = s_closed(t, t, PrimePower(ell, k))
                 got = s_normalized(t, t, PrimePower(ell, k))
                 if got != want:
                     return False, f"S({t};{ell}^{k})/norm = {got}", str(want)
@@ -466,7 +465,7 @@ def check_s_bounds():
 
 
 def check_interpolation():
-    pts5 = [(ell, s_closed_same(0, ell, 1)) for ell in (3, 5, 7, 11, 13, 17)]
+    pts5 = [(ell, s_closed(0, 0, PrimePower(ell, 1))[0]) for ell in (3, 5, 7, 11, 13, 17)]
     fit = interpolate_rational(pts5, max_degree=5)
     want_num = (Fraction(0), Fraction(0), Fraction(-1), Fraction(1), Fraction(-1), Fraction(1))
     if fit.numerator != want_num or fit.denominator != (Fraction(1),):
@@ -910,15 +909,13 @@ def check_growth_hit_mass():
     run = model_run(m, MODEL_SEEDS[0])
     fw = run.weights
     exact = 0.0
-    asym = 0.0
-    for p in run.primes.tolist():
-        u, w = semicircle_weights(p)
-        res = (u % m).astype(np.int64)
-        m1 = np.bincount(res, weights=w, minlength=m)
-        z = float((m1[:, None] * m1[None, :] * fw).sum())
-        w1 = float(w[u == 1][0])
-        exact += w1 * w1 * fw[1, 1] / z
-        asym += fw[1, 1] / (math.pi ** 2 * p)
+    for start in range(0, run.primes.shape[0], 512):
+        primes = run.primes[start : start + 512]
+        m1 = class_cdf(primes, m)[1][:, :, -1]  # each prime's class masses
+        z = (m1[:, :, None] * m1[:, None, :] * fw).sum(axis=(1, 2))
+        w1 = np.sqrt(1.0 - 1.0 / (4.0 * primes))  # the semicircle weight at u = 1
+        exact += float(np.sum(w1 * w1 * fw[1, 1] / z))
+    asym = float(np.sum(fw[1, 1] / (math.pi ** 2 * run.primes)))
     rel = abs(exact - asym) / asym
     return rel < 0.05, f"exact hit mass {exact:.5f}", f"predicted {asym:.5f}", f"rel={rel:.4f}"
 
@@ -990,7 +987,7 @@ def conjecture_grid_mismatches(t_max, prime_max):
                 elif (t1 * t2) % ell == 0:
                     continue
                 a = int(alpha(t1, t2, ell))
-                closed = s_closed_distinct(t1, t2, ell, a + 1)
+                closed = s_closed(t1, t2, PrimePower(ell, a + 1))
                 if closed is None or closed[1] != PROVENANCE_CONJECTURE:
                     continue
                 for k in range(a + 1, a + 4):

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracepair import class_numbers, constants, curves, gekeler, matcount, model_sim, prime_stats
+from tracepair import (
+    class_numbers, constants, curves, gekeler, local, matcount, model_sim, prime_stats,
+)
 from tracepair.cli import main
 from tracepair.curves import Curve, point_count_brute
 
@@ -201,6 +203,22 @@ def test_out_of_domain_rejected_before_work(capsys, monkeypatch, argv):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("t1, t2, ell, k", [
+    (1, 80707215, 7, 9),  # alpha = 9: the conjectured form holds from k = 10
+    (2, 2, 2, 2),  # an even equal trace at ell = 2 needs k >= 3
+])
+def test_local_factor_below_depth_fails_before_unit_sum(capsys, monkeypatch, t1, t2, ell, k):
+    def fail(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(local, "s_direct", fail)
+    code, out, err = run_cli(capsys, "local-factor", "--t1", str(t1), "--t2", str(t2),
+                             "--ell", str(ell), "--k", str(k), "--method", "both")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: no closed form at depth k={k} for ({t1},{t2},{ell})\n"
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_workers_must_be_positive(capsys, workers):
     with pytest.raises(SystemExit) as exc:
@@ -298,6 +316,7 @@ def test_simulate_reproducible(capsys):
     ("--seed", str(2 ** 64)),
     ("--seed", str(2 ** 128 + 1)),
     ("--m", str(model_sim.MODEL_LEVEL_BOUND + 1)),
+    ("--n", str(model_sim.MODEL_N_BOUND + 1)),
 ])
 def test_simulate_out_of_domain_rejected_before_work(capsys, monkeypatch, argv):
     def fail(*args):

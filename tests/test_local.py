@@ -13,8 +13,7 @@ from tracepair.local import (
     interpolate_rational,
     local_limit,
     local_limit_direct,
-    s_closed_distinct,
-    s_closed_same,
+    s_closed,
     s_direct,
     s_normalized,
     volume,
@@ -48,48 +47,64 @@ def test_s_direct_budget():
         s_direct(0, 0, PrimePower(2, 40))
 
 
+def _closed(t1, t2, ell, k):
+    return s_closed(t1, t2, PrimePower(ell, k))
+
+
 def test_s_closed_same_cases():
-    assert s_closed_same(1, 2, 1) == 4
-    assert s_closed_same(1, 2, 7) == 4
-    assert s_closed_same(0, 3, 2) == 180
-    assert s_closed_same(2, 2, 3) == 17
-    assert s_closed_same(0, 2, 3) == Fraction(35, 2)
+    assert _closed(1, 1, 2, 1) == (4, PROVENANCE_THEOREM)
+    assert _closed(1, 1, 2, 7) == (4, PROVENANCE_THEOREM)
+    assert _closed(0, 0, 3, 2) == (180, PROVENANCE_THEOREM)
+    assert _closed(2, 2, 2, 3) == (17, PROVENANCE_THEOREM)
+    assert _closed(0, 0, 2, 3) == (Fraction(35, 2), PROVENANCE_THEOREM)
+    # opposite traces take the equal-trace theorem too
+    assert _closed(2, -2, 2, 3) == (17, PROVENANCE_THEOREM)
     # ell odd, coprime trace: k-dependent tail
-    assert s_closed_same(1, 3, 1) == 117
-    assert s_closed_same(1, 3, 2) == Fraction(9 * (81 - 18 - 9 - 1), 4) - Fraction(81, 81 * 4)
-    with pytest.raises(ValueError):
-        s_closed_same(2, 2, 2)  # even trace at ell = 2 needs k >= 3
+    assert _closed(1, 1, 3, 1) == (117, PROVENANCE_THEOREM)
+    assert _closed(1, 1, 3, 2)[0] == Fraction(9 * (81 - 18 - 9 - 1), 4) - Fraction(81, 81 * 4)
+    assert _closed(2, 2, 2, 2) is None  # even trace at ell = 2 needs k >= 3
+
+
+def _old_refusal(t1, t2, ell, k):
+    """Where the separate equal- and distinct-trace closed forms had no value."""
+    if t1 == t2 or t1 == -t2:
+        return ell == 2 and t1 % 2 == 0 and k < 3
+    return k < local_limit(t1, t2, ell).stabilized_at
 
 
 def test_s_closed_same_matches_direct():
     for ell in (2, 3, 5):
-        for t in range(0, 7):
-            for k in (1, 2, 3, 4):
-                if ell == 2 and t % 2 == 0 and k < 3:
-                    continue
-                assert s_closed_same(t, ell, k) == s_normalized(t, t, PrimePower(ell, k))
+        for t1 in range(-6, 7):
+            for t2 in range(-6, 7):
+                for k in (1, 2, 3, 4):
+                    closed = _closed(t1, t2, ell, k)
+                    if closed is None:
+                        assert _old_refusal(t1, t2, ell, k), (t1, t2, ell, k)
+                        continue
+                    assert closed[0] == s_normalized(t1, t2, PrimePower(ell, k)), (t1, t2, ell, k)
 
 
 def test_s_closed_distinct_cases():
-    val, prov = s_closed_distinct(0, 1, 3, 1)
+    val, prov = _closed(0, 1, 3, 1)
     assert val == 126 and prov == PROVENANCE_PROPOSITION
     # both odd at ell = 2
-    val, prov = s_closed_distinct(1, 3, 2, 1)
+    val, prov = _closed(1, 3, 2, 1)
     assert val == 4 and prov == PROVENANCE_PROPOSITION
     # exactly one even
-    val, prov = s_closed_distinct(2, 3, 2, 3)
+    val, prov = _closed(2, 3, 2, 3)
     assert val == 8 and prov == PROVENANCE_PROPOSITION
-    assert s_closed_distinct(2, 3, 2, 2) is None  # below stabilization depth
+    assert _closed(2, 3, 2, 2) is None  # below stabilization depth
     # conjectural alpha = 0 case
-    val, prov = s_closed_distinct(1, 2, 5, 1)
+    val, prov = _closed(1, 2, 5, 1)
     assert val == 2200 and prov == PROVENANCE_CONJECTURE
     # conjectural ell = 2 branches
-    val, _ = s_closed_distinct(2, 4, 2, 2)
+    val, _ = _closed(2, 4, 2, 2)
     assert val == 15
-    val, _ = s_closed_distinct(2, 6, 2, 4)
+    val, _ = _closed(2, 6, 2, 4)
     assert val == Fraction(103, 6) - Fraction(7, 24)
-    with pytest.raises(ValueError):
-        s_closed_distinct(3, 3, 5, 1)
+    # equal traces are the theorem's, not a distinct-trace error
+    assert _closed(3, 3, 5, 1) == (Fraction(25 * (625 - 50 - 15 - 1), 6) - Fraction(625, 6 * 25),
+                                   PROVENANCE_THEOREM)
 
 
 def test_distinct_closed_matches_direct():
@@ -177,11 +192,11 @@ def test_interpolate_rational_function():
 
 
 def test_interpolate_reproduces_closed_forms():
-    pts = [(ell, s_closed_same(0, ell, 1)) for ell in (3, 5, 7, 11, 13, 17)]
+    pts = [(ell, _closed(0, 0, ell, 1)[0]) for ell in (3, 5, 7, 11, 13, 17)]
     fit = interpolate_rational(pts, max_degree=5)
     assert fit.numerator == (0, 0, -1, 1, -1, 1)
     assert fit.denominator == (1,)
-    assert fit(19) == s_closed_same(0, 19, 1)
+    assert fit(19) == _closed(0, 0, 19, 1)[0]
 
 
 def test_interpolate_inconsistent():

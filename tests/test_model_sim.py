@@ -14,6 +14,7 @@ from tracepair.local import delta_group_size, s_direct
 from tracepair.matcount import PrimePower
 from tracepair.model_sim import (
     MODEL_LEVEL_BOUND,
+    MODEL_N_BOUND,
     ModelConfig,
     _sample_run_scalar,
     class_density,
@@ -32,11 +33,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(2, 3, 0, 0, 0)
     with pytest.raises(ValueError):
+        ModelConfig(2, MODEL_N_BOUND + 1, 0, 0, 0)
+    with pytest.raises(ValueError):
         ModelConfig(MODEL_LEVEL_BOUND + 1, 100, 0, 0, 0)
     for seed in (-1, 2 ** 64, 2 ** 128 + 1):
         with pytest.raises(ValueError):
             ModelConfig(2, 100, seed, 0, 0)
-    ModelConfig(MODEL_LEVEL_BOUND, 100, 2 ** 64 - 1, 0, 0)
+    ModelConfig(MODEL_LEVEL_BOUND, MODEL_N_BOUND, 2 ** 64 - 1, 0, 0)
 
 
 def _density_by_s_direct(m, r1, r2):
@@ -223,6 +226,21 @@ def test_sample_block_matches_scalar_at_extreme_draws():
         u1, u2 = model_sim._sample_block(primes, draws, m, fweight)
         for i, p in enumerate(primes.tolist()):
             assert (u1[i], u2[i]) == model_sim._sample_prime(p, draws[i], m, fweight), (p, draw)
+
+
+def test_class_cdf_matches_semicircle_weights():
+    primes = sieve_primes(3000)
+    primes = primes[primes >= 5]
+    for m in (2, 5, 12):
+        lo, cdf = model_sim.class_cdf(primes, m)
+        assert lo % m == 0
+        for i, p in enumerate(primes.tolist()):
+            u, w = semicircle_weights(p)
+            for r in range(m):
+                cw = np.cumsum(w[u % m == r])
+                assert cdf[i, r, -1] == (cw[-1] if cw.size else 0.0)
+                row = cdf[i, r][cdf[i, r] > 0]
+                assert np.array_equal(row[: cw.shape[0]], cw)
 
 
 def test_block_size_within_element_budget():
