@@ -7,10 +7,14 @@ count alongside.
 
 Every job runs in a fresh process, so each ``cmd_*`` function imports the
 modules it runs and nothing else: numpy, mpmath and ``verify`` are loaded
-only by the subcommands that need them.  ``main`` sets
-``OPENBLAS_NUM_THREADS`` to 1, unless the caller has set it, before it parses
-the arguments, because the ``--e1``/``--e2`` converter already imports numpy:
-no job calls BLAS, and a single-threaded OpenBLAS loads up to ~80 ms faster.
+only by the subcommands that need them.  mpmath loads only in ``constant``,
+after its product, to print the digit string and the tails, and in
+``verify``, which reads tails; ``average`` and ``curves --predict-lmax`` read
+their constant as a float, which the Euler products form on Python ints.
+``main`` sets ``OPENBLAS_NUM_THREADS`` to 1, unless the caller has set it,
+before it parses the arguments, because the ``--e1``/``--e2`` converter
+already imports numpy: no job calls BLAS, and a single-threaded OpenBLAS
+loads up to ~80 ms faster.
 """
 
 import argparse
@@ -119,8 +123,6 @@ _REFERENCES = {("pair", 0, 0): "35/96", ("universal",): "0.08789878383"}
 
 
 def cmd_constant(args):
-    import mpmath
-
     from .constants import (
         pair_constant,
         same_trace_constant,
@@ -140,6 +142,8 @@ def cmd_constant(args):
     else:
         est = single_curve_constant(args.t1, args.lmax, digits=args.digits)
         ref = None
+    import mpmath  # for nstr; loaded after the product, into the heap its sieve freed
+
     out = {
         "kind": args.kind,
         "t1": args.t1,
@@ -201,7 +205,7 @@ def cmd_average(args):
     check_fit_size(len(ladder))
     check_domain(args.reference_lmax, DEFAULT_DIGITS)
     with _open_csv(args.csv) as fh:
-        reference = float(pair_constant(args.t1, args.t2, args.reference_lmax).value)
+        reference = float(pair_constant(args.t1, args.t2, args.reference_lmax))
         series = class_sum(args.t1, args.t2, args.x, checkpoints=ladder)
         fit = slope_fit(series)
         if fh:

@@ -3,16 +3,27 @@
 The four constants share one engine, ``_euler_product``: it checks the
 domain, sieves once to 8 * lmax and splits the primes at lmax.  The primes up
 to lmax carry the exact local factors, the primes above it the tail sums.
-Each constant supplies only its prefactor and its rational factor at ell.
+Each constant supplies only its prefactor c * pi^k, as the pair (c, k), and
+its rational factor at ell.
 
-Every local factor is an exact rational; only the final product is floating,
-taken in mpmath at ``digits + 15`` working digits (default 50 significant
-digits) with pi from mpmath, so high-precision runs mean what they say.
-Factors are multiplied in ascending ell for determinism, on raw libmp
-tuples: each step makes the calls that ``acc *= mpf(num) / den`` makes on
-the reduced Fraction, with the same roundings (the numerator rounded to the
-working precision, divided by the denominator, then multiplied in), so the
-value is the mpf loop's bit for bit without an mpf object per step.
+Every local factor is an exact rational; only the product is rounded, at
+``working_precision(digits)`` bits (``digits + 15`` decimal digits, default
+50 significant digits), so high-precision runs mean what they say.  The
+product runs on Python ints, bit for bit the mpf loop
+``acc = prefactor; acc *= mpf(num) / den`` over the reduced Fractions in
+ascending ell.  Each rounding is to the working precision, half to even:
+- the prefactor: pi from floor(pi * 2^(prec + 20)) (Machin's formula, with
+  guard bits widened until the floor is certain), as mpmath's ``mpf_pi``
+  rounds it; then pi^2 and c / pi^-k, each once, as ``c / mpmath.pi ** 2``
+  and ``c / mpmath.pi`` round them;
+- per prime, the numerator; its quotient by the denominator, correctly
+  rounded, the remainder kept as a sticky bit; the product into the
+  accumulator.
+``EulerProductEstimate`` holds the result as an exact mantissa * 2^exponent.
+``float(est)`` rounds it once to 53 bits, half to even, as
+``float(est.value)`` does, so a caller that needs only the float never loads
+mpmath.  mpmath loads on the first read of ``est.value`` (an mpf, for digit
+strings) or of a tail, whose integral terms keep mpmath's log and sqrt.
 
 Two tail figures are reported: a conservative bound sum(8/ell^1.5) over the
 omitted primes, safe for every trace pair, and an empirical sum(4/ell^3)
@@ -28,30 +39,166 @@ compensates).
 ``DIGITS_BOUND``]; both are checked before the sieve.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
-from mpmath.libmp import from_int, mpf_div, mpf_mul, mpf_pos, round_nearest
 
-from .arith import SIEVE_HARD_LIMIT, prime_factors, sieve_primes
+from .arith import prime_factors, sieve_primes
 
 DEFAULT_DIGITS = 50
-DIGITS_BOUND = 10_000  # 10^4 digits at lmax = 1e5 take ~10 s
-LMAX_BOUND = SIEVE_HARD_LIMIT // 8  # the tail sums run over primes up to 8 * lmax
+DIGITS_BOUND = 10_000  # 10^4 digits at lmax = 1e5 take ~8 s (2 cores, one fresh CLI run)
+# Cost grows linearly with lmax.  `constant --kind universal` takes 0.8 s and
+# 43 MB at lmax = 1e6, 1.7 s and 68 MB at 3e6, and 4.6 s and 151 MB at 1e7
+# (2 cores, one fresh CLI run each): ~12 MB per 1e6, so the sieve's own limit,
+# 2e9 = 8 * 2.5e8, would need ~3 GB (extrapolated, not run).
+LMAX_BOUND = 10 ** 7
+_LOG2_10 = 3.3219280948873626  # the factor of mpmath's dps_to_prec
+
+
+def working_precision(digits):
+    """Bits of the product's working precision: ``digits + 15`` decimal
+    digits, converted as mpmath's ``dps_to_prec`` converts them."""
+    return max(1, int(round((digits + 16) * _LOG2_10)))
+
+
+def _round(man, exp, prec):
+    """man * 2^exp (man >= 0) rounded to prec bits, half to even, as (mantissa, exponent)."""
+    shift = man.bit_length() - prec
+    if shift <= 0:
+        return man, exp
+    q = man >> shift
+    rest = man - (q << shift)
+    half = 1 << (shift - 1)
+    if rest > half or (rest == half and q & 1):
+        q += 1
+    return q, exp + shift
+
+
+def _round_quotient(num, den, exp, prec):
+    """num / den * 2^exp (num >= 0, den > 0) correctly rounded to prec bits, half to even.
+
+    The quotient is taken to at least prec + 2 bits, and one more bit below
+    them is set when the remainder is nonzero, so that rounding sees on which
+    side of each halfway point the exact quotient lies.
+    """
+    shift = prec + 2 + den.bit_length() - num.bit_length()
+    if shift >= 0:
+        q, r = divmod(num << shift, den)
+    else:
+        q, r = divmod(num, den << -shift)
+    return _round((q << 1) | (r != 0), exp - shift - 1, prec)
+
+
+def _arctan_inv(one, x):
+    """(sum, terms): arctan(1/x) * one from floored terms, within terms + 1 of the exact value.
+
+    Each term floor(one / x^(2j+1)) // (2j+1) is the floor of its exact value,
+    and the series stops where the terms vanish, which leaves an alternating
+    tail below 1.
+    """
+    power = one // x
+    total, terms, x2, j = power, 1, x * x, 1
+    while power:
+        power //= x2
+        term = power // (2 * j + 1)
+        total += -term if j & 1 else term
+        terms += 1
+        j += 1
+    return total, terms
+
+
+def _machin_pi_floor(bits):
+    """floor(pi * 2^bits), by Machin's formula pi = 16 arctan(1/5) - 4 arctan(1/239)
+    on integers, with guard bits widened until the error bound settles the floor."""
+    guard = 32
+    while True:
+        one = 1 << (bits + guard)
+        s5, n5 = _arctan_inv(one, 5)
+        s239, n239 = _arctan_inv(one, 239)
+        approx = 16 * s5 - 4 * s239
+        err = 16 * (n5 + 1) + 4 * (n239 + 1)
+        low, high = (approx - err) >> guard, (approx + err) >> guard
+        if low == high:
+            return low
+        guard *= 2
+
+
+_PI_MEMO = [2, 12]  # the widest (bits, floor(pi * 2^bits)) computed so far
+
+
+def _pi_floor(bits):
+    """floor(pi * 2^bits), shifted down from the widest floor computed so far."""
+    if bits > _PI_MEMO[0]:
+        _PI_MEMO[:] = bits, _machin_pi_floor(bits)
+    memo_bits, memo = _PI_MEMO
+    return memo >> (memo_bits - bits)
+
+
+def _prefactor(c, k, prec):
+    """c * pi^k for k in {0, -1, -2}, rounded at prec bits as ``mpf(c)``,
+    ``c / mpmath.pi`` and ``c / mpmath.pi ** 2`` round it."""
+    if k == 0:
+        return _round(c, 0, prec)
+    wp = prec + 20
+    man, exp = _round(_pi_floor(wp), -wp, prec)
+    if k == -2:
+        man, exp = _round(man * man, 2 * exp, prec)
+    return _round_quotient(c, man, -exp, prec)
 
 
 @dataclass(frozen=True)
 class EulerProductEstimate:
-    value: mpmath.mpf
+    """A truncated Euler product, exactly mantissa * 2^exponent, and its tails.
+
+    ``float(est)`` needs no mpmath; ``value`` (an mpf) and the two tails
+    import it on first read.  ``partial_tails`` are the conservative and
+    empirical sums over the primes in (truncation prime, ``tail_cutoff``].
+    """
+    mantissa: int
+    exponent: int
     digits: int
     truncation_prime: int
-    tail_conservative: float
-    tail_empirical: float
     conjectural_factors: int
+    tail_cutoff: int
+    partial_tails: tuple
+
+    def __float__(self):
+        """The value rounded once to 53 bits, half to even, as mpmath's ``float`` rounds it."""
+        return math.ldexp(*_round(self.mantissa, self.exponent, 53))
+
+    @functools.cached_property
+    def value(self):
+        """The product as an exact mpf, built on first read."""
+        import mpmath
+
+        return mpmath.mpf((self.mantissa, self.exponent), prec=max(1, self.mantissa.bit_length()))
+
+    @functools.cached_property
+    def _tails(self):
+        # |log tail| bounds: the partial sums plus an integral bound for the
+        # primes above tail_cutoff (prime density 1/log x, decreasing
+        # integrands), in mpmath at 53 bits: math.log would change the float
+        # at about one lmax in twenty.
+        import mpmath
+
+        top = self.tail_cutoff
+        with mpmath.workprec(53):
+            log_top = mpmath.log(top)
+            cons = float(16 / (mpmath.sqrt(top) * log_top))
+            emp = float(2 / (top ** 2 * log_top))
+        return self.partial_tails[0] + cons, self.partial_tails[1] + emp
+
+    @property
+    def tail_conservative(self):
+        return self._tails[0]
+
+    @property
+    def tail_empirical(self):
+        return self._tails[1]
 
 
 def check_domain(lmax, digits):
@@ -95,34 +242,27 @@ def _left_to_right_sum(c, denominators):
 
 
 def _euler_product(lmax, digits, prefactor, factor):
-    """prefactor() * prod of factor(ell) over primes ell <= lmax, with its tails.
+    """c * pi^k * prod of factor(ell) over primes ell <= lmax, with its tails.
 
-    ``factor(ell)`` returns the exact Fraction at ell and whether it is
-    conjectural.
+    ``prefactor`` is the pair (c, k); ``factor(ell)`` returns the exact
+    positive Fraction at ell and whether it is conjectural.
     """
     check_domain(lmax, digits)
     primes = sieve_primes(8 * lmax)
     split = primes.searchsorted(lmax, side="right")
     head = primes[:split].tolist()
+    prec = working_precision(digits)
+    man, exp = _prefactor(*prefactor, prec)
     conjectural = 0
-    with mpmath.workdps(digits + 15):
-        prec = mpmath.mp.prec
-        acc = prefactor()._mpf_
-        for ell in head:
-            frac, conj = factor(ell)
-            conjectural += conj
-            term = mpf_pos(from_int(frac.numerator), prec, round_nearest)
-            term = mpf_div(term, from_int(frac.denominator), prec, round_nearest)
-            acc = mpf_mul(acc, term, prec, round_nearest)
-        value = mpmath.mpf(acc)
-    # |log tail| bounds: exact partial sums to 8*lmax plus an integral bound
-    # for the rest (prime density 1/log x, decreasing integrands).  Both are
-    # floats, taken at mpmath's default precision outside the product's.
-    cons, emp = tail_sums(primes[split:])
-    log_l = mpmath.log(8 * lmax)
-    cons += float(16 / (mpmath.sqrt(8 * lmax) * log_l))
-    emp += float(2 / ((8 * lmax) ** 2 * log_l))
-    return EulerProductEstimate(value, digits, head[-1], cons, emp, conjectural)
+    for ell in head:
+        frac, conj = factor(ell)
+        conjectural += conj
+        num, num_exp = _round(frac.numerator, 0, prec)
+        num, num_exp = _round_quotient(num, frac.denominator, num_exp, prec)
+        man, exp = _round(man * num, exp + num_exp, prec)
+    zeros = (man & -man).bit_length() - 1 if man else 0
+    return EulerProductEstimate(man >> zeros, exp + zeros, digits, head[-1], conjectural,
+                                8 * lmax, tail_sums(primes[split:]))
 
 
 def pair_constant(t1, t2, lmax, digits=DEFAULT_DIGITS):
@@ -133,7 +273,7 @@ def pair_constant(t1, t2, lmax, digits=DEFAULT_DIGITS):
         lf = local_limit(t1, t2, ell)
         return lf.c_ell, lf.provenance == PROVENANCE_CONJECTURE
 
-    return _euler_product(lmax, digits, lambda: 1 / mpmath.pi ** 2, factor)
+    return _euler_product(lmax, digits, (1, -2), factor)
 
 
 def _two_adic_same_trace(t):
@@ -158,7 +298,7 @@ def same_trace_constant(t, lmax, digits=DEFAULT_DIGITS):
         num = ell ** 2 * (ell ** 4 - 2 * ell ** 2 - 3 * ell - 1)
         return Fraction(num, (ell ** 2 - 1) ** 3), False
 
-    return _euler_product(lmax, digits, lambda: 1 / mpmath.pi ** 2, factor)
+    return _euler_product(lmax, digits, (1, -2), factor)
 
 
 def universal_product(lmax, digits=DEFAULT_DIGITS):
@@ -166,7 +306,7 @@ def universal_product(lmax, digits=DEFAULT_DIGITS):
     def factor(ell):
         return Fraction(ell ** 4 - 2 * ell ** 2 - 3 * ell - 1, (ell ** 2 - 1) ** 2), False
 
-    return _euler_product(lmax, digits, lambda: mpmath.mpf(1), factor)
+    return _euler_product(lmax, digits, (1, 0), factor)
 
 
 def same_trace_ratio(t):
@@ -187,4 +327,4 @@ def single_curve_constant(t, lmax, digits=DEFAULT_DIGITS):
             return Fraction(ell ** 2, ell ** 2 - 1), False
         return Fraction(ell ** 3 - ell ** 2 - ell, (ell ** 2 - 1) * (ell - 1)), False
 
-    return _euler_product(lmax, digits, lambda: 2 / mpmath.pi, factor)
+    return _euler_product(lmax, digits, (2, -1), factor)

@@ -308,6 +308,6 @@ def pair_count(e1, e2, t1, t2, x, list_primes=False, prediction_lmax=None):
     if list_primes:
         out["matched_primes"] = [int(p) for p in matched]
     if prediction_lmax is not None:
-        out["prediction"] = float(c.value) * math.log(math.log(x))
+        out["prediction"] = float(c) * math.log(math.log(x))
         out["prediction_assumes_generic_image"] = True
     return out

@@ -490,22 +490,22 @@ def check_interpolation():
 
 def check_c00_reference():
     est = pair_constant(0, 0, 100_000)
-    err = abs(float(est.value) - 35 / 96)
-    return err < 1e-3, f"{float(est.value):.10f}", "35/96 = 0.3645833...", f"err={err:.2e}"
+    err = abs(float(est) - 35 / 96)
+    return err < 1e-3, f"{float(est):.10f}", "35/96 = 0.3645833...", f"err={err:.2e}"
 
 
 def check_universal_reference():
     est = universal_product(10_000)
-    err = abs(float(est.value) - 0.08789878383)
-    return err < 1e-6, f"{float(est.value):.12f}", "0.08789878383", f"err={err:.2e}"
+    err = abs(float(est) - 0.08789878383)
+    return err < 1e-6, f"{float(est):.12f}", "0.08789878383", f"err={err:.2e}"
 
 
 def check_routes_agree():
     for t in range(0, 9):
         a = pair_constant(t, t, 2000)
         b = same_trace_constant(t, 2000)
-        gap = abs(float(a.value) - float(b.value))
-        budget = float(a.value) * (math.exp(a.tail_conservative + b.tail_conservative) - 1)
+        gap = abs(float(a) - float(b))
+        budget = float(a) * (math.exp(a.tail_conservative + b.tail_conservative) - 1)
         if gap > budget:
             return False, f"t={t} gap {gap:.3e}", f"tail budget {budget:.3e}"
     return True, "pair route", "same-trace route"
@@ -524,15 +524,15 @@ def check_convergence_witness():
     for t1, t2 in ((0, 0), (1, 1), (1, 2), (0, 3)):
         v1 = pair_constant(t1, t2, 300)
         v2 = pair_constant(t1, t2, 3000)
-        gap = abs(float(v1.value) - float(v2.value))
-        budget = float(v1.value) * (math.exp(v1.tail_conservative) - 1)
+        gap = abs(float(v1) - float(v2))
+        budget = float(v1) * (math.exp(v1.tail_conservative) - 1)
         if gap > budget:
             return False, f"({t1},{t2}) gap {gap:.3e}", f"budget {budget:.3e}"
     return True, "truncation movement", "within conservative tail"
 
 
 def check_universal_monotone():
-    vals = [float(universal_product(L).value) for L in (10, 100, 1000)]
+    vals = [float(universal_product(L)) for L in (10, 100, 1000)]
     ok = vals[0] > vals[1] > vals[2] > 0
     return ok, f"{vals}", "strictly decreasing"
 
@@ -541,7 +541,7 @@ def check_same_trace_ratio():
     lmax = 5000
     est = pair_constant(1, 1, lmax)
     uni = universal_product(lmax)
-    ratio = float(est.value) / float(uni.value)
+    ratio = float(est) / float(uni)
     want = float(same_trace_ratio(1))  # 1/2
     # the truncated ratio trails the limit by the zeta(2) prime tail
     tol = 4.0 / (lmax * math.log(lmax))
@@ -550,16 +550,16 @@ def check_same_trace_ratio():
 
 def check_single_curve():
     est = single_curve_constant(0, 20_000)
-    err = abs(float(est.value) - math.pi / 3)
+    err = abs(float(est) - math.pi / 3)
     if err > 1e-4:
-        return False, f"{float(est.value):.8f}", "pi/3", f"err={err:.2e}"
+        return False, f"{float(est):.8f}", "pi/3", f"err={err:.2e}"
     a = single_curve_constant(5, 500)
     b = single_curve_constant(-5, 500)
-    if float(a.value) != float(b.value):
+    if float(a) != float(b):
         return False, "c_5", "c_-5"
-    v1 = float(single_curve_constant(1, 1000).value)
-    v2 = float(single_curve_constant(1, 10_000).value)
-    return abs(v1 - v2) < 1e-6, f"{float(est.value):.8f} / drift {abs(v1 - v2):.2e}", "pi/3 / < 1e-6"
+    v1 = float(single_curve_constant(1, 1000))
+    v2 = float(single_curve_constant(1, 10_000))
+    return abs(v1 - v2) < 1e-6, f"{float(est):.8f} / drift {abs(v1 - v2):.2e}", "pi/3 / < 1e-6"
 
 
 # ---------------------------------------------------------------------------

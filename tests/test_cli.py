@@ -173,6 +173,11 @@ def test_average_default_ladder_small_x(capsys):
     ("gekeler", "--t", "1", "--p", "5", "--lmax", "2000000000"),
     # the tail sums sieve to 8 * lmax, beyond the sieve's 2e9 limit
     ("constant", "--lmax", "300000000"),
+    # past the Euler products' cost bound of 1e7
+    ("constant", "--lmax", "10000001"),
+    ("average", "--t1", "0", "--t2", "0", "--x", "5000", "--reference-lmax", "10000001"),
+    ("curves", "--e1", "1,0", "--e2", "0,1", "--t1", "0", "--t2", "0", "--x", "1000",
+     "--predict-lmax", "10000001"),
     ("average", "--t1", "0", "--t2", "0", "--x", "5000", "--reference-lmax", "1"),
     ("curves", "--e1", "1,0", "--e2", "0,1", "--t1", "0", "--t2", "0", "--x", "1000",
      "--predict-lmax", "1"),
@@ -433,9 +438,12 @@ def _loaded_modules(*argv):
      ("mpmath", "tracepair.verify")),
     (("simulate", "--m", "2", "--n", "2000", "--seed", "5", "--t1", "1", "--t2", "1"),
      ("mpmath", "tracepair.verify")),
-    # mpmath still loads, for the reference constant
+    # the reference constant and the prediction are read as floats
     (("average", "--t1", "1", "--t2", "1", "--x", "5000"),
-     ("tracepair.gekeler", "tracepair.class_numbers", "tracepair.verify")),
+     ("tracepair.gekeler", "tracepair.class_numbers", "mpmath", "tracepair.verify")),
+    (("curves", "--e1", "1,0", "--e2", "0,1", "--t1", "0", "--t2", "0", "--x", "300",
+      "--predict-lmax", "2000"),
+     ("mpmath", "tracepair.verify")),
     # only pair_constant reads the local factors
     (("constant", "--kind", "universal", "--lmax", "1000"),
      ("tracepair.local", "tracepair.matcount", "tracepair.verify")),

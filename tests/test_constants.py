@@ -1,13 +1,16 @@
 import math
+import random
 import signal
 from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.libmp import dps_to_prec, from_int, mpf_div, mpf_mul, round_nearest
 
 from tracepair import constants
-from tracepair.arith import is_prime, sieve_primes
+from tracepair.arith import SIEVE_HARD_LIMIT, is_prime, sieve_primes
 from tracepair.constants import (
+    DIGITS_BOUND,
     LMAX_BOUND,
     pair_constant,
     same_trace_constant,
@@ -135,9 +138,15 @@ def test_lmax_validation(monkeypatch):
         pair_constant(0, 0, 1)
     with pytest.raises(ValueError, match="lmax"):
         universal_product(0)
-    # the tail sums sieve to 8 * lmax, so a larger lmax fails before the sieve
     with pytest.raises(ValueError, match="lmax"):
         single_curve_constant(0, LMAX_BOUND + 1)
+    # the cost bound: ~12.5 MB per 1e6 of lmax
+    with pytest.raises(ValueError, match="lmax"):
+        pair_constant(1, 2, 10_000_001)
+    with pytest.raises(ValueError, match="lmax"):
+        universal_product(10_000_001)
+    # the tail sums sieve to 8 * lmax, which stays within the sieve's limit
+    assert 8 * LMAX_BOUND <= SIEVE_HARD_LIMIT
 
 
 def test_digits_plumbed():
@@ -243,6 +252,10 @@ def test_outputs_pinned():
         assert tails == PINNED_TAILS[lmax], (kind, t1, t2, lmax, digits)
 
 
+# c * pi^k as the mpf expressions that built each constant's prefactor
+_MPMATH_PREFACTOR = {0: mpmath.mpf, -1: lambda c: c / mpmath.pi, -2: lambda c: c / mpmath.pi ** 2}
+
+
 def _oracle_product(lmax, digits, prefactor, factor):
     """The plain loops behind ``_euler_product``: one mpf operation per factor,
     and each tail added term by term (not ``sum()``, which Python 3.12
@@ -251,8 +264,9 @@ def _oracle_product(lmax, digits, prefactor, factor):
     head = [p for p in primes if p <= lmax]
     tail = [p for p in primes if p > lmax]
     conjectural = 0
+    c, k = prefactor
     with mpmath.workdps(digits + 15):
-        acc = prefactor()
+        acc = _MPMATH_PREFACTOR[k](c)
         for ell in head:
             frac, conj = factor(ell)
             conjectural += conj
@@ -298,3 +312,41 @@ def test_euler_product_matches_plain_loops(monkeypatch, lmax):
         got = (est.value._mpf_, est.truncation_prime, est.tail_conservative,
                est.tail_empirical, est.conjectural_factors)
         assert got == _oracle_product(lmax, digits, prefactor, factor), (kind, lmax, digits)
+        assert float(est) == float(est.value), (kind, lmax, digits)
+
+
+def _normalized(man, exp):
+    zeros = (man & -man).bit_length() - 1
+    return man >> zeros, exp + zeros
+
+
+def test_prefactor_matches_mpmath_pi():
+    """The integer pi behind each prefactor is mpmath's, rounding for rounding,
+    at every digit count up to 200 and at seeded draws up to DIGITS_BOUND."""
+    rng = random.Random(17)
+    draws = sorted(rng.sample(range(201, DIGITS_BOUND + 1), 50), reverse=True)
+    for digits in [*range(1, 201), DIGITS_BOUND, *draws]:
+        prec = constants.working_precision(digits)
+        assert prec == dps_to_prec(digits + 15), digits
+        with mpmath.workdps(digits + 15):
+            for c, k in ((1, 0), (2, -1), (1, -2)):
+                _, man, exp, _ = (c / mpmath.pi ** -k)._mpf_
+                got = _normalized(*constants._prefactor(c, k, prec))
+                assert got == (man, exp), (digits, c, k)
+
+
+def test_integer_roundings_match_libmp():
+    """Half-even roundings of products and quotients, ties included, agree
+    with libmp's correctly rounded mpf_mul and mpf_div."""
+    rng = random.Random(5)
+    for _ in range(3000):
+        prec = rng.randint(1, 120)
+        a = rng.getrandbits(rng.randint(1, 200)) | 1
+        b = rng.getrandbits(rng.randint(1, 200)) | 1
+        if rng.random() < 0.3:  # prec + 1 bits ending in 1, times a power of 2: a tie
+            a = 1 << prec | rng.getrandbits(prec - 1) << 1 | 1
+            b = 1 << rng.randint(0, 8)
+        _, man, exp, _ = mpf_mul(from_int(a), from_int(b), prec, round_nearest)
+        assert _normalized(*constants._round(a * b, 0, prec)) == (man, exp), (a, b, prec)
+        _, man, exp, _ = mpf_div(from_int(a), from_int(b), prec, round_nearest)
+        assert _normalized(*constants._round_quotient(a, b, 0, prec)) == (man, exp), (a, b, prec)
