@@ -152,7 +152,7 @@ def _prefactor(c, k, prec):
 
 @dataclass(frozen=True)
 class EulerProductEstimate:
-    """A truncated Euler product, exactly mantissa * 2^exponent, and its tails.
+    """A truncated Euler product, exactly mantissa * 2^exponent (mantissa odd), and its tails.
 
     ``float(est)`` needs no mpmath; ``value`` (an mpf) and the two tails
     import it on first read.  ``partial_tails`` are the conservative and
@@ -175,7 +175,7 @@ class EulerProductEstimate:
         """The product as an exact mpf, built on first read."""
         import mpmath
 
-        return mpmath.mpf((self.mantissa, self.exponent), prec=max(1, self.mantissa.bit_length()))
+        return mpmath.mpf((self.mantissa, self.exponent), prec=self.mantissa.bit_length())
 
     @functools.cached_property
     def _tails(self):
@@ -260,7 +260,7 @@ def _euler_product(lmax, digits, prefactor, factor):
         num, num_exp = _round(frac.numerator, 0, prec)
         num, num_exp = _round_quotient(num, frac.denominator, num_exp, prec)
         man, exp = _round(man * num, exp + num_exp, prec)
-    zeros = (man & -man).bit_length() - 1 if man else 0
+    zeros = (man & -man).bit_length() - 1
     return EulerProductEstimate(man >> zeros, exp + zeros, digits, head[-1], conjectural,
                                 8 * lmax, tail_sums(primes[split:]))
 
