@@ -6,8 +6,9 @@ Each ROOT is a source checkout; the default is the one this file is in.  The
 jobs are ``--help``, the seed-0 first job of each jobbench workload
 (``jobbench/workloads.py``), desk-mix seed 0's ``local-factor --ell 2``
 and ``constant --kind universal`` jobs, the workload's two heaviest layers,
-and ``simulate`` at the largest level m = 128, which builds the largest
-class-density table.
+``simulate`` at the largest level m = 128, which builds the largest
+class-density table, and ``curves`` for one generic pair at the desk sizes
+x = 1e5 and 1e6.
 Every run is a fresh ``python -m tracepair.cli ...`` process with
 ``PYTHONPATH=ROOT/src`` and stdout discarded; a run that does not exit 0
 stops the bench.  Each run's wall time and its maximum resident set size
@@ -46,8 +47,8 @@ REPS = 15  # timed runs per job and root
 
 def jobs():
     """Job name -> CLI arguments: --help, each workload's seed-0 first job,
-    desk-mix seed 0's 2-adic local sum and universal Euler product, and a
-    simulate job at m = 128."""
+    desk-mix seed 0's 2-adic local sum and universal Euler product, a
+    simulate job at m = 128, and curves jobs at x = 1e5 and 1e6."""
     table = {"help": ("--help",)}
     for name in workloads.NAMES:
         table[name] = workloads.BATCHES[name](0)[0].argv
@@ -56,6 +57,9 @@ def jobs():
             table[f"desk-mix:{job.kind}"] = job.argv
     table["simulate-m128"] = ("simulate", "--m", "128", "--n", "10000", "--seed", "0",
                               "--t1", "1", "--t2", "1")
+    for name, x in (("curves-1e5", "100000"), ("curves-1e6", "1000000")):
+        table[name] = ("curves", "--e1=-1,1", "--e2=1,1", "--t1", "1", "--t2", "1",
+                       "--x", x, "--list-primes")
     return table
 
 

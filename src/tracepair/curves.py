@@ -5,6 +5,12 @@ blocks of primes in lockstep (O(p^(1/4)) group operations per prime, numpy
 kernel), with the O(p) quadratic-character sum for p <= 229 and for the rare
 prime no start point settles.  Primes must be below 2^31; p = 2 and 3 are
 excluded throughout, which changes counting functions by O(1).
+
+A trace-pair count needs a_p only where it may equal the target t, so
+``pair_count`` first sieves the primes with one scalar multiplication each
+(``_trace_sieve``): c P != O for the candidate group order c that a_p = t
+would give proves a_p != t.  Only the survivors, a few in a hundred primes
+for a generic curve, reach the BSGS kernel, which confirms each exactly.
 """
 
 import math
@@ -105,12 +111,28 @@ def _to_affine(X, Y, Z, p):
     return x, zz
 
 
+def _start_point(a, b, p, start):
+    """(px, py, A, chi, clean): the start point P of ``start`` >= 1 on E_d, per prime.
+
+    With x0 = start * _START_STEP mod p and d = f(x0) = x0^3 + a x0 + b != 0,
+    the point P = (d x0, d^2) lies on E_d: y^2 = x^3 + A x + b d^3, A = a d^2,
+    which is E when d is a square mod p and its quadratic twist otherwise, so
+    #E_d = p + 1 - chi(d) a_p, with chi = d^((p-1)/2) mod p (1 or p - 1).
+    ``clean`` is False where d = 0; there d is replaced by 1 and P means nothing.
+    """
+    ar, br = residues(a, p), residues(b, p)
+    x0 = start * _START_STEP % p
+    d = ((x0 * x0 % p) * x0 + ar * x0 + br) % p
+    clean = d != 0
+    d = np.where(clean, d, 1)
+    py = d * d % p
+    return d * x0 % p, py, ar * py % p, powmod(d, (p - 1) // 2, p), clean
+
+
 def _bsgs_block(a, b, p, t):
     """(a_p, resolved) for one block of primes p > 229 from start value t >= 1.
 
-    With d = f(x0) = x0^3 + a x0 + b != 0, the point P = (d x0, d^2) lies on
-    E_d: y^2 = x^3 + a d^2 x + b d^3, which is E when d is a square mod p and
-    its quadratic twist otherwise, so #E_d = p + 1 - chi(d) a_p.  Baby steps
+    P on E_d is ``_start_point``'s, so #E_d = p + 1 - chi(d) a_p.  Baby steps
     jP (j = 1..m) and giant steps (c + i(2m+1)) P, c = lo + m, find every k
     in the Hasse interval [lo, hi] = p + 1 -+ floor(2 sqrt p) with kP = O.
     A prime is resolved only when there is exactly one such k: #E_d lies in
@@ -118,14 +140,7 @@ def _bsgs_block(a, b, p, t):
     residues below p < 2^31, hence below 2^62.
     """
     B = p.size
-    ar, br = residues(a, p), residues(b, p)
-    x0 = t * _START_STEP % p
-    d = ((x0 * x0 % p) * x0 + ar * x0 + br) % p
-    clean = d != 0
-    d = np.where(clean, d, 1)
-    px, py = d * x0 % p, d * d % p
-    A = ar * py % p
-    chi = powmod(d, (p - 1) // 2, p)
+    px, py, A, chi, clean = _start_point(a, b, p, t)
     r = np.array([math.isqrt(4 * q) for q in p.tolist()], dtype=np.int64)
     lo, hi = p + 1 - r, p + 1 + r
     m = math.isqrt(int(r.max())) + 1  # balances m baby steps against ~2r/(2m+1) giant steps
@@ -216,6 +231,30 @@ def trace_batch(a, b, primes):
     return out
 
 
+def _trace_sieve(a, b, primes, t):
+    """The primes of the array at which a_p of y^2 = x^3 + ax + b may equal t.
+
+    A prime is dropped only with a proof that a_p != t: t^2 > 4p (Hasse), or
+    c P != O for ``_start_point``'s P on E_d and c = p + 1 - chi(d) t.  By
+    Lagrange #E_d P = O, and #E_d = c exactly when a_p = t.  ``_multiply``
+    leaves Z != 0 only when every step was an exact group operation, so
+    Z != 0 means c P != O.  A prime with d = 0 has no start point and stays.
+    One scalar multiplication per prime, in blocks of ``_BSGS_BLOCK``; the
+    survivors still need ``trace_batch``.
+    """
+    primes = np.asarray(primes, dtype=np.int64)
+    if not primes.size or t * t > 4 * int(primes.max()):
+        return primes[:0]  # no prime can reach t, which then need not fit in int64
+    primes = primes[t * t <= 4 * primes]
+    keep = np.empty(primes.size, dtype=bool)
+    for start in range(0, primes.size, _BSGS_BLOCK):
+        p = primes[start : start + _BSGS_BLOCK]
+        px, py, A, chi, clean = _start_point(a, b, p, 1)
+        c = p + 1 - np.where(chi == 1, t, -t)
+        keep[start : start + p.size] = ~clean | (_multiply(c, px, py, A, p)[2] == 0)
+    return primes[keep]
+
+
 @dataclass(frozen=True)
 class Curve:
     a: int
@@ -284,6 +323,16 @@ def good_primes(x, *curves):
 def pair_count(e1, e2, t1, t2, x, list_primes=False, prediction_lmax=None):
     """#{5 <= p <= x : good for both, a_p(e1) = t1 and a_p(e2) = t2}.
 
+    The good primes pass ``_trace_sieve`` for (e1, t1), its survivors the one
+    for (e2, t2), and ``trace_batch`` then gives the exact a_p of both curves
+    at the primes left.  The sieve is sound: it drops p only when t^2 > 4p
+    (Hasse) or when c P != O, where P is a point of E_d, E or its quadratic
+    twist by d, and c = p + 1 - chi(d) t is what #E_d would be if a_p = t.
+    Since #E_d P = O (Lagrange), c P != O proves #E_d != c, that is a_p != t.
+    So no matching prime is lost, and every listed prime is confirmed
+    exactly.  When t1^2 > 4x or t2^2 > 4x no prime p <= x can match, and the
+    count 0 comes without any sieve or kernel work.
+
     Optionally attaches the generic-image prediction c * loglog x; that value
     assumes the joint mod-m image is as large as possible, which this module
     never checks, so it carries an explicit caveat flag.
@@ -296,15 +345,15 @@ def pair_count(e1, e2, t1, t2, x, list_primes=False, prediction_lmax=None):
         from .constants import pair_constant
 
         c = pair_constant(t1, t2, prediction_lmax)  # rejects a bad lmax before the sweep
-    primes = good_primes(x, e1, e2)
-    tr1 = trace_batch(e1.a, e1.b, primes)
-    sel = primes[tr1 == t1]
-    if sel.size:
-        tr2 = trace_batch(e2.a, e2.b, sel)
-        matched = sel[tr2 == t2]
+    if max(t1 * t1, t2 * t2) > 4 * x:  # Hasse: no prime p <= x reaches such a trace
+        matched = []
     else:
-        matched = sel
-    out = {"count": int(matched.size), "x": int(x)}
+        matched = good_primes(x, e1, e2)
+        for e, t in ((e1, t1), (e2, t2)):
+            matched = _trace_sieve(e.a, e.b, matched, t)
+        for e, t in ((e1, t1), (e2, t2)):  # the exact traces confirm every survivor
+            matched = matched[trace_batch(e.a, e.b, matched) == t]
+    out = {"count": len(matched), "x": int(x)}
     if list_primes:
         out["matched_primes"] = [int(p) for p in matched]
     if prediction_lmax is not None:

@@ -13,9 +13,9 @@ exact, so the measure's leading constant never appears.
 Streams: prime index i uses the Philox4x64-10 stream keyed (seed, i), making
 runs bit-reproducible for any evaluation order or block size.  The keys are
 those of one ``np.random.Philox(key=(seed, i))`` per prime; the draws are made
-in blocks of primes (``philox_uniforms``, ``_sample_block``), and the
-per-prime loop is kept as the test oracle ``_sample_run_scalar``.  The seed
-lies in [0, 2^64); ``ModelConfig`` states the bounds of m and n_max.
+in blocks of primes (``philox_uniforms``, ``_sample_block``), and the tests
+keep a per-prime loop as their oracle.  The seed lies in [0, 2^64);
+``ModelConfig`` states the bounds of m and n_max.
 """
 
 import math
@@ -139,18 +139,6 @@ def semicircle_weights(p):
     return u, w
 
 
-def _model_primes(config):
-    primes = sieve_primes(config.n_max)
-    return primes[primes >= 5]
-
-
-def _finish(config, primes, out1, out2, fweight):
-    m = config.m
-    cc = np.bincount((out1 % m) * m + (out2 % m), minlength=m * m).reshape(m, m)
-    hits = int(np.count_nonzero((out1 == config.t1) & (out2 == config.t2)))
-    return SampleRun(config, primes, out1, out2, cc, hits, fweight)
-
-
 def _grid_columns(m, umax):
     """Columns R of the (m, R) grid that starts at -m * ceil(umax / m) and covers umax."""
     return -(-umax // m) + umax // m + 1
@@ -185,7 +173,9 @@ def class_cdf(primes, m):
 
 
 def _sample_block(primes, draws, m, fweight):
-    """Draw (u1, u2) for a block of ascending primes; see ``_sample_run_scalar``.
+    """Draw (u1, u2) for a block of ascending primes with the prime's three draws:
+    the class pair by its mass in the ``fweight``-weighted joint CDF, then u1
+    and u2 inside their classes.
 
     Counting the entries <= x of a ``class_cdf`` row reproduces
     ``searchsorted(side="right")``.
@@ -214,7 +204,8 @@ def sample_run(config):
     """Draw one trace-pair sequence; deterministic given config.seed."""
     m = config.m
     fweight = np.array([[float(m * m * d) for d in row] for row in class_density(m)])
-    primes = _model_primes(config)
+    primes = sieve_primes(config.n_max)
+    primes = primes[primes >= 5]
     n = primes.shape[0]
     out1 = np.empty(n, dtype=np.int64)
     out2 = np.empty(n, dtype=np.int64)
@@ -227,42 +218,9 @@ def sample_run(config):
             out1[start:end], out2[start:end] = _sample_block(
                 primes[start:end], draws[start - chunk : end - chunk], m, fweight
             )
-    return _finish(config, primes, out1, out2, fweight)
-
-
-def _sample_run_scalar(config):
-    """Per-prime loop with a fresh Philox per prime; oracle for ``sample_run``."""
-    m = config.m
-    fweight = np.array([[float(m * m * d) for d in row] for row in class_density(m)])
-    primes = _model_primes(config)
-    n = primes.shape[0]
-    out1 = np.empty(n, dtype=np.int64)
-    out2 = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        rng = np.random.Generator(np.random.Philox(key=np.array([config.seed, i], dtype=np.uint64)))
-        out1[i], out2[i] = _sample_prime(int(primes[i]), rng.random(3), m, fweight)
-    return _finish(config, primes, out1, out2, fweight)
-
-
-def _sample_prime(p, draws, m, fweight):
-    u, w = semicircle_weights(p)
-    residues = (u % m).astype(np.int64)
-    m1 = np.bincount(residues, weights=w, minlength=m)
-    joint = m1[:, None] * m1[None, :] * fweight
-    flat = np.cumsum(joint.ravel())
-    idx = int(np.searchsorted(flat, draws[0] * flat[-1], side="right"))
-    idx = min(idx, m * m - 1)
-    r1, r2 = divmod(idx, m)
-    return (_draw_in_class(u, w, residues, r1, draws[1]),
-            _draw_in_class(u, w, residues, r2, draws[2]))
-
-
-def _draw_in_class(u, w, residues, r, x):
-    mask = residues == r
-    cw = np.cumsum(w[mask])
-    j = int(np.searchsorted(cw, x * cw[-1], side="right"))
-    j = min(j, cw.shape[0] - 1)
-    return int(u[mask][j])
+    cc = np.bincount((out1 % m) * m + (out2 % m), minlength=m * m).reshape(m, m)
+    hits = int(np.count_nonzero((out1 == config.t1) & (out2 == config.t2)))
+    return SampleRun(config, primes, out1, out2, cc, hits, fweight)
 
 
 @dataclass(frozen=True)

@@ -155,6 +155,21 @@ def test_curves_rejects_x_beyond_trace_range(capsys, monkeypatch):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_curves_unreachable_trace_answers_without_work(capsys, monkeypatch):
+    # t1^2 > 4x: no prime p <= x has a_p = t1 (Hasse), so the count is 0 before any sieve
+    def fail(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(curves, "sieve_primes", fail)
+    monkeypatch.setattr(curves, "trace_batch", fail)
+    code, out, err = run_cli(
+        capsys, "curves", "--e1", "1,0", "--e2", "0,1", "--t1", "99999999999999999999",
+        "--t2", "0", "--x", "1000000", "--list-primes",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"count": 0, "x": 1000000, "matched_primes": []}
+
+
 def test_average_default_ladder_small_x(capsys):
     code, out, _ = run_cli(capsys, "average", "--t1", "1", "--t2", "1", "--x", "5000")
     assert code == 0

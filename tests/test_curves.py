@@ -172,6 +172,80 @@ def test_pair_count_listing_and_monotone():
     assert r2["count"] >= r["count"]
 
 
+_FILTER_CURVES = ((-1, 0), (0, 1), (1, 1), (3, -7))  # two CM; every one has primes with d = 0
+
+
+def test_trace_sieve_keeps_every_prime_at_its_trace():
+    # the filter may drop p only with a proof that a_p != t, so at t = a_p it keeps every prime
+    for a, b in _FILTER_CURVES:
+        primes = good_primes(30_000, Curve(a, b))
+        traces = curves.trace_batch(a, b, primes)
+        for t in np.unique(traces).tolist():
+            at_t = primes[traces == t]
+            assert np.array_equal(curves._trace_sieve(a, b, at_t, t), at_t), (a, b, t)
+        no_start = primes[~curves._start_point(a, b, primes, 1)[4]]
+        assert no_start.size and np.isin(no_start, curves._trace_sieve(a, b, primes, 0)).all()
+
+
+def test_trace_sieve_drops_primes_beyond_hasse():
+    for a, b in _FILTER_CURVES:
+        primes = good_primes(30_000, Curve(a, b))
+        for t in (-301, -60, 7, 60, 200):
+            kept = curves._trace_sieve(a, b, primes, t)
+            assert kept.size and np.all(t * t <= 4 * kept), (a, b, t)
+        for t in (347, 10 ** 20, -(2 ** 63)):  # 347^2 > 4 * 29_989, the largest prime
+            assert curves._trace_sieve(a, b, primes, t).size == 0
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.data())
+def test_pair_count_matches_full_sweep(data):
+    x = data.draw(st.integers(5, 2_000) | st.integers(2_000, 20_000), label="x")
+    coefficient = st.integers(-30, 30)
+    cm = data.draw(st.booleans(), label="cm")
+    if cm:  # j = 1728 or j = 0: a_p = 0 at about half the primes
+        c = data.draw(coefficient.filter(bool), label="c")
+        e1 = Curve(c, 0) if data.draw(st.booleans(), label="j1728") else Curve(0, c)
+    else:
+        a, b = data.draw(st.tuples(coefficient, coefficient), label="e1")
+        assume(4 * a ** 3 + 27 * b ** 2 != 0)
+        e1 = Curve(a, b)
+    relation = data.draw(st.sampled_from(("other", "same", "twist")), label="relation")
+    if relation == "other":
+        a, b = data.draw(st.tuples(coefficient, coefficient), label="e2")
+        assume(4 * a ** 3 + 27 * b ** 2 != 0)
+        e2 = Curve(a, b)
+    elif relation == "same":
+        e2 = e1
+    else:  # the quadratic twist by d
+        d = data.draw(st.sampled_from((-1, 2, -3, 5)), label="d")
+        e2 = Curve(e1.a * d * d, e1.b * d ** 3)
+    primes = good_primes(x, e1, e2)
+    tr1, tr2 = curves.trace_batch(e1.a, e1.b, primes), curves.trace_batch(e2.a, e2.b, primes)
+    if primes.size and data.draw(st.booleans(), label="hit"):  # traces taken at one prime
+        i = data.draw(st.integers(0, primes.size - 1), label="i")
+        t1, t2 = int(tr1[i]), int(tr2[i])
+    else:
+        t1, t2 = data.draw(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), label="t")
+    if cm:
+        t1 = 0
+    want = primes[(tr1 == t1) & (tr2 == t2)].tolist()
+    got = pair_count(e1, e2, t1, t2, x, list_primes=True)
+    assert got["matched_primes"] == want and got["count"] == len(want)
+
+
+@pytest.mark.parametrize("t1,t2", [(2001, 0), (0, -2001), (10 ** 20, 1), (-(2 ** 63), 10 ** 30)])
+def test_pair_count_unreachable_trace_does_no_work(monkeypatch, t1, t2):
+    def fail(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(curves, "sieve_primes", fail)
+    monkeypatch.setattr(curves, "trace_batch", fail)
+    monkeypatch.setattr(curves, "_multiply", fail)
+    r = pair_count(Curve(1, 0), Curve(0, 1), t1, t2, 10 ** 6, list_primes=True)
+    assert r == {"count": 0, "x": 10 ** 6, "matched_primes": []}
+
+
 def test_pair_count_prediction_flagged():
     r = pair_count(Curve(1, 0), Curve(0, 1), 1, 1, 100, prediction_lmax=50)
     assert r["prediction_assumes_generic_image"] is True

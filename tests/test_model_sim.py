@@ -16,7 +16,7 @@ from tracepair.model_sim import (
     MODEL_LEVEL_BOUND,
     MODEL_N_BOUND,
     ModelConfig,
-    _sample_run_scalar,
+    SampleRun,
     class_density,
     growth_check,
     rectangle_mass_empirical,
@@ -181,6 +181,44 @@ def test_sampler_hit_mass_matches_prediction():
     assert abs(exact - asym) / asym < 0.05
 
 
+def _sample_run_scalar(config):
+    """Per-prime loop with a fresh Philox per prime; oracle for ``sample_run``."""
+    m = config.m
+    fweight = np.array([[float(m * m * d) for d in row] for row in class_density(m)])
+    primes = sieve_primes(config.n_max)
+    primes = primes[primes >= 5]
+    out1 = np.empty(primes.shape[0], dtype=np.int64)
+    out2 = np.empty(primes.shape[0], dtype=np.int64)
+    class_counts = np.zeros((m, m), dtype=np.int64)
+    for i, p in enumerate(primes.tolist()):
+        rng = np.random.Generator(np.random.Philox(key=np.array([config.seed, i], dtype=np.uint64)))
+        out1[i], out2[i] = _sample_prime(p, rng.random(3), m, fweight)
+        class_counts[out1[i] % m, out2[i] % m] += 1
+    hits = int(np.count_nonzero((out1 == config.t1) & (out2 == config.t2)))
+    return SampleRun(config, primes, out1, out2, class_counts, hits, fweight)
+
+
+def _sample_prime(p, draws, m, fweight):
+    u, w = semicircle_weights(p)
+    residues = (u % m).astype(np.int64)
+    m1 = np.bincount(residues, weights=w, minlength=m)
+    joint = m1[:, None] * m1[None, :] * fweight
+    flat = np.cumsum(joint.ravel())
+    idx = int(np.searchsorted(flat, draws[0] * flat[-1], side="right"))
+    idx = min(idx, m * m - 1)
+    r1, r2 = divmod(idx, m)
+    return (_draw_in_class(u, w, residues, r1, draws[1]),
+            _draw_in_class(u, w, residues, r2, draws[2]))
+
+
+def _draw_in_class(u, w, residues, r, x):
+    mask = residues == r
+    cw = np.cumsum(w[mask])
+    j = int(np.searchsorted(cw, x * cw[-1], side="right"))
+    j = min(j, cw.shape[0] - 1)
+    return int(u[mask][j])
+
+
 def _same_run(a, b):
     return (
         np.array_equal(a.primes, b.primes)
@@ -225,7 +263,7 @@ def test_sample_block_matches_scalar_at_extreme_draws():
         draws = np.tile(draw, (primes.shape[0], 1))
         u1, u2 = model_sim._sample_block(primes, draws, m, fweight)
         for i, p in enumerate(primes.tolist()):
-            assert (u1[i], u2[i]) == model_sim._sample_prime(p, draws[i], m, fweight), (p, draw)
+            assert (u1[i], u2[i]) == _sample_prime(p, draws[i], m, fweight), (p, draw)
 
 
 def test_class_cdf_matches_semicircle_weights():
