@@ -3,13 +3,15 @@
     python3 benchmarks/bench.py [--out BENCH_9.json] [ROOT ...]
 
 Each ROOT is a source checkout; the default is the one this file is in.  The
-jobs are ``--help``, the seed-0 first job of each jobbench workload
+jobs are ``import tracepair.cli`` (what jobbench's ``setup_s`` times),
+``--help``, the seed-0 first job of each jobbench workload
 (``jobbench/workloads.py``), desk-mix seed 0's ``local-factor --ell 2``
 and ``constant --kind universal`` jobs, the workload's two heaviest layers,
 ``simulate`` at the largest level m = 128, which builds the largest
 class-density table, and ``curves`` for one generic pair at the desk sizes
 x = 1e5 and 1e6.
-Every run is a fresh ``python -m tracepair.cli ...`` process with
+Every run is a fresh ``python -c "import tracepair.cli"`` or
+``python -m tracepair.cli ...`` process with
 ``PYTHONPATH=ROOT/src`` and stdout discarded; a run that does not exit 0
 stops the bench.  Each run's wall time and its maximum resident set size
 (``ru_maxrss`` from ``os.wait4``) are recorded.  Runs are
@@ -43,22 +45,24 @@ import workloads  # noqa: E402  (stdlib only; defines the jobbench batches)
 
 clock = time.perf_counter
 REPS = 15  # timed runs per job and root
+CLI = ("-m", "tracepair.cli")
 
 
 def jobs():
-    """Job name -> CLI arguments: --help, each workload's seed-0 first job,
-    desk-mix seed 0's 2-adic local sum and universal Euler product, a
-    simulate job at m = 128, and curves jobs at x = 1e5 and 1e6."""
-    table = {"help": ("--help",)}
+    """Job name -> interpreter arguments: the bare CLI import, --help, each
+    workload's seed-0 first job, desk-mix seed 0's 2-adic local sum and
+    universal Euler product, a simulate job at m = 128, and curves jobs at
+    x = 1e5 and 1e6."""
+    table = {"import": ("-c", "import tracepair.cli"), "help": (*CLI, "--help")}
     for name in workloads.NAMES:
-        table[name] = workloads.BATCHES[name](0)[0].argv
+        table[name] = (*CLI, *workloads.BATCHES[name](0)[0].argv)
     for job in workloads.BATCHES["desk-mix"](0):
         if job.info.get("ell") == 2 or job.info.get("kind") == "universal":
-            table[f"desk-mix:{job.kind}"] = job.argv
-    table["simulate-m128"] = ("simulate", "--m", "128", "--n", "10000", "--seed", "0",
+            table[f"desk-mix:{job.kind}"] = (*CLI, *job.argv)
+    table["simulate-m128"] = (*CLI, "simulate", "--m", "128", "--n", "10000", "--seed", "0",
                               "--t1", "1", "--t2", "1")
     for name, x in (("curves-1e5", "100000"), ("curves-1e6", "1000000")):
-        table[name] = ("curves", "--e1=-1,1", "--e2=1,1", "--t1", "1", "--t2", "1",
+        table[name] = (*CLI, "curves", "--e1=-1,1", "--e2=1,1", "--t1", "1", "--t2", "1",
                        "--x", x, "--list-primes")
     return table
 
@@ -68,8 +72,8 @@ def _env(root):
 
 
 def time_run(root, argv):
-    """(wall seconds, max RSS in MB) of one fresh CLI process."""
-    cmd = [sys.executable, "-m", "tracepair.cli", *argv]
+    """(wall seconds, max RSS in MB) of one fresh interpreter run with ``argv``."""
+    cmd = [sys.executable, *argv]
     with tempfile.TemporaryFile() as err:
         t0 = clock()
         proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=err,
@@ -87,7 +91,7 @@ def time_run(root, argv):
 
 def loaded_modules(root, argv):
     """{module: cumulative import ms} for tracepair.*, numpy and mpmath, from -X importtime."""
-    cmd = [sys.executable, "-X", "importtime", "-m", "tracepair.cli", *argv]
+    cmd = [sys.executable, "-X", "importtime", *argv]
     proc = subprocess.run(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                           env=_env(root), cwd=root, text=True, check=True)
     modules = {}

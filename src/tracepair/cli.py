@@ -22,7 +22,6 @@ import contextlib
 import json
 import os
 import sys
-from fractions import Fraction
 
 # verify.SUITES, sorted; a literal so that building the parser does not import verify
 SUITE_NAMES = (
@@ -48,8 +47,8 @@ def _worker_count(text):
 
 
 def _frac(x):
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    """An exact rational (a Fraction or an int) as "num/den"."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _emit(obj):

@@ -24,6 +24,10 @@ from .arith import powmod, residues, sieve_primes
 # Python ints, and every product the kernel forms is of two residues, so it
 # stays below 2^62 in int64.
 TRACE_P_BOUND = 1 << 31
+# ``pair_count``'s x must not exceed this.  One fresh `curves` job took 3.4 s
+# and 65 MB at x = 1e7 and 38 s and 344 MB at x = 1e8; ``good_primes`` holds
+# one Python int per prime, so x near 2^31 would need ~7 GB (extrapolated).
+PAIR_X_BOUND = 10 ** 8
 _MESTRE_BOUND = 229  # above it, E or its twist has a point that settles #E (Mestre)
 _BSGS_BLOCK = 1024  # primes per lockstep block; bounds the scratch arrays
 _BSGS_STARTS = 8  # start values tried before a prime goes to the character sum
@@ -321,7 +325,8 @@ def good_primes(x, *curves):
 
 
 def pair_count(e1, e2, t1, t2, x, list_primes=False, prediction_lmax=None):
-    """#{5 <= p <= x : good for both, a_p(e1) = t1 and a_p(e2) = t2}.
+    """#{5 <= p <= x : good for both, a_p(e1) = t1 and a_p(e2) = t2}, for
+    5 <= x <= ``PAIR_X_BOUND``.
 
     The good primes pass ``_trace_sieve`` for (e1, t1), its survivors the one
     for (e2, t2), and ``trace_batch`` then gives the exact a_p of both curves
@@ -333,22 +338,22 @@ def pair_count(e1, e2, t1, t2, x, list_primes=False, prediction_lmax=None):
     exactly.  When t1^2 > 4x or t2^2 > 4x no prime p <= x can match, and the
     count 0 comes without any sieve or kernel work.
 
-    Optionally attaches the generic-image prediction c * loglog x; that value
-    assumes the joint mod-m image is as large as possible, which this module
-    never checks, so it carries an explicit caveat flag.
+    Optionally attaches the generic-image prediction
+    ``model_sim.expected_hits(c, good primes, t1, t2)``; that value assumes
+    the joint mod-m image is as large as possible, which this module never
+    checks, so it carries an explicit caveat flag.
     """
-    if x < 5:
-        raise ValueError("x must be >= 5")
-    if x >= TRACE_P_BOUND:
-        raise ValueError("x must be below 2^31, the trace kernel's range")
+    if not 5 <= x <= PAIR_X_BOUND:
+        raise ValueError(f"x must be in [5, {PAIR_X_BOUND}], got {x}")
     if prediction_lmax is not None:
         from .constants import pair_constant
+        from .model_sim import expected_hits
 
         c = pair_constant(t1, t2, prediction_lmax)  # rejects a bad lmax before the sweep
     if max(t1 * t1, t2 * t2) > 4 * x:  # Hasse: no prime p <= x reaches such a trace
-        matched = []
+        good = matched = np.empty(0, dtype=np.int64)
     else:
-        matched = good_primes(x, e1, e2)
+        good = matched = good_primes(x, e1, e2)
         for e, t in ((e1, t1), (e2, t2)):
             matched = _trace_sieve(e.a, e.b, matched, t)
         for e, t in ((e1, t1), (e2, t2)):  # the exact traces confirm every survivor
@@ -357,6 +362,6 @@ def pair_count(e1, e2, t1, t2, x, list_primes=False, prediction_lmax=None):
     if list_primes:
         out["matched_primes"] = [int(p) for p in matched]
     if prediction_lmax is not None:
-        out["prediction"] = float(c) * math.log(math.log(x))
+        out["prediction"] = expected_hits(float(c), good, t1, t2)
         out["prediction_assumes_generic_image"] = True
     return out

@@ -259,46 +259,32 @@ def _poly_eval(coeffs, x):
     return acc
 
 
-def _bareiss_nullspace(rows, ncols):
-    """Nullspace basis of an integer matrix via fraction-free elimination."""
+def _nullspace(rows, ncols):
+    """Nullspace basis of a rational matrix from its reduced row echelon form:
+    the vector with 1 at each free column, 0 at the others."""
     m = [list(r) for r in rows]
-    nrows = len(m)
-    piv_cols = []
-    piv_rows = []
-    prev = 1
-    r = 0
+    pivots = []
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot_row is None:
             continue
+        # the pivot row is 0 left of column c, so only columns >= c change
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        piv_cols.append(c)
-        piv_rows.append(r)
-        r += 1
-        if r == nrows:
-            break
-    free_cols = [c for c in range(ncols) if c not in piv_cols]
+        m[r][c:] = [v / m[r][c] for v in m[r][c:]]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != r and f != 0:
+                row[c:] = [a - f * b if b else a for a, b in zip(row[c:], m[r][c:])]
+        pivots.append(c)
     basis = []
-    for fc in free_cols:
-        sol = [Fraction(0)] * ncols
-        sol[fc] = Fraction(1)
-        for idx in range(len(piv_cols) - 1, -1, -1):
-            pr, pc = piv_rows[idx], piv_cols[idx]
-            acc = Fraction(0)
-            for j in range(pc + 1, ncols):
-                if sol[j]:
-                    acc += m[pr][j] * sol[j]
-            sol[pc] = -acc / m[pr][pc]
-        basis.append(sol)
+    for fc in range(ncols):
+        if fc not in pivots:
+            sol = [Fraction(0)] * ncols
+            sol[fc] = Fraction(1)
+            for r, pc in enumerate(pivots):
+                sol[pc] = -m[r][fc]
+            basis.append(sol)
     return basis
 
 
@@ -314,9 +300,10 @@ def interpolate_rational(points, max_degree):
 
     Searches degree pairs (dn, dd) with dn, dd <= max_degree in ascending
     total degree; each candidate is an exact homogeneous linear system solved
-    fraction-free, and a solution counts only if its denominator is nonzero
-    at every abscissa and the function reproduces every ordinate.  Raises
-    ValueError when no pair within the bound is consistent.
+    by row reduction over Fraction, and a solution counts only if its
+    denominator is nonzero at every abscissa and the function reproduces
+    every ordinate.  Raises ValueError when no pair within the bound is
+    consistent.
 
     len(points) >= 2*max_degree + 2 guarantees the search space is decided by
     the data; fewer points are accepted and simply constrain less.
@@ -345,9 +332,8 @@ def _try_degrees(pts, dn, dd):
     for x, y in pts:
         row = [x ** j for j in range(dn + 1)]
         row += [-(y * x ** j) for j in range(dd + 1)]
-        scale = math.lcm(*[f.denominator for f in row])
-        rows.append([int(f * scale) for f in row])
-    for sol in _bareiss_nullspace(rows, ncols):
+        rows.append(row)
+    for sol in _nullspace(rows, ncols):
         p = _strip(sol[: dn + 1])
         q = _strip(sol[dn + 1 :])
         if all(c == 0 for c in q):

@@ -230,19 +230,27 @@ class GrowthCheck:
     ratio: float | None
 
 
-def growth_check(run, upto=None):
-    """The run's exact-trace hits against the finite-level loglog-law prediction.
+def expected_hits(constant, primes, t1, t2):
+    """Expected count of the primes with traces (t1, t2): constant * sum(1/p).
 
-    The prediction uses sum(1/p) over the sampled primes instead of
-    loglog N, which removes the Mertens-constant offset at desk scale.
+    Each prime p carries the pair with probability about constant / p, so
+    the sum runs over the int64 ``primes`` that can carry both
+    traces, t1^2 < 4p and t2^2 < 4p (Hasse), and uses sum(1/p) instead of
+    loglog x, which removes the Mertens-constant offset at desk scale.
     """
+    primes = primes[4 * primes > max(t1 * t1, t2 * t2)]
+    return constant * float(np.sum(1.0 / primes.astype(np.float64)))
+
+
+def growth_check(run, upto=None):
+    """The run's exact-trace hits against the finite-level prediction
+    ``expected_hits(weight / pi^2, ...)`` over the sampled primes <= upto."""
     config = run.config
     n_cut = upto if upto is not None else config.n_max
     sel = run.primes <= n_cut
     hits = int(np.count_nonzero((run.u1[sel] == config.t1) & (run.u2[sel] == config.t2)))
-    sum_invp = float(np.sum(1.0 / run.primes[sel].astype(np.float64)))
     weight = float(run.weights[config.t1 % config.m, config.t2 % config.m])
-    predicted = weight / math.pi ** 2 * sum_invp
+    predicted = expected_hits(weight / math.pi ** 2, run.primes[sel], config.t1, config.t2)
     ratio = hits / predicted if predicted > 0 else None
     return GrowthCheck(hits, predicted, ratio)
 

@@ -64,6 +64,7 @@ from .model_sim import (
     ModelConfig,
     class_cdf,
     class_density,
+    expected_hits,
     growth_check,
     rectangle_mass_empirical,
     rectangle_mass_exact,
@@ -904,7 +905,7 @@ def check_growth_ratio():
 def check_growth_hit_mass():
     # deterministic growth law: the sampler's exact per-prime probability of an
     # exact (1,1) hit, summed over a run's primes with its weights (neither
-    # depends on the seed), must track the (weight / pi^2) * sum(1/p) prediction
+    # depends on the seed), must track the prediction expected_hits(weight / pi^2, ...)
     m = 2
     run = model_run(m, MODEL_SEEDS[0])
     fw = run.weights
@@ -915,7 +916,7 @@ def check_growth_hit_mass():
         z = (m1[:, :, None] * m1[:, None, :] * fw).sum(axis=(1, 2))
         w1 = np.sqrt(1.0 - 1.0 / (4.0 * primes))  # the semicircle weight at u = 1
         exact += float(np.sum(w1 * w1 * fw[1, 1] / z))
-    asym = float(np.sum(fw[1, 1] / (math.pi ** 2 * run.primes)))
+    asym = expected_hits(float(fw[1, 1]) / math.pi ** 2, run.primes, 1, 1)
     rel = abs(exact - asym) / asym
     return rel < 0.05, f"exact hit mass {exact:.5f}", f"predicted {asym:.5f}", f"rel={rel:.4f}"
 

@@ -170,6 +170,21 @@ def test_curves_unreachable_trace_answers_without_work(capsys, monkeypatch):
     assert json.loads(out) == {"count": 0, "x": 1000000, "matched_primes": []}
 
 
+def test_curves_unreachable_trace_predicts_zero(capsys, monkeypatch):
+    # 2001^2 > 4 * 10^6: the expected count is 0.0, also without any sieve
+    def fail(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(curves, "sieve_primes", fail)
+    code, out, err = run_cli(
+        capsys, "curves", "--e1=-1,1", "--e2=1,1", "--t1", "2001", "--t2", "0",
+        "--x", "1000000", "--predict-lmax", "100",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"count": 0, "x": 1000000, "prediction": 0.0,
+                               "prediction_assumes_generic_image": True}
+
+
 def test_average_default_ladder_small_x(capsys):
     code, out, _ = run_cli(capsys, "average", "--t1", "1", "--t2", "1", "--x", "5000")
     assert code == 0
@@ -204,6 +219,8 @@ def test_average_default_ladder_small_x(capsys):
     ("average", "--t1", "0", "--t2", "0", "--x", "1000000", "--csv", "/nonexistent/s.csv"),
     ("simulate", "--m", "2", "--n", "1000000", "--seed", "0", "--t1", "1", "--t2", "1",
      "--csv", "/nonexistent/s.csv"),
+    # past the x a curves job can hold in memory
+    ("curves", "--e1", "1,0", "--e2", "0,1", "--t1", "0", "--t2", "0", "--x", "100000001"),
 ])
 def test_out_of_domain_rejected_before_work(capsys, monkeypatch, argv):
     def fail(*args):
@@ -331,6 +348,15 @@ def test_simulate_reproducible(capsys):
     assert sum(sum(row) for row in doc["class_counts"]) == 301
 
 
+def test_simulate_unreachable_trace_predicts_zero(capsys):
+    # 700^2 >= 4p for every p <= 10^5 < 122500
+    code, out, _ = run_cli(capsys, "simulate", "--m", "2", "--n", "100000", "--seed", "1",
+                           "--t1", "700", "--t2", "0")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["hits"], doc["predicted"], doc["ratio"]) == (0, 0.0, None)
+
+
 @pytest.mark.parametrize("argv", [
     ("--seed", "-1"),
     ("--seed", str(2 ** 64)),
@@ -447,10 +473,10 @@ def _loaded_modules(*argv):
 
 
 @pytest.mark.parametrize("argv,absent", [
-    ((), ("numpy", "mpmath", "tracepair.verify")),
-    (("--help",), ("numpy", "mpmath", "tracepair.verify")),
+    ((), ("numpy", "mpmath", "tracepair.verify", "fractions", "decimal")),
+    (("--help",), ("numpy", "mpmath", "tracepair.verify", "fractions", "decimal")),
     (("curves", "--e1", "1,0", "--e2", "0,1", "--t1", "0", "--t2", "0", "--x", "300"),
-     ("mpmath", "tracepair.verify")),
+     ("mpmath", "tracepair.verify", "fractions", "decimal")),
     (("simulate", "--m", "2", "--n", "2000", "--seed", "5", "--t1", "1", "--t2", "1"),
      ("mpmath", "tracepair.verify")),
     # the reference constant and the prediction are read as floats

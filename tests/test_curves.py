@@ -112,8 +112,10 @@ def test_trace_range_enforced():
         trace_ap(cur, 2 ** 31 + 11)
     with pytest.raises(ValueError, match="2\\^31"):
         trace_table(cur, [5, 2 ** 31 + 11])
-    with pytest.raises(ValueError, match="2\\^31"):
-        pair_count(cur, cur, 0, 0, 2 ** 31)
+    # pair_count's x stops below the kernel's range, at PAIR_X_BOUND = 10^8
+    for x in (2 ** 31, curves.PAIR_X_BOUND + 1):
+        with pytest.raises(ValueError, match=f"{curves.PAIR_X_BOUND}"):
+            pair_count(cur, cur, 0, 0, x)
 
 
 def test_hasse_bound():
@@ -250,3 +252,36 @@ def test_pair_count_prediction_flagged():
     r = pair_count(Curve(1, 0), Curve(0, 1), 1, 1, 100, prediction_lmax=50)
     assert r["prediction_assumes_generic_image"] is True
     assert r["prediction"] > 0
+
+
+def test_pair_count_unreachable_trace_predicts_zero_without_work(monkeypatch):
+    def fail(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(curves, "sieve_primes", fail)
+    monkeypatch.setattr(curves, "trace_batch", fail)
+    # 2001^2 > 4 * 10^6: no prime p <= 10^6 carries a_p = 2001
+    r = pair_count(Curve(-1, 1), Curve(1, 1), 2001, 0, 10 ** 6, prediction_lmax=100)
+    assert r == {"count": 0, "x": 10 ** 6, "prediction": 0.0,
+                 "prediction_assumes_generic_image": True}
+
+
+@pytest.mark.parametrize("e1,e2,t1,t2,x", [
+    ((-1, 1), (1, 1), 1, 1, 30_000),
+    ((-1, 1), (1, 1), 0, 0, 5_000),
+    ((1, 0), (0, 1), -7, 3, 3_000),
+    # 150^2 = 4 * 5625: only the primes above 5625 can carry a_p = 150
+    ((-1, 1), (1, 1), 150, 0, 20_000),
+    ((-1, 1), (1, 1), 0, 199, 10_000),
+])
+def test_pair_count_prediction_sums_one_over_p_of_good_primes(e1, e2, t1, t2, x):
+    from tracepair.constants import pair_constant
+
+    e1, e2 = Curve(*e1), Curve(*e2)
+    got = pair_count(e1, e2, t1, t2, x, prediction_lmax=200)["prediction"]
+    total = 0.0
+    for p in sieve_primes(x).tolist():
+        if e1.good_reduction(p) and e2.good_reduction(p) and t1 * t1 < 4 * p and t2 * t2 < 4 * p:
+            total += 1.0 / p
+    assert total > 0
+    assert math.isclose(got, float(pair_constant(t1, t2, 200)) * total, rel_tol=1e-12)

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tracepair.local import (
     PROVENANCE_CONJECTURE,
@@ -197,6 +199,29 @@ def test_interpolate_reproduces_closed_forms():
     assert fit.numerator == (0, 0, -1, 1, -1, 1)
     assert fit.denominator == (1,)
     assert fit(19) == _closed(0, 0, 19, 1)[0]
+
+
+def _poly(coeffs, x):
+    return sum(c * x ** j for j, c in enumerate(coeffs))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(data=st.data())
+def test_interpolate_recovers_random_rational_functions(data):
+    # two functions of degree <= d that agree at 2d + 2 points are equal
+    deg = data.draw(st.integers(0, 2))
+    coeff = st.integers(-20, 20)
+    num = data.draw(st.lists(coeff, min_size=deg + 1, max_size=deg + 1))
+    den = data.draw(st.lists(coeff, min_size=deg + 1, max_size=deg + 1))
+    assume(any(den))
+    xs = data.draw(st.lists(st.fractions(-30, 30, max_denominator=4), min_size=2 * deg + 2,
+                            max_size=2 * deg + 2, unique=True))
+    assume(all(_poly(den, x) != 0 for x in xs))
+    fit = interpolate_rational([(x, Fraction(_poly(num, x)) / _poly(den, x)) for x in xs], deg)
+    assert fit.denominator[-1] == 1
+    # num * fit.denominator - den * fit.numerator has degree <= 4 and 9 roots, so it is 0
+    for x in range(-4, 5):
+        assert _poly(fit.numerator, x) * _poly(den, x) == _poly(num, x) * _poly(fit.denominator, x)
 
 
 def test_interpolate_inconsistent():

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -18,6 +20,7 @@ from tracepair.model_sim import (
     ModelConfig,
     SampleRun,
     class_density,
+    expected_hits,
     growth_check,
     rectangle_mass_empirical,
     rectangle_mass_exact,
@@ -160,6 +163,46 @@ def test_growth_check_prediction():
     assert abs(g.predicted - manual) < 1e-12
     g2 = growth_check(run, upto=1000)
     assert g2.predicted < g.predicted
+
+
+@functools.lru_cache(maxsize=None)
+def _small_run(m):
+    return sample_run(ModelConfig(m, 3000, 11, 0, 0))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(m=st.sampled_from([2, 4, 6, 12]), t1=st.integers(-4, 4), t2=st.integers(-4, 4),
+       upto=st.integers(5, 3000))
+def test_growth_check_prediction_is_the_old_inline_formula(m, t1, t2, upto):
+    # every prime p >= 5 carries |t| <= 4, so the Hasse rule drops none of them
+    base = _small_run(m)
+    run = dataclasses.replace(base, config=dataclasses.replace(base.config, t1=t1, t2=t2))
+    primes = run.primes[run.primes <= upto]
+    weight = float(run.weights[t1 % m, t2 % m])
+    old = weight / math.pi ** 2 * float(np.sum(1.0 / primes.astype(np.float64)))
+    assert growth_check(run, upto=upto).predicted == old
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(t1=st.one_of(st.integers(-300, 300), st.integers(-2 ** 70, 2 ** 70)),
+       t2=st.integers(-300, 300), x=st.integers(5, 20_000))
+def test_expected_hits_sums_the_primes_that_can_carry_the_traces(t1, t2, x):
+    primes = sieve_primes(x)
+    primes = primes[primes >= 5]
+    loop = sum(1.0 / p for p in primes.tolist() if t1 * t1 < 4 * p and t2 * t2 < 4 * p)
+    got = expected_hits(0.75, primes, t1, t2)
+    assert math.isclose(got, 0.75 * loop, rel_tol=1e-12)
+    assert (got == 0.0) == (loop == 0)
+
+
+def test_growth_check_drops_primes_that_cannot_carry_the_trace():
+    run = _small_run(2)
+    run = dataclasses.replace(run, config=dataclasses.replace(run.config, t1=5, t2=0))
+    g = growth_check(run)
+    weight = float(run.weights[1, 0])
+    # p = 5 cannot carry a_p = 5 (25 >= 4 * 5); p >= 7 can
+    kept = run.primes[run.primes >= 7]
+    assert g.predicted == weight / math.pi ** 2 * float(np.sum(1.0 / kept.astype(np.float64)))
 
 
 def test_sampler_hit_mass_matches_prediction():
