@@ -1,6 +1,6 @@
 """Start-up record: time fresh CLI processes, their memory, and the modules each job loads.
 
-    python3 benchmarks/bench.py [--out BENCH_9.json] [ROOT ...]
+    python3 benchmarks/bench.py --out BENCH_N.json [ROOT ...]
 
 Each ROOT is a source checkout; the default is the one this file is in.  The
 jobs are ``import tracepair.cli`` (what jobbench's ``setup_s`` times),
@@ -143,7 +143,8 @@ def environment():
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("roots", nargs="*", default=[str(ROOT)], help="source checkouts to time")
-    parser.add_argument("--out", default="BENCH_9.json", help="path of the JSON record")
+    parser.add_argument("--out", required=True,
+                        help="path of the JSON record; a new name keeps the committed ones")
     args = parser.parse_args(argv)
     roots = [str(Path(r).resolve()) for r in args.roots]
     table = jobs()

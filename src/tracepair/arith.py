@@ -1,12 +1,11 @@
 """Modular-arithmetic primitives: symbols, valuations, primes, divisors.
 
 Valuations use ``math.inf`` as the extended value at 0, so ``max`` and
-comparisons behave as expected in the case dispatch downstream.
+comparisons behave as expected in the case dispatch downstream.  The array
+functions import numpy when they run, so the scalar ones load no numpy.
 """
 
 import math
-
-import numpy as np
 
 INFINITY = math.inf
 
@@ -91,6 +90,8 @@ def is_prime(n):
 
 
 def _simple_sieve(limit):
+    import numpy as np
+
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     flags = np.ones(limit + 1, dtype=bool)
@@ -106,6 +107,8 @@ _SEGMENT = 1 << 22  # integers per sieve segment above sqrt(limit)
 
 def sieve_primes(limit):
     """All primes <= limit, ascending, as an int64 array; segmented above sqrt(limit)."""
+    import numpy as np
+
     if limit < 0:
         raise ValueError("limit must be >= 0")
     if limit > SIEVE_HARD_LIMIT:
@@ -131,6 +134,8 @@ def sieve_primes(limit):
 
 def residues(c, primes):
     """c mod p for each prime, on Python ints so that any c is exact."""
+    import numpy as np
+
     return np.array([c % p for p in primes.tolist()], dtype=np.int64)
 
 
@@ -139,6 +144,8 @@ def powmod(base, e, p):
 
     Every product is of two residues, so p must be below 2^31.
     """
+    import numpy as np
+
     result = np.ones_like(base)
     e = e.copy()
     while e.any():

@@ -1,27 +1,36 @@
 """Local sums S(t1, t2; ell^k), their normalizations, limits, and volumes.
 
-``s_direct`` evaluates the sum over units exactly: a batch kernel gives every
-unit the case code of its matrix count under each trace (int64-safe), the
-pairs of codes are counted with ``bincount``, and the exact integer sum is
-assembled from that histogram with big-int arithmetic, so results are
-identical for any block size.  Blocks of 2^17 integers run one after
-another, each with scratch arrays of at most 1 MB (at ell = 2 only the odd
-ones are built), so ``--ell 2 --k 20`` peaks near 35 MB of resident memory
-with the interpreter and numpy, where one block of 2^20 took 60 MB.
+``s_stratified`` gives the exact sum in O(k) steps on Python ints.  As u
+runs over the units, x = t1^2 - 4u runs over the residues mod ell^k (mod
+2^(k+2) at ell = 2) outside one class, and t2^2 - 4u = x - delta with
+delta = t1^2 - t2^2.  m(t, u) depends only on the case code of its
+discriminant (``matcount._case``), and a prefix of ell-adic digits fixes the
+code unless the prefix is 0.  So a walk down the digits of x keeps open
+only the prefixes x = 0 and x = delta; every other branch is a stratum of
+known size with two fixed codes.  At odd ell the digits of a node fall into
+strata by the pair (chi(y), chi(y - c)), whose sizes are Jacobsthal counts;
+at ell = 2 the walk enumerates the two digits, three places past the
+valuation, since the code reads the unit part mod 8.
+
+``s_direct`` is the oracle: a batch kernel gives every unit the case code of
+its matrix count under each trace (int64-safe), the pairs of codes are
+counted with ``bincount``, and the exact integer sum is assembled from that
+histogram with big-int arithmetic, in blocks of 2^17 units.  It is capped at
+``UNIT_CAP`` units; ``s_stratified`` needs only ``PrimePower``'s bounds.
 
 Closed forms are exposed with a provenance tag; conjectural ones are always
-recomputable against ``s_direct`` through the verify suite.  All normalized
-values are ``fractions.Fraction``.
+recomputable against the direct sums through the verify suite.  All
+normalized values are ``fractions.Fraction``.  numpy is imported by
+``s_direct`` alone, when it runs.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .arith import alpha
-from .matcount import PrimePower, m_values
+from .arith import alpha, legendre_symbol
+from .matcount import PrimePower, m_from_code, m_values
 
 PROVENANCE_THEOREM = "closed-form-theorem"
 PROVENANCE_PROPOSITION = "closed-form-proposition"
@@ -64,6 +73,8 @@ def s_direct(t1, t2, pp):
     phi = q - q // pp.ell
     if phi > UNIT_CAP:
         raise ValueError(f"unit count {phi} exceeds cap {UNIT_CAP}")
+    import numpy as np
+
     hist = 0
     for lo in range(1, q, _BLOCK):
         hi = min(lo + _BLOCK, q)
@@ -80,9 +91,102 @@ def s_direct(t1, t2, pp):
     return total
 
 
+def s_stratified(t1, t2, pp):
+    """Exact S(t1, t2; ell^k) by strata of the ell-adic digits of the discriminants.
+
+    Equals ``s_direct`` for any int traces, with no cap on the unit count.
+    """
+    ell, k = pp.ell, pp.k
+    m = functools.cache(lambda n, key: m_from_code(n, key, ell, k))
+    if ell == 2:
+        return _s_two(t1, t2, k, m)
+    return _s_odd(t1, t2, ell, k, m)
+
+
+def _leading_code(j, y, ell):
+    """Code of a discriminant whose first nonzero digit, at place j, is y mod ell; None if y = 0."""
+    return (j, legendre_symbol(y, ell) == 1) if y % ell else None
+
+
+def _s_odd(t1, t2, ell, k, m):
+    """The odd-ell walk.  A node is (x mod ell^j, code of x, code of x - delta),
+    a code None while its discriminant is 0 mod ell^j; at most two are open.
+
+    Where both codes are open and delta's digit c at place j is nonzero, the
+    digits y != 0, c with (chi(y), chi(y - c)) = (e1, e2) number
+    (ell - 2 - e1 chi(c) - e2 chi(-c) - e1 e2) / 4, a Jacobsthal count
+    (Berndt, Evans and Williams, *Gauss and Jacobi Sums*, 1998).
+    """
+    delta = (t1 * t1 - t2 * t2) % ell ** k
+    cap = (k, False)
+    skip = t1 * t1 % ell  # x = t1^2 - 4u is never t1^2 mod ell
+    total = 0
+    level = [(0, None, None)]
+    for j in range(k):
+        scale, weight = ell ** j, ell ** (k - j - 1)
+        nxt = []
+        for p, c1, c2 in level:
+            # a child's digit d at place j: x / ell^j = d (mod ell) while x's code is
+            # open, (x - delta) / ell^j = d - c while that of x - delta is
+            c = (delta - p) // scale % ell
+
+            def child(d):
+                return c1 or _leading_code(j, d, ell), c2 or _leading_code(j, d - c, ell)
+
+            open_digits = {d for d, code in ((0, c1), (c, c2)) if code is None}
+            if c1 is None and c2 is None and c:
+                chi = legendre_symbol(c, ell), legendre_symbol(-c, ell)
+                strata = {((j, e1 == 1), (j, e2 == 1)):
+                          (ell - 2 - e1 * chi[0] - e2 * chi[1] - e1 * e2) // 4
+                          for e1 in (1, -1) for e2 in (1, -1)}
+            else:  # y and y - c have one character, or one code is fixed
+                strata = {(c1 or (j, e), c2 or (j, e)): (ell - 1) // 2 for e in (True, False)}
+            if j == 0:
+                if skip in open_digits:
+                    open_digits.remove(skip)
+                else:
+                    strata[child(skip)] -= 1
+            total += weight * sum(n * m(*a) * m(*b) for (a, b), n in strata.items())
+            for d in open_digits:
+                a, b = child(d)
+                if j + 1 < k:
+                    nxt.append((p + d * scale, a, b))
+                else:
+                    total += m(*(a or cap)) * m(*(b or cap))
+        level = nxt
+    return total
+
+
+def _code_two(y, j, top):
+    """(n, key) of a residue whose last j of top binary digits are y, or None if they do not fix it."""
+    if not y:
+        return (top, 0) if j == top else None
+    n = (y & -y).bit_length() - 1
+    return (n, (y >> n) & 7) if n + 3 <= j or j == top else None
+
+
+def _s_two(t1, t2, k, m):
+    """The ell = 2 walk on x mod 2^(k+2): x = t1^2 - 4 (mod 8) for odd u, and a
+    prefix is split until it fixes both codes."""
+    top = k + 2
+    delta = (t1 * t1 - t2 * t2) % (1 << top)
+    total = 0
+    level = [(t1 * t1 - 4) % 8]
+    for j in range(3, top + 1):
+        nxt = []
+        for p in level:
+            a, b = _code_two(p, j, top), _code_two((p - delta) % (1 << j), j, top)
+            if a and b:
+                total += (1 << (top - j)) * m(*a) * m(*b)
+            else:
+                nxt += (p, p + (1 << j))
+        level = nxt
+    return total
+
+
 def s_normalized(t1, t2, pp):
-    """S(t1, t2; ell^k) / ell^(5k-5) as an exact Fraction."""
-    return Fraction(s_direct(t1, t2, pp), pp.ell ** (5 * pp.k - 5))
+    """S(t1, t2; ell^k) / ell^(5k-5) as an exact Fraction, from ``s_stratified``."""
+    return Fraction(s_stratified(t1, t2, pp), pp.ell ** (5 * pp.k - 5))
 
 
 def _same_closed(t, ell):

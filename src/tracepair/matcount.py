@@ -11,13 +11,12 @@ Three independent routes to m(t, u; ell^k):
 * ``m_brute``  -- direct enumeration of (a, b, c) with d = t - a, budgeted.
 
 They are cross-checked exhaustively in the verify suite.  ``m_values`` gives
-the closed form of a whole block of units at once, in numpy.
+the closed form of a whole block of units at once, in numpy, which the array
+functions import when they run, so that the scalar routes load no numpy.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .arith import TRIAL_DIVISION_BOUND, is_prime, legendre_symbol, nu_lk, padic_valuation
 
@@ -91,11 +90,19 @@ def _case(n, key, ell, k):
     return "two:n-lt-k-r5mod8", base - 2 ** (2 * k - n // 2)
 
 
+def m_from_code(n, key, ell, k):
+    """m(t, u; ell^k) for every u whose discriminant has capped valuation n and
+    residue key ``key``, as ``_case`` reads them."""
+    return _case(n, key, ell, k)[1]
+
+
 def valuations(d, ell, cap):
     """min(v_ell(d), cap) for an int64 array d, which is left holding d / ell^v.
 
     Each pass divides only the entries still divisible by ell; 0 stops at the cap.
     """
+    import numpy as np
+
     v = np.zeros(d.shape, dtype=np.int64)
     active = np.flatnonzero(d % ell == 0)
     for _ in range(cap):
@@ -116,10 +123,13 @@ def m_values(t, ell, k, u_lo, u_hi):
     (ell, k), so codes of two traces can be histogrammed jointly.
 
     n comes from ``valuations``, and D, the codes and the keys are formed in
-    place.  Everything stays within int64: the callers cap the unit count at 1e8
-    (``local.UNIT_CAP``), t is reduced mod ell^k before it is squared, and
-    the counts stay below ~4e16.
+    place.  Everything stays within int64: ``local.s_direct`` caps the unit
+    count at 1e8 (``local.UNIT_CAP``) and ``model_sim.class_density`` reads
+    moduli up to 128, t is reduced mod ell^k before it is squared, and the
+    counts stay below ~4e16.
     """
+    import numpy as np
+
     t %= ell ** k
     if ell == 2:
         u = np.arange(u_lo | 1, u_hi, 2, dtype=np.int64)
@@ -141,7 +151,7 @@ def m_values(t, ell, k, u_lo, u_hi):
     n *= width
     n += rem
     values = np.array(
-        [_case(nn, kk, ell, k)[1] for nn in range(cap + 1) for kk in range(width)],
+        [m_from_code(nn, kk, ell, k) for nn in range(cap + 1) for kk in range(width)],
         dtype=np.int64,
     )
     return u, n, values
@@ -203,6 +213,8 @@ def m_brute(t, u, pp):
     q = pp.modulus
     if q ** 3 > BRUTE_BUDGET:
         raise ValueError(f"brute-force budget exceeded: {q}^3 > {BRUTE_BUDGET}")
+    import numpy as np
+
     t, u = t % q, u % q
     b = np.arange(q, dtype=np.int64)
     bc_counts = np.bincount(((b[:, None] * b[None, :]) % q).ravel(), minlength=q)

@@ -131,14 +131,6 @@ def class_density(m):
     return [[Fraction(n, denominator) for n in row] for row in numerator.tolist()]
 
 
-def semicircle_weights(p):
-    """Integers strictly inside (-2 sqrt p, 2 sqrt p) and their weights."""
-    umax = math.isqrt(4 * p - 1)
-    u = np.arange(-umax, umax + 1, dtype=np.int64)
-    w = np.sqrt(1.0 - u.astype(np.float64) ** 2 / (4.0 * p))
-    return u, w
-
-
 def _grid_columns(m, umax):
     """Columns R of the (m, R) grid that starts at -m * ceil(umax / m) and covers umax."""
     return -(-umax // m) + umax // m + 1

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -249,6 +250,7 @@ def test_local_factor_below_depth_fails_before_unit_sum(capsys, monkeypatch, t1,
         raise AssertionError("work started")
 
     monkeypatch.setattr(local, "s_direct", fail)
+    monkeypatch.setattr(local, "s_stratified", fail)
     code, out, err = run_cli(capsys, "local-factor", "--t1", str(t1), "--t2", str(t2),
                              "--ell", str(ell), "--k", str(k), "--method", "both")
     assert code == 2
@@ -406,6 +408,16 @@ def test_composite_modulus_rejected(capsys, argv):
     assert "prime" in err
 
 
+def test_local_factor_answers_above_the_unit_cap(capsys):
+    # 10007^2 - 10007 units exceed s_direct's cap of 1e8; the stratified sum has none
+    code, out, err = run_cli(capsys, "local-factor", "--t1", "1", "--t2", "2",
+                             "--ell", "10007", "--k", "2", "--method", "both")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["provenance"] == "closed-form-conjecture"
+    assert doc["S"] == Fraction(doc["s_normalized"]) * 10007 ** 5
+
+
 def test_local_factor_large_trace(capsys):
     # t1^2 exceeds int64; S depends only on t1 mod 3^2
     t1 = 3037000500
@@ -491,8 +503,13 @@ def _loaded_modules(*argv):
     # the shared array helpers live in arith, which pulls in no other layer
     (("gekeler", "--t", "1", "--p", "101", "--lmax", "1000"),
      ("tracepair.curves", "tracepair.constants", "mpmath", "tracepair.verify")),
+    # the local sums run on Python ints
     (("local-factor", "--t1", "1", "--t2", "2", "--ell", "3", "--k", "2"),
-     ("tracepair.curves", "tracepair.class_numbers", "mpmath", "tracepair.verify")),
+     ("numpy", "tracepair.curves", "tracepair.class_numbers", "mpmath", "tracepair.verify")),
+    (("local-factor", "--t1", "2", "--t2", "6", "--ell", "2", "--k", "20", "--method", "direct"),
+     ("numpy", "tracepair.curves", "tracepair.class_numbers", "mpmath", "tracepair.verify")),
+    (("local-factor", "--t1", "2", "--t2", "6", "--ell", "2", "--k", "20", "--method", "both"),
+     ("numpy", "tracepair.curves", "tracepair.class_numbers", "mpmath", "tracepair.verify")),
 ])
 def test_job_loads_only_what_it_runs(argv, absent):
     loaded = _loaded_modules(*argv)

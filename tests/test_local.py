@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from tracepair.local import (
     s_closed,
     s_direct,
     s_normalized,
+    s_stratified,
     volume,
 )
 from tracepair.matcount import PrimePower
@@ -47,6 +49,75 @@ def test_s_direct_matches_full_enumeration():
 def test_s_direct_budget():
     with pytest.raises(ValueError):
         s_direct(0, 0, PrimePower(2, 40))
+
+
+# every (ell, k) with ell <= 13 and ell^k <= 2^14
+_SMALL_MODULI = [(ell, k) for ell in (2, 3, 5, 7, 11, 13)
+                 for k in range(1, 15) if ell ** k <= 2 ** 14]
+
+
+@st.composite
+def _trace_pairs(draw):
+    """(t1, t2, ell, k): any ints, drawn so that t1 = +-t2, shared factors of ell,
+    and deep agreement of t1^2 and t2^2 mod ell^k all occur."""
+    ell, k = draw(st.sampled_from(_SMALL_MODULI))
+    t2 = draw(st.one_of(st.integers(-20, 20), st.integers(), st.integers(2 ** 63, 2 ** 130)))
+    t2 *= draw(st.sampled_from((1, -1)))
+    how = draw(st.sampled_from(("equal", "opposite", "near", "multiple", "any")))
+    if how == "equal":
+        t1 = t2
+    elif how == "opposite":
+        t1 = -t2
+    elif how == "near":  # t1 = +-t2 + c ell^e, so alpha = e when ell does not divide c
+        t1 = draw(st.sampled_from((1, -1))) * t2 + draw(st.integers(-3, 3)) * ell ** draw(
+            st.integers(0, k + 3))
+    elif how == "multiple":
+        t1 = ell * draw(st.integers())
+    else:
+        t1 = draw(st.integers())
+    return t1, t2, ell, k
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_trace_pairs())
+def test_s_stratified_matches_s_direct(case):
+    t1, t2, ell, k = case
+    pp = PrimePower(ell, k)
+    assert s_stratified(t1, t2, pp) == s_direct(t1, t2, pp)
+
+
+@pytest.mark.parametrize("ell,k", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3)])
+def test_s_stratified_matches_s_direct_on_every_residue_pair(ell, k):
+    pp = PrimePower(ell, k)
+    q = pp.modulus
+    for t1 in range(q):
+        for t2 in range(q):
+            assert s_stratified(t1, t2, pp) == s_direct(t1, t2, pp), (t1, t2)
+
+
+def _best_time(fn, *args, repeat=5):
+    best = math.inf
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn(*args)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_s_stratified_at_a_large_prime_is_exact_and_no_slower():
+    # ~1e5 units for s_direct; a plain loop over the digits of this ell took ~0.8 s
+    pp = PrimePower(99991, 1)
+    assert s_stratified(1, 2, pp) == s_direct(1, 2, pp)
+    assert _best_time(s_stratified, 1, 2, pp) <= _best_time(s_direct, 1, 2, pp)
+
+
+@pytest.mark.parametrize("t1,t2,ell,k", [(1, 2, 99991, 1), (0, 2, 2, 64), (2, 6, 2, 64),
+                                         (1, 2, 3, 64), (5, -5, 2147483647, 64)])
+def test_s_stratified_needs_no_unit_cap(t1, t2, ell, k):
+    pp = PrimePower(ell, k)
+    assert _best_time(s_stratified, t1, t2, pp) < 0.05
+    closed = s_closed(t1, t2, pp)
+    assert s_normalized(t1, t2, pp) == closed[0]
 
 
 def _closed(t1, t2, ell, k):

@@ -25,9 +25,16 @@ from tracepair.model_sim import (
     rectangle_mass_empirical,
     rectangle_mass_exact,
     sample_run,
-    semicircle_weights,
 )
 from tracepair.verify import enumerate_delta_counts
+
+
+def semicircle_weights(p):
+    """Integers strictly inside (-2 sqrt p, 2 sqrt p) and their weights."""
+    umax = math.isqrt(4 * p - 1)
+    u = np.arange(-umax, umax + 1, dtype=np.int64)
+    w = np.sqrt(1.0 - u.astype(np.float64) ** 2 / (4.0 * p))
+    return u, w
 
 
 def test_config_validation():
