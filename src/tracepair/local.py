@@ -158,7 +158,8 @@ def _s_odd(t1, t2, ell, k, m):
 
 
 def _code_two(y, j, top):
-    """(n, key) of a residue whose last j of top binary digits are y, or None if they do not fix it."""
+    """(n, key) of a residue mod 2^top whose j lowest binary digits are y,
+    or None if they do not fix it."""
     if not y:
         return (top, 0) if j == top else None
     n = (y & -y).bit_length() - 1
