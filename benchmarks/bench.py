@@ -8,8 +8,9 @@ jobs are ``import tracepair.cli`` (what jobbench's ``setup_s`` times),
 (``jobbench/workloads.py``), desk-mix seed 0's ``local-factor --ell 2``
 and ``constant --kind universal`` jobs, the workload's two heaviest layers,
 ``simulate`` at the largest level m = 128, which builds the largest
-class-density table, and ``curves`` for one generic pair at the desk sizes
-x = 1e5 and 1e6.
+class-density table, ``curves`` for one generic pair at the desk sizes
+x = 1e5 and 1e6, and ``constant --kind universal`` at lmax = 1e6, whose
+sieve runs to 8e6.
 Every run is a fresh ``python -c "import tracepair.cli"`` or
 ``python -m tracepair.cli ...`` process with
 ``PYTHONPATH=ROOT/src`` and stdout discarded; a run that does not exit 0
@@ -51,8 +52,8 @@ CLI = ("-m", "tracepair.cli")
 def jobs():
     """Job name -> interpreter arguments: the bare CLI import, --help, each
     workload's seed-0 first job, desk-mix seed 0's 2-adic local sum and
-    universal Euler product, a simulate job at m = 128, and curves jobs at
-    x = 1e5 and 1e6."""
+    universal Euler product, a simulate job at m = 128, curves jobs at
+    x = 1e5 and 1e6, and the universal Euler product at lmax = 1e6."""
     table = {"import": ("-c", "import tracepair.cli"), "help": (*CLI, "--help")}
     for name in workloads.NAMES:
         table[name] = (*CLI, *workloads.BATCHES[name](0)[0].argv)
@@ -64,6 +65,7 @@ def jobs():
     for name, x in (("curves-1e5", "100000"), ("curves-1e6", "1000000")):
         table[name] = (*CLI, "curves", "--e1=-1,1", "--e2=1,1", "--t1", "1", "--t2", "1",
                        "--x", x, "--list-primes")
+    table["constant-1e6"] = (*CLI, "constant", "--kind", "universal", "--lmax", "1000000")
     return table
 
 

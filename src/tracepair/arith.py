@@ -1,10 +1,14 @@
 """Modular-arithmetic primitives: symbols, valuations, primes, divisors.
 
 Valuations use ``math.inf`` as the extended value at 0, so ``max`` and
-comparisons behave as expected in the case dispatch downstream.  The array
-functions import numpy when they run, so the scalar ones load no numpy.
+comparisons behave as expected in the case dispatch downstream.  The one
+prime sieve, ``odd_prime_segments``, runs on bytearrays; ``odd_primes``
+reads Python ints from it and ``sieve_primes`` an int64 array.  The array
+functions import numpy when they run, so the scalar ones and the Python-int
+primes load no numpy.
 """
 
+import itertools
 import math
 
 INFINITY = math.inf
@@ -89,47 +93,63 @@ def is_prime(n):
     return True
 
 
-def _simple_sieve(limit):
-    import numpy as np
-
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+_SEGMENT = 1 << 22  # integers per sieve segment; even
 
 
-_SEGMENT = 1 << 22  # integers per sieve segment above sqrt(limit)
+def odd_prime_segments(limit):
+    """The odd primes <= limit as flags, one ``(lo, flags)`` per segment, ascending.
 
-
-def sieve_primes(limit):
-    """All primes <= limit, ascending, as an int64 array; segmented above sqrt(limit)."""
-    import numpy as np
-
+    ``flags[j]`` is 1 iff ``lo + 2j`` is prime; the segments cover the odd
+    numbers 1, 3, ..., up to limit, ``_SEGMENT // 2`` of them per segment.
+    Each segment is a fresh bytearray, with the multiples of every odd prime
+    p <= sqrt(limit) cleared from p^2 on by one slice assignment (Bays &
+    Hudson's segmented sieve, odd numbers only).  The limit is checked here;
+    the segments are sieved as they are read.
+    """
     if limit < 0:
         raise ValueError("limit must be >= 0")
     if limit > SIEVE_HARD_LIMIT:
         raise ValueError(f"sieve limit {limit} exceeds the supported {SIEVE_HARD_LIMIT}")
-    limit = int(limit)
+    return _odd_segments(int(limit))
+
+
+def _odd_segments(limit):
+    root = math.isqrt(limit)
+    base = [] if root < 3 else list(odd_primes(root))  # the primes that clear multiples
+    half = _SEGMENT // 2
+    for lo in range(1, limit + 1, 2 * half):
+        size = min(half, (limit - lo) // 2 + 1)
+        flags = bytearray(b"\x01") * size
+        if lo == 1:
+            flags[0] = 0
+        hi = lo + 2 * size
+        for p in base:
+            square = p * p
+            if square >= hi:
+                break
+            # the index of p^2, or of the first odd multiple of p at or above lo
+            j = (square - lo) // 2 if square >= lo else (p - lo) // 2 % p
+            flags[j::p] = bytes(len(range(j, size, p)))
+        yield lo, flags
+
+
+def odd_primes(limit):
+    """The odd primes <= limit as Python ints, ascending, read from ``odd_prime_segments``."""
+    return itertools.chain.from_iterable(
+        itertools.compress(range(lo, lo + 2 * len(flags), 2), flags)
+        for lo, flags in odd_prime_segments(limit))
+
+
+def sieve_primes(limit):
+    """All primes <= limit, ascending, as an int64 array read from ``odd_prime_segments``."""
+    import numpy as np
+
+    segments = odd_prime_segments(limit)
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    root = math.isqrt(limit)
-    base = _simple_sieve(root)
-    chunks = [base]
-    low = root + 1
-    while low <= limit:
-        high = min(low + _SEGMENT, limit + 1)
-        mask = np.ones(high - low, dtype=bool)
-        for p in base:
-            start = max(p * p, ((low + p - 1) // p) * p)
-            if start < high:
-                mask[start - low :: p] = False
-        chunks.append((np.flatnonzero(mask) + low).astype(np.int64))
-        low = high
-    return np.concatenate(chunks)
+    return np.concatenate([np.array([2], dtype=np.int64),
+                           *(np.flatnonzero(np.frombuffer(flags, np.uint8)) * 2 + lo
+                             for lo, flags in segments)])
 
 
 def residues(c, primes):

@@ -1,17 +1,22 @@
 """Truncated Euler products for the trace-pair and single-trace constants.
 
 The four constants share one engine, ``_euler_product``: it checks the
-domain, sieves once to 8 * lmax and splits the primes at lmax.  The primes up
-to lmax carry the exact local factors, the primes above it the tail sums.
-Each constant supplies only its prefactor c * pi^k, as the pair (c, k), and
-its rational factor at ell.
+domain, then walks the primes to 8 * lmax as Python ints, read from the
+sieve's segments as they are sieved (``arith.odd_primes``), so that no numpy
+loads.  The primes up to lmax carry the exact local factors, the primes
+above it stream into the tail sums.  Each constant supplies only its
+prefactor c * pi^k, as the pair (c, k), and its rational factor at ell, as
+a numerator and a denominator in any terms.
 
 Every local factor is an exact rational; only the product is rounded, at
 ``working_precision(digits)`` bits (``digits + 15`` decimal digits, default
 50 significant digits), so high-precision runs mean what they say.  The
 product runs on Python ints, bit for bit the mpf loop
 ``acc = prefactor; acc *= mpf(num) / den`` over the reduced Fractions in
-ascending ell.  Each rounding is to the working precision, half to even:
+ascending ell.  A factor is reduced only when its numerator is wider than the
+working precision: a narrower one is not rounded, and the correctly rounded
+quotient depends on the value alone.  Each rounding is to the working
+precision, half to even:
 - the prefactor: pi from floor(pi * 2^(prec + 20)) (Machin's formula, with
   guard bits widened until the floor is certain), as mpmath's ``mpf_pi``
   rounds it; then pi^2 and c / pi^-k, each once, as ``c / mpmath.pi ** 2``
@@ -31,9 +36,8 @@ matching the generic factor shape 1 - 4/ell^3 + O(1/ell^4).  The empirical
 figure is not a bound when a trace is 0: those factors are 1 + O(1/ell^2),
 and ``pair_constant(0, 0, 100_000)`` states 1.7e-11 while its true error
 against 35/96 is 8.8e-7 (ROADMAP, item 1).  Both sums over the primes in
-(lmax, 8 * lmax] come from ``tail_sums``, bit for bit the floats
-of a plain ``+=`` loop (and of Python 3.11's ``sum``; 3.12's ``sum``
-compensates).
+(lmax, 8 * lmax] come from ``tail_sums``, a plain ``+=`` loop, left to right
+(as Python 3.11's ``sum`` adds; 3.12's ``sum`` compensates).
 
 ``lmax`` must be in [2, ``LMAX_BOUND``] and ``digits`` in [1,
 ``DIGITS_BOUND``]; both are checked before the sieve.
@@ -45,9 +49,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .arith import prime_factors, sieve_primes
+from .arith import odd_primes, prime_factors
 
 DEFAULT_DIGITS = 50
 DIGITS_BOUND = 10_000  # 10^4 digits at lmax = 1e5 take ~8 s (2 cores, one fresh CLI run)
@@ -213,56 +215,50 @@ _EXACT_SQUARE = math.isqrt(2 ** 53)  # p^2 is exact in float64 up to this p
 
 
 def tail_sums(primes):
-    """(sum of 8.0 / p ** 1.5, sum of 4.0 / p ** 3) over a non-empty ascending int64 array.
+    """(sum of 8.0 / p ** 1.5, sum of 4.0 / p ** 3) over ascending Python int primes.
 
-    The primes must be below 2^53, so that float64 holds them exactly.
-
-    Bit for bit the floats of a plain ``+=`` loop over Python ints: each term
-    is the float Python's expression gives, and one in-place ``cumsum`` adds
-    the terms left to right.  p ** 1.5 comes from libm's pow, as Python's
-    ``**`` calls it; numpy's own power can take a SIMD route that differs in
-    the last bit (at p = 7 with AVX-512).  p ** 3 is the exact cube rounded
-    once: p * p is exact up to ``_EXACT_SQUARE`` and one float product
-    rounds the cube, and above it the cube is formed on Python ints.
+    The plain ``+=`` loop, left to right.  p ** 1.5 is libm's pow of the
+    exact float of p, as Python's ``**`` gives it.  Up to ``_EXACT_SQUARE``
+    the float square is exact, so one float product rounds the exact cube
+    once, as ``float(p ** 3)`` does; above it the cube is formed on ints.
     """
-    p = primes.astype(np.float64)  # exact: every prime is below 2^53
-    powers = np.fromiter(map(math.pow, p, itertools.repeat(1.5)), np.float64, p.size)
-    cons = _left_to_right_sum(8.0, powers)
-    cubes = np.square(p, out=p)  # exact up to _EXACT_SQUARE
-    cubes *= primes  # one rounding of the exact cube
-    cut = primes.searchsorted(_EXACT_SQUARE, side="right")
-    cubes[cut:] = [float(x ** 3) for x in primes[cut:].tolist()]
-    return cons, _left_to_right_sum(4.0, cubes)
-
-
-def _left_to_right_sum(c, denominators):
-    """sum of c / d over the denominators, added in order; overwrites them."""
-    np.divide(c, denominators, out=denominators)
-    return float(np.cumsum(denominators, out=denominators)[-1])
+    cons = emp = 0.0
+    for p in primes:
+        q = float(p)
+        cons += 8.0 / q ** 1.5
+        emp += 4.0 / (q * q * q if p <= _EXACT_SQUARE else float(p ** 3))
+    return cons, emp
 
 
 def _euler_product(lmax, digits, prefactor, factor):
     """c * pi^k * prod of factor(ell) over primes ell <= lmax, with its tails.
 
-    ``prefactor`` is the pair (c, k); ``factor(ell)`` returns the exact
-    positive Fraction at ell and whether it is conjectural.
+    ``prefactor`` is the pair (c, k); ``factor(ell)`` returns the positive
+    rational factor at ell as ``(num, den, conjectural)`` ints, in any terms.
+    Only a numerator wider than the working precision is rounded, and only
+    it is reduced first: a correctly rounded quotient depends on the value
+    alone, so the product is that of the reduced Fractions.
     """
     check_domain(lmax, digits)
-    primes = sieve_primes(8 * lmax)
-    split = primes.searchsorted(lmax, side="right")
-    head = primes[:split].tolist()
+    primes = itertools.chain((2,), odd_primes(8 * lmax))
     prec = working_precision(digits)
     man, exp = _prefactor(*prefactor, prec)
-    conjectural = 0
-    for ell in head:
-        frac, conj = factor(ell)
+    truncation = conjectural = 0
+    for ell in primes:
+        if ell > lmax:  # a prime lies in (lmax, 2 * lmax], so the loop always ends here
+            break
+        truncation = ell
+        num, den, conj = factor(ell)
         conjectural += conj
-        num, num_exp = _round(frac.numerator, 0, prec)
-        num, num_exp = _round_quotient(num, frac.denominator, num_exp, prec)
+        if num.bit_length() > prec:
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+        num, num_exp = _round(num, 0, prec)
+        num, num_exp = _round_quotient(num, den, num_exp, prec)
         man, exp = _round(man * num, exp + num_exp, prec)
     zeros = (man & -man).bit_length() - 1
-    return EulerProductEstimate(man >> zeros, exp + zeros, digits, head[-1], conjectural,
-                                8 * lmax, tail_sums(primes[split:]))
+    return EulerProductEstimate(man >> zeros, exp + zeros, digits, truncation, conjectural,
+                                8 * lmax, tail_sums(itertools.chain((ell,), primes)))
 
 
 def pair_constant(t1, t2, lmax, digits=DEFAULT_DIGITS):
@@ -271,7 +267,7 @@ def pair_constant(t1, t2, lmax, digits=DEFAULT_DIGITS):
 
     def factor(ell):
         lf = local_limit(t1, t2, ell)
-        return lf.c_ell, lf.provenance == PROVENANCE_CONJECTURE
+        return lf.c_ell.numerator, lf.c_ell.denominator, lf.provenance == PROVENANCE_CONJECTURE
 
     return _euler_product(lmax, digits, (1, -2), factor)
 
@@ -292,11 +288,11 @@ def same_trace_constant(t, lmax, digits=DEFAULT_DIGITS):
     """
     def factor(ell):
         if ell == 2:
-            return _two_adic_same_trace(t), False
+            two = _two_adic_same_trace(t)
+            return two.numerator, two.denominator, False
         if t % ell == 0:
-            return Fraction(ell ** 2 * (ell ** 2 + 1), (ell ** 2 - 1) ** 2), False
-        num = ell ** 2 * (ell ** 4 - 2 * ell ** 2 - 3 * ell - 1)
-        return Fraction(num, (ell ** 2 - 1) ** 3), False
+            return ell ** 2 * (ell ** 2 + 1), (ell ** 2 - 1) ** 2, False
+        return ell ** 2 * (ell ** 4 - 2 * ell ** 2 - 3 * ell - 1), (ell ** 2 - 1) ** 3, False
 
     return _euler_product(lmax, digits, (1, -2), factor)
 
@@ -304,7 +300,7 @@ def same_trace_constant(t, lmax, digits=DEFAULT_DIGITS):
 def universal_product(lmax, digits=DEFAULT_DIGITS):
     """prod over ell of (ell^4 - 2 ell^2 - 3 ell - 1)/(ell^2 - 1)^2, truncated."""
     def factor(ell):
-        return Fraction(ell ** 4 - 2 * ell ** 2 - 3 * ell - 1, (ell ** 2 - 1) ** 2), False
+        return ell ** 4 - 2 * ell ** 2 - 3 * ell - 1, (ell ** 2 - 1) ** 2, False
 
     return _euler_product(lmax, digits, (1, 0), factor)
 
@@ -324,7 +320,7 @@ def single_curve_constant(t, lmax, digits=DEFAULT_DIGITS):
     """(2/pi) * prod of the single-trace local densities, truncated at lmax."""
     def factor(ell):
         if t % ell == 0:
-            return Fraction(ell ** 2, ell ** 2 - 1), False
-        return Fraction(ell ** 3 - ell ** 2 - ell, (ell ** 2 - 1) * (ell - 1)), False
+            return ell ** 2, ell ** 2 - 1, False
+        return ell ** 3 - ell ** 2 - ell, (ell ** 2 - 1) * (ell - 1), False
 
     return _euler_product(lmax, digits, (2, -1), factor)

@@ -9,6 +9,7 @@ agree by construction.
 """
 
 import functools
+import itertools
 import math
 import random
 import time
@@ -19,12 +20,14 @@ from statistics import median
 import numpy as np
 
 from .arith import (
+    SIEVE_HARD_LIMIT,
     alpha,
     divisors,
     euler_criterion,
     is_prime,
     legendre_symbol,
     nu_lk,
+    odd_prime_segments,
     padic_valuation,
     sieve_primes,
 )
@@ -202,9 +205,14 @@ def check_sieve():
     expected = sum(is_prime(v) for v in range(10_001))
     if len(primes) != expected:
         return False, str(len(primes)), str(expected)
-    seg = sieve_primes(200_000)
-    if int(seg[-1]) != 199_999 and not is_prime(int(seg[-1])):
-        return False, "segmented tail", "prime"
+    # every odd n within 64 of the first two seams, where one segment's marks carry
+    # into the next; the seams are the starts of the kernel's own segments
+    seams = [lo for lo, _ in itertools.islice(odd_prime_segments(SIEVE_HARD_LIMIT), 1, 3)]
+    seg = sieve_primes(seams[-1] + 64)
+    for seam in seams:
+        near = seg[np.searchsorted(seg, seam - 64):np.searchsorted(seg, seam + 64, "right")]
+        if near.tolist() != [n for n in range(seam - 64, seam + 65, 2) if is_prime(n)]:
+            return False, "segmented tail", "prime"
     small = [int(p) for p in sieve_primes(10)]
     return small == [2, 3, 5, 7] and len(sieve_primes(1)) == 0, str(len(primes)), str(expected)
 

@@ -1,8 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tracepair
+from tracepair import arith
 from tracepair.arith import (
     INFINITY,
     alpha,
@@ -11,6 +14,8 @@ from tracepair.arith import (
     is_prime,
     legendre_symbol,
     nu_lk,
+    odd_prime_segments,
+    odd_primes,
     padic_valuation,
     prime_factors,
     sieve_primes,
@@ -116,9 +121,36 @@ def test_sieve_segmented_consistency(monkeypatch):
     assert sieve_primes(10_000).tolist() == want
 
 
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_sieve_matches_trial_division_across_seams(data):
+    segment = data.draw(st.sampled_from([2, 4, 6, 8, 16, 30, 64]), label="segment")
+    # a limit on a seam (1 + k * segment) or one or two off it, or anywhere in [0, 300]
+    on_seam = st.builds(lambda k, d: max(0, 1 + k * segment + d),
+                        st.integers(0, 300 // segment), st.integers(-2, 2))
+    limit = data.draw(st.one_of(on_seam, st.integers(0, 300)), label="limit")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arith, "_SEGMENT", segment)
+        got = sieve_primes(limit).tolist()
+        ints = list(odd_primes(limit))
+        segments = list(odd_prime_segments(limit))
+    assert got == [n for n in range(limit + 1) if is_prime(n)]
+    assert ints == got[1:] and all(type(p) is int for p in ints)
+    assert [lo for lo, _ in segments] == list(range(1, limit + 1, segment))
+
+
 def test_sieve_rejects_absurd_limit():
     with pytest.raises(ValueError):
         sieve_primes(10 ** 12)
+
+
+def test_sieve_kernel_checks_limit_when_called():
+    # before a segment is read, so that a caller sees the error at once
+    for limit in (-1, arith.SIEVE_HARD_LIMIT + 1):
+        with pytest.raises(ValueError):
+            odd_prime_segments(limit)
+        with pytest.raises(ValueError):
+            odd_primes(limit)
 
 
 def test_divisors_sigma():

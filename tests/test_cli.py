@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracepair import (
-    class_numbers, constants, curves, gekeler, local, matcount, model_sim, prime_stats,
+    arith, class_numbers, curves, gekeler, local, matcount, model_sim, prime_stats,
 )
 from tracepair.cli import main
 from tracepair.curves import Curve, point_count_brute
@@ -230,7 +230,7 @@ def test_out_of_domain_rejected_before_work(capsys, monkeypatch, argv):
     monkeypatch.setattr(class_numbers, "_class_number", fail)
     monkeypatch.setattr(prime_stats, "hurwitz_table", fail)
     monkeypatch.setattr(prime_stats, "sieve_primes", fail)
-    monkeypatch.setattr(constants, "sieve_primes", fail)
+    monkeypatch.setattr(arith, "odd_prime_segments", fail)
     monkeypatch.setattr(curves, "sieve_primes", fail)
     monkeypatch.setattr(model_sim, "sieve_primes", fail)
     monkeypatch.setattr(matcount, "is_prime", fail)
@@ -497,9 +497,10 @@ def _loaded_modules(*argv):
     (("curves", "--e1", "1,0", "--e2", "0,1", "--t1", "0", "--t2", "0", "--x", "300",
       "--predict-lmax", "2000"),
      ("mpmath", "tracepair.verify")),
-    # only pair_constant reads the local factors
+    # only pair_constant reads the local factors; the Euler products read the sieve's
+    # primes as Python ints (the other kinds are the last rows)
     (("constant", "--kind", "universal", "--lmax", "1000"),
-     ("tracepair.local", "tracepair.matcount", "tracepair.verify")),
+     ("numpy", "tracepair.local", "tracepair.matcount", "tracepair.verify")),
     # the shared array helpers live in arith, which pulls in no other layer
     (("gekeler", "--t", "1", "--p", "101", "--lmax", "1000"),
      ("tracepair.curves", "tracepair.constants", "mpmath", "tracepair.verify")),
@@ -510,6 +511,12 @@ def _loaded_modules(*argv):
      ("numpy", "tracepair.curves", "tracepair.class_numbers", "mpmath", "tracepair.verify")),
     (("local-factor", "--t1", "2", "--t2", "6", "--ell", "2", "--k", "20", "--method", "both"),
      ("numpy", "tracepair.curves", "tracepair.class_numbers", "mpmath", "tracepair.verify")),
+    (("constant", "--kind", "pair", "--t1", "1", "--t2", "2", "--lmax", "1000"),
+     ("numpy", "tracepair.verify")),
+    (("constant", "--kind", "same-trace", "--t1", "3", "--lmax", "1000"),
+     ("numpy", "tracepair.local", "tracepair.verify")),
+    (("constant", "--kind", "single", "--t1", "-2", "--lmax", "1000"),
+     ("numpy", "tracepair.local", "tracepair.verify")),
 ])
 def test_job_loads_only_what_it_runs(argv, absent):
     loaded = _loaded_modules(*argv)

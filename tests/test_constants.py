@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from mpmath.libmp import dps_to_prec, from_int, mpf_div, mpf_mul, round_nearest
 
-from tracepair import constants
+from tracepair import arith, constants
 from tracepair.arith import SIEVE_HARD_LIMIT, is_prime, sieve_primes
 from tracepair.constants import (
     DIGITS_BOUND,
@@ -133,7 +133,7 @@ def test_lmax_validation(monkeypatch):
     def no_sieve(limit):
         raise AssertionError("sieve started")
 
-    monkeypatch.setattr(constants, "sieve_primes", no_sieve)
+    monkeypatch.setattr(arith, "odd_prime_segments", no_sieve)
     with pytest.raises(ValueError, match="lmax"):
         pair_constant(0, 0, 1)
     with pytest.raises(ValueError, match="lmax"):
@@ -268,7 +268,8 @@ def _oracle_product(lmax, digits, prefactor, factor):
     with mpmath.workdps(digits + 15):
         acc = _MPMATH_PREFACTOR[k](c)
         for ell in head:
-            frac, conj = factor(ell)
+            num, den, conj = factor(ell)
+            frac = Fraction(num, den)
             conjectural += conj
             acc *= mpmath.mpf(frac.numerator) / frac.denominator
         value = +acc
@@ -313,6 +314,28 @@ def test_euler_product_matches_plain_loops(monkeypatch, lmax):
                est.tail_empirical, est.conjectural_factors)
         assert got == _oracle_product(lmax, digits, prefactor, factor), (kind, lmax, digits)
         assert float(est) == float(est.value), (kind, lmax, digits)
+
+
+def test_euler_product_reduces_wide_numerators_before_rounding(monkeypatch):
+    """Same-trace at digits = 1 has factor numerators wider than the working
+    precision from ell ~ 650 on, some of them not in lowest terms; only the
+    reduced numerator rounds as the Fraction's does."""
+    seen = []
+    real = constants._euler_product
+
+    def spy(lmax, digits, prefactor, factor):
+        seen.append((prefactor, factor))
+        return real(lmax, digits, prefactor, factor)
+
+    monkeypatch.setattr(constants, "_euler_product", spy)
+    est = same_trace_constant(3, 1000, 1)
+    prefactor, factor = seen.pop()
+    prec = constants.working_precision(1)
+    factors = [factor(ell)[:2] for ell in sieve_primes(1000).tolist()]
+    assert any(num.bit_length() > prec and math.gcd(num, den) > 1 for num, den in factors)
+    got = (est.value._mpf_, est.truncation_prime, est.tail_conservative,
+           est.tail_empirical, est.conjectural_factors)
+    assert got == _oracle_product(1000, 1, prefactor, factor)
 
 
 def _normalized(man, exp):
