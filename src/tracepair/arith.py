@@ -133,11 +133,20 @@ def _odd_segments(limit):
         yield lo, flags
 
 
+_RUN = 1 << 12  # flags that odd_primes reads against one list of offsets
+
+
 def odd_primes(limit):
-    """The odd primes <= limit as Python ints, ascending, read from ``odd_prime_segments``."""
+    """The odd primes <= limit as Python ints, ascending, read from ``odd_prime_segments``.
+
+    Each run of ``_RUN`` flags selects from one list of the offsets 0, 2, 4,
+    ..., built once per call, and only the selected offsets become new ints:
+    selecting from a range would build an int for every odd number.
+    """
+    offsets = list(range(0, 2 * _RUN, 2))
     return itertools.chain.from_iterable(
-        itertools.compress(range(lo, lo + 2 * len(flags), 2), flags)
-        for lo, flags in odd_prime_segments(limit))
+        map((lo + 2 * j).__add__, itertools.compress(offsets, flags[j:j + _RUN]))
+        for lo, flags in odd_prime_segments(limit) for j in range(0, len(flags), _RUN))
 
 
 def sieve_primes(limit):

@@ -250,10 +250,11 @@ def _euler_product(lmax, digits, prefactor, factor):
         truncation = ell
         num, den, conj = factor(ell)
         conjectural += conj
-        if num.bit_length() > prec:
+        num_exp = 0
+        if num.bit_length() > prec:  # only a wider numerator is rounded, and reduced first
             g = math.gcd(num, den)
-            num, den = num // g, den // g
-        num, num_exp = _round(num, 0, prec)
+            num, num_exp = _round(num // g, 0, prec)
+            den //= g
         num, num_exp = _round_quotient(num, den, num_exp, prec)
         man, exp = _round(man * num, exp + num_exp, prec)
     zeros = (man & -man).bit_length() - 1

@@ -125,12 +125,14 @@ def test_sieve_segmented_consistency(monkeypatch):
 @given(data=st.data())
 def test_sieve_matches_trial_division_across_seams(data):
     segment = data.draw(st.sampled_from([2, 4, 6, 8, 16, 30, 64]), label="segment")
+    run = data.draw(st.sampled_from([1, 2, 3, 5, 4096]), label="run")  # flags per offset list
     # a limit on a seam (1 + k * segment) or one or two off it, or anywhere in [0, 300]
     on_seam = st.builds(lambda k, d: max(0, 1 + k * segment + d),
                         st.integers(0, 300 // segment), st.integers(-2, 2))
     limit = data.draw(st.one_of(on_seam, st.integers(0, 300)), label="limit")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(arith, "_SEGMENT", segment)
+        patch.setattr(arith, "_RUN", run)
         got = sieve_primes(limit).tolist()
         ints = list(odd_primes(limit))
         segments = list(odd_prime_segments(limit))
