@@ -133,20 +133,22 @@ def _odd_segments(limit):
         yield lo, flags
 
 
-_RUN = 1 << 12  # flags that odd_primes reads against one list of offsets
+_RUN = 1 << 10  # flags that odd_primes reads against one list of offsets
 
 
 def odd_primes(limit):
     """The odd primes <= limit as Python ints, ascending, read from ``odd_prime_segments``.
 
-    Each run of ``_RUN`` flags selects from one list of the offsets 0, 2, 4,
-    ..., built once per call, and only the selected offsets become new ints:
-    selecting from a range would build an int for every odd number.
+    Each run of up to ``_RUN`` flags selects from one list of the offsets 0,
+    2, 4, ..., built once per call, and only the selected offsets become new
+    ints: selecting from a range would build an int for every odd number.
     """
-    offsets = list(range(0, 2 * _RUN, 2))
+    segments = odd_prime_segments(limit)
+    run = min(_RUN, int(limit) // 2 + 1)
+    offsets = list(range(0, 2 * run, 2))
     return itertools.chain.from_iterable(
-        map((lo + 2 * j).__add__, itertools.compress(offsets, flags[j:j + _RUN]))
-        for lo, flags in odd_prime_segments(limit) for j in range(0, len(flags), _RUN))
+        map((lo + 2 * j).__add__, itertools.compress(offsets, flags[j:j + run]))
+        for lo, flags in segments for j in range(0, len(flags), run))
 
 
 def sieve_primes(limit):
