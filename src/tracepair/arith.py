@@ -155,12 +155,13 @@ def sieve_primes(limit):
     """All primes <= limit, ascending, as an int64 array read from ``odd_prime_segments``."""
     import numpy as np
 
-    segments = odd_prime_segments(limit)
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate([np.array([2], dtype=np.int64),
-                           *(np.flatnonzero(np.frombuffer(flags, np.uint8)) * 2 + lo
-                             for lo, flags in segments)])
+    chunks = [np.array([2] if limit >= 2 else [], dtype=np.int64)]
+    for lo, flags in odd_prime_segments(limit):
+        chunk = np.flatnonzero(np.frombuffer(flags, np.uint8))
+        chunk *= 2  # in place: temporaries left `curves` at x = 1e6 0.4 MB higher
+        chunk += lo
+        chunks.append(chunk)
+    return np.concatenate(chunks)
 
 
 def residues(c, primes):
