@@ -53,10 +53,10 @@ from .arith import odd_primes, prime_factors
 
 DEFAULT_DIGITS = 50
 DIGITS_BOUND = 10_000  # 10^4 digits at lmax = 1e5 take ~8 s (2 cores, one fresh CLI run)
-# Cost grows linearly with lmax.  `constant --kind universal` takes 0.8 s and
-# 43 MB at lmax = 1e6, 1.7 s and 68 MB at 3e6, and 4.6 s and 151 MB at 1e7
-# (2 cores, one fresh CLI run each): ~12 MB per 1e6, so the sieve's own limit,
-# 2e9 = 8 * 2.5e8, would need ~3 GB (extrapolated, not run).
+# Time grows linearly with lmax, memory hardly: `constant --kind universal`
+# takes 0.44 s and 21 MB at lmax = 1e6, 1.2 s and 21 MB at 3e6, and 3.3 s and
+# 21 MB at 1e7 (2 cores, medians of 3 fresh CLI runs): ~0.33 s per 1e6, so the
+# sieve's own limit, 2e9 = 8 * 2.5e8, would take ~80 s (extrapolated, not run).
 LMAX_BOUND = 10 ** 7
 _LOG2_10 = 3.3219280948873626  # the factor of mpmath's dps_to_prec
 

@@ -140,7 +140,7 @@ def test_lmax_validation(monkeypatch):
         universal_product(0)
     with pytest.raises(ValueError, match="lmax"):
         single_curve_constant(0, LMAX_BOUND + 1)
-    # the cost bound: ~0.4 s per 1e6 of lmax
+    # the cost bound: ~0.33 s per 1e6 of lmax
     with pytest.raises(ValueError, match="lmax"):
         pair_constant(1, 2, 10_000_001)
     with pytest.raises(ValueError, match="lmax"):
