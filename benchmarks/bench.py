@@ -9,8 +9,9 @@ jobs are ``import tracepair.cli`` (what jobbench's ``setup_s`` times),
 and ``constant --kind universal`` jobs, the workload's two heaviest layers,
 ``simulate`` at the largest level m = 128, which builds the largest
 class-density table, ``curves`` for one generic pair at the desk sizes
-x = 1e5 and 1e6, and ``constant --kind universal`` at lmax = 1e6, whose
-sieve runs to 8e6.
+x = 1e5 and 1e6, ``constant --kind universal`` at lmax = 1e6, whose
+sieve runs to 8e6, ``class-number`` at the largest |D| allowed, and
+``gekeler`` at the largest lmax with |t^2 - 4p| far below it.
 Every run is a fresh ``python -c "import tracepair.cli"`` or
 ``python -m tracepair.cli ...`` process with
 ``PYTHONPATH=ROOT/src`` and stdout discarded; a run that does not exit 0
@@ -53,7 +54,8 @@ def jobs():
     """Job name -> interpreter arguments: the bare CLI import, --help, each
     workload's seed-0 first job, desk-mix seed 0's 2-adic local sum and
     universal Euler product, a simulate job at m = 128, curves jobs at
-    x = 1e5 and 1e6, and the universal Euler product at lmax = 1e6."""
+    x = 1e5 and 1e6, the universal Euler product at lmax = 1e6, the class
+    number at |D| = 2^34 - 4 and the Gekeler product at lmax = 1e7."""
     table = {"import": ("-c", "import tracepair.cli"), "help": (*CLI, "--help")}
     for name in workloads.NAMES:
         table[name] = (*CLI, *workloads.BATCHES[name](0)[0].argv)
@@ -66,6 +68,8 @@ def jobs():
         table[name] = (*CLI, "curves", "--e1=-1,1", "--e2=1,1", "--t1", "1", "--t2", "1",
                        "--x", x, "--list-primes")
     table["constant-1e6"] = (*CLI, "constant", "--kind", "universal", "--lmax", "1000000")
+    table["class-number-2^34"] = (*CLI, "class-number", "--d", "-17179869180")
+    table["gekeler-1e7"] = (*CLI, "gekeler", "--t", "1", "--p", "9521", "--lmax", "10000000")
     return table
 
 

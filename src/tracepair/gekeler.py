@@ -11,27 +11,20 @@ three-branch formula cannot express is ell = 2 with odd t, where the count is
 
 This reading is coded once, in ``delta_exponent`` and ``f_ell``; the array
 route ``f_ell_floats`` only classifies t^2 - 4p and calls ``f_ell`` per class.
+``product_check`` runs on Python ints and floats, and only ``f_ell_floats``
+imports numpy, when it runs.
 """
 
 import math
 from fractions import Fraction
 
-import numpy as np
-
-from .arith import (
-    TRIAL_DIVISION_BOUND,
-    is_prime,
-    legendre_symbol,
-    padic_valuation,
-    powmod,
-    residues,
-    sieve_primes,
-)
+from .arith import TRIAL_DIVISION_BOUND, is_prime, legendre_symbol, odd_primes, padic_valuation
 from .class_numbers import hurwitz_weighted
 from .matcount import PrimePower, m_closed, valuations
 
-# product_check's residues hold one Python int per prime: a job peaks at 95 MB
-# max RSS here, +6 MB per 1e6 above, so the sieve's 2e9 would need ~8 GB
+# product_check takes one pow per prime below |t^2 - 4p| and a symbol memo of
+# min(|t^2 - 4p|, lmax) bytes: a job at lmax = 1e7 and p = 2^31 - 1 takes 2.1 s
+# and peaks at 31 MB (2 cores), so the sieve's 2e9 would take minutes and 2 GB
 LMAX_BOUND = 10 ** 7
 
 
@@ -81,6 +74,8 @@ def f_ell_floats(t, primes, ell):
     come from ``matcount.valuations`` in int64, and each class takes ``f_ell``
     at its first prime.  ``f_ell`` itself is the per-prime oracle.
     """
+    import numpy as np
+
     if not 2 <= ell < TRIAL_DIVISION_BOUND:
         raise ValueError(f"ell must be a prime below 2^31, got {ell}")
     if primes.size and t * t + 4 * int(primes.max()) >= 1 << 63:
@@ -113,12 +108,14 @@ def product_check(t, p, lmax):
     """Compare H(t^2 - 4p) with p * f_inf * prod_{ell <= lmax} f_ell.
 
     The product converges only conditionally, so the right side is an
-    approximation; factors are multiplied plainly in ascending ell.  For odd
-    ell not dividing d = t^2 - 4p, f_ell is ell/(ell - 1) when (d/ell) = 1 and
-    ell/(ell + 1) when (d/ell) = -1; these come from Euler's criterion over all
-    ell at once, as float divisions of integers below 2^53, which round as
-    ``float(f_ell)`` does.  ell = 2 and the few ell dividing d use the exact
-    ``f_ell``.  lmax must be in [0, ``LMAX_BOUND``].
+    approximation; factors are multiplied plainly in ascending ell, over the
+    sieve's primes.  For odd ell not dividing d = t^2 - 4p, f_ell is
+    ell/(ell - 1) when (d/ell) = 1 and ell/(ell + 1) when (d/ell) = -1, by
+    Euler's criterion e = d^((ell-1)/2) mod ell, as float divisions of
+    integers below 2^53, which round as ``float(f_ell)`` does.  (d/ell)
+    depends only on ell mod |d|, so each class takes one pow, and ell past
+    |d| mostly a lookup.  ell = 2 and the few ell dividing d (e = 0) use the
+    exact ``f_ell``.  lmax must be in [0, ``LMAX_BOUND``].
     """
     if not 0 <= lmax <= LMAX_BOUND:
         raise ValueError(f"lmax must be in [0, {LMAX_BOUND}], got {lmax}")
@@ -132,16 +129,24 @@ def product_check(t, p, lmax):
     if not is_prime(p):
         raise ValueError(f"product check needs a prime p, got {p}")
     lhs = hurwitz_weighted(d)
-    ells = sieve_primes(lmax)
-    factors = np.empty(ells.size + 1, dtype=np.float64)
-    factors[0] = p * f_infinity(t, p)
-    if ells.size:
-        odd = ells[1:]  # below LMAX_BOUND < 2^31, as powmod needs
-        euler = powmod(residues(d, odd), (odd - 1) // 2, odd)
-        lf = odd.astype(np.float64)
-        factors[2:] = lf / np.where(euler == 1, lf - 1.0, lf + 1.0)
-        for i in [0] + (np.flatnonzero(euler == 0) + 1).tolist():  # ell = 2 and ell | d
-            factors[i + 1] = float(f_ell(t, p, int(ells[i])))
-    rhs = float(np.multiply.accumulate(factors)[-1])
+    rhs = p * f_infinity(t, p)
+    if lmax >= 2:
+        rhs *= float(f_ell(t, p, 2))
+    absd = -d
+    # (d/ell) is a character mod |d|, as d = 0 or 1 mod 4: by ell mod |d|, 1 for
+    # e = 1, 2 for e = ell - 1 and 3 for e = 0 (ell | d, ell's own class), 0 unseen
+    symbols = bytearray(min(absd, lmax + 1))
+    for ell in odd_primes(lmax):
+        r = ell % absd
+        s = symbols[r]
+        if not s:
+            e = pow(d, ell >> 1, ell)
+            s = symbols[r] = 1 if e == 1 else 3 if e == 0 else 2
+        if s == 1:
+            rhs *= ell / (ell - 1.0)
+        elif s == 2:
+            rhs *= ell / (ell + 1.0)
+        else:
+            rhs *= float(f_ell(t, p, ell))
     rel = abs(rhs - float(lhs)) / float(lhs)
     return {"lhs": lhs, "rhs": rhs, "rel_error": rel, "lmax": lmax}

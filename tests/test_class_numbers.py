@@ -1,6 +1,10 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracepair import class_numbers
 from tracepair.arith import divisors
@@ -111,3 +115,52 @@ def test_discriminant_domain_checked_before_kernel(monkeypatch):
     monkeypatch.setattr(class_numbers, "_class_number", lambda D: 7)
     monkeypatch.setattr(class_numbers, "_H_CACHE", {})  # keep the stub's 7 out of the memo
     assert class_number_h(-(2 ** 34) + 4) == 7  # the largest |D| allowed
+
+
+def _class_number_by_b(D):
+    """h(D) by counting reduced forms, one b at a time over numpy arrays of a:
+    the O(|D|) kernel the a-first one replaced, kept as its oracle."""
+    absd = -D
+    h = 0
+    bmax = math.isqrt(absd // 3)
+    for b in range(absd % 2, bmax + 1, 2):
+        n4 = (b * b + absd) // 4
+        amax = math.isqrt(n4)
+        a = np.arange(max(b, 1), amax + 1, dtype=np.int64)
+        if a.size == 0:
+            continue
+        divs = a[n4 % a == 0]
+        if divs.size == 0:
+            continue
+        c = n4 // divs
+        prim = np.gcd(np.gcd(divs, b), c) == 1
+        divs, c = divs[prim], c[prim]
+        weights = np.where((b == 0) | (divs == b) | (divs == c), 1, 2)
+        h += int(weights.sum())
+    return h
+
+
+def test_class_number_matches_b_first_kernel():
+    for d in range(-20_000, -2):
+        if d % 4 in (0, 1):
+            assert class_number_h(d) == _class_number_by_b(d), d
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.integers(1, 25_000_000), st.sampled_from((0, 1)))
+def test_class_number_matches_b_first_kernel_at_large_d(k, r):
+    d = -4 * k + r
+    assert class_numbers._class_number(d) == _class_number_by_b(d)
+
+
+def test_class_number_spot_large():
+    assert class_numbers._class_number(-1073741828) == 15200
+
+
+def test_hurwitz_kronecker_memo_cleared_with_class_numbers(monkeypatch):
+    monkeypatch.setattr(class_numbers, "_H_CACHE", {})
+    assert hurwitz_kronecker(-108).hk == 6  # h(-3) + h(-12) + h(-27) + h(-108) = 1 + 1 + 1 + 3
+    monkeypatch.setattr(class_numbers, "_class_number", lambda D: 7)
+    class_numbers._H_CACHE.clear()
+    assert hurwitz_kronecker(-108).hk == 28
+    assert hurwitz_kronecker(-108) is hurwitz_kronecker(-108)

@@ -200,7 +200,7 @@ def test_average_default_ladder_small_x(capsys):
     # 10^18 + 3 is prime: trial division up to 10^9 would run for minutes
     ("local-factor", "--t1", "1", "--t2", "2", "--ell", "1000000000000000003", "--k", "1"),
     ("gekeler", "--t", "1", "--p", "1000000000000000003"),
-    # residues' Python ints would need ~8 GB at the sieve's 2e9
+    # the Euler pass would take minutes and a 2 GB symbol memo at the sieve's 2e9
     ("gekeler", "--t", "1", "--p", "5", "--lmax", "2000000000"),
     # the tail sums sieve to 8 * lmax, beyond the sieve's 2e9 limit
     ("constant", "--lmax", "300000000"),
@@ -501,9 +501,9 @@ def _loaded_modules(*argv):
     # primes as Python ints (the other kinds are the last rows)
     (("constant", "--kind", "universal", "--lmax", "1000"),
      ("numpy", "tracepair.local", "tracepair.matcount", "tracepair.verify")),
-    # the shared array helpers live in arith, which pulls in no other layer
+    # the class number and the Euler factors run on Python ints
     (("gekeler", "--t", "1", "--p", "101", "--lmax", "1000"),
-     ("tracepair.curves", "tracepair.constants", "mpmath", "tracepair.verify")),
+     ("numpy", "tracepair.curves", "tracepair.constants", "mpmath", "tracepair.verify")),
     # the local sums run on Python ints
     (("local-factor", "--t1", "1", "--t2", "2", "--ell", "3", "--k", "2"),
      ("numpy", "tracepair.curves", "tracepair.class_numbers", "mpmath", "tracepair.verify")),
@@ -517,6 +517,8 @@ def _loaded_modules(*argv):
      ("numpy", "tracepair.local", "tracepair.verify")),
     (("constant", "--kind", "single", "--t1", "-2", "--lmax", "1000"),
      ("numpy", "tracepair.local", "tracepair.verify")),
+    (("class-number", "--d", "-1073741828"),
+     ("numpy", "tracepair.gekeler", "mpmath", "tracepair.verify")),
 ])
 def test_job_loads_only_what_it_runs(argv, absent):
     loaded = _loaded_modules(*argv)
@@ -527,7 +529,8 @@ def test_job_loads_only_what_it_runs(argv, absent):
 _THREAD_JOBS = [
     # numpy loads while argparse converts --e1/--e2
     ("curves", "--e1", "1,0", "--e2", "0,1", "--t1", "0", "--t2", "0", "--x", "300"),
-    ("gekeler", "--t", "1", "--p", "101", "--lmax", "1000"),
+    # numpy loads for the Hurwitz table
+    ("average", "--t1", "1", "--t2", "1", "--x", "5000"),
 ]
 
 

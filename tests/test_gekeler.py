@@ -103,9 +103,15 @@ def _plain_product(t, p, lmax):
 _SMALL_PRIMES = [int(p) for p in sieve_primes(10_000) if p > 3]
 
 
+# lmax past 4p > |t^2 - 4p| reads the symbols of later ell from their class mod |d|
+_P_LMAX = st.sampled_from(_SMALL_PRIMES).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(0, 20_000) | st.integers(4 * p, 4 * p + 20_000)))
+
+
 @settings(derandomize=True, max_examples=30, deadline=None)
-@given(st.integers(0, 4), st.sampled_from(_SMALL_PRIMES), st.integers(0, 20_000))
-def test_product_check_matches_plain_loop(t, p, lmax):
+@given(st.integers(0, 4), _P_LMAX)
+def test_product_check_matches_plain_loop(t, p_lmax):
+    p, lmax = p_lmax
     assert product_check(t, p, lmax)["rhs"] == _plain_product(t, p, lmax)
 
 
@@ -113,6 +119,12 @@ def test_product_check_matches_plain_loop(t, p, lmax):
 def test_product_check_matches_plain_loop_at_square_factors(t, p):
     # d = -27 and d = -75 carry the squares 9 and 25; d = -20 has ell = p = 5
     assert product_check(t, p, 20_000)["rhs"] == _plain_product(t, p, 20_000)
+
+
+@pytest.mark.parametrize("t, p, lmax", [(1, 7, 20), (1, 19, 50), (2, 1801, 1000)])
+def test_product_check_matches_plain_loop_below_square_factors(t, p, lmax):
+    # d = -27, -75 and -7200 = -2^5 3^2 5^2: ell^2 | d with ell < lmax < |d|
+    assert product_check(t, p, lmax)["rhs"] == _plain_product(t, p, lmax)
 
 
 # 97 and 1009 key their classes by many unit residues mod ell
