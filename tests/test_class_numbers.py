@@ -160,6 +160,7 @@ def test_class_number_spot_large():
 def test_hurwitz_kronecker_memo_cleared_with_class_numbers(monkeypatch):
     monkeypatch.setattr(class_numbers, "_H_CACHE", {})
     assert hurwitz_kronecker(-108).hk == 6  # h(-3) + h(-12) + h(-27) + h(-108) = 1 + 1 + 1 + 3
+    assert class_number_h(-108) == 3  # the two memos share a dict but not a key
     monkeypatch.setattr(class_numbers, "_class_number", lambda D: 7)
     class_numbers._H_CACHE.clear()
     assert hurwitz_kronecker(-108).hk == 28
