@@ -19,10 +19,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import divisors, odd_primes
+from .arith import divisors, legendre_symbol, odd_primes
 
 # |D| must be below this.  The kernel takes 0.15 s at |D| = 2^34 - 4 (a
-# `class-number` job 0.46 s, 2 cores), and split_discriminant walks the
+# `class-number` job 0.25-0.46 s, 2 cores), and split_discriminant walks the
 # conductors down from sqrt|D| one at a time.  Every gekeler discriminant
 # t^2 - 4p lies inside, since |t^2 - 4p| < 4p < 2^33.
 CLASS_NUMBER_D_BOUND = 1 << 34
@@ -123,7 +123,7 @@ def _class_number(D):
     alive[0] = 0
     for p in sorted(odd_primes(amax), reverse=True):
         spf[p::p] = [p] * len(range(p, amax + 1, p))
-        if pow(D, (p - 1) // 2, p) == p - 1:
+        if legendre_symbol(D, p) == -1:
             alive[p::p] = bytes(len(range(p, amax + 1, p)))
     two = [[D & 1]]  # two[v]: roots mod 2^(v+1) of b^2 = D (mod 2^(v+2))
     while len(two) < amax.bit_length():
