@@ -10,8 +10,9 @@ and ``constant --kind universal`` jobs, the workload's two heaviest layers,
 ``simulate`` at the largest level m = 128, which builds the largest
 class-density table, ``curves`` for one generic pair at the desk sizes
 x = 1e5 and 1e6, ``constant --kind universal`` at lmax = 1e6, whose
-sieve runs to 8e6, ``class-number`` at the largest |D| allowed, and
-``gekeler`` at the largest lmax with |t^2 - 4p| far below it.
+sieve runs to 8e6, ``class-number`` at the largest |D| allowed and at
+D = -3 * 60060^2, whose conductor has 96 divisors, and ``gekeler`` at the
+largest lmax with |t^2 - 4p| far below it.
 Every run is a fresh ``python -c "import tracepair.cli"`` or
 ``python -m tracepair.cli ...`` process with
 ``PYTHONPATH=ROOT/src`` and stdout discarded; a run that does not exit 0
@@ -20,8 +21,9 @@ stops the bench.  Each run's wall time and its maximum resident set size
 interleaved: each of the ``REPS`` (15) repetitions runs every job once in
 each root, and the order of the roots alternates between repetitions, so
 that a drift of the machine's speed falls on all roots alike.  One more run per job and root,
-under ``python -X importtime``, lists the ``tracepair`` modules, numpy and
-mpmath that the job loaded, with their cumulative import times.
+under ``python -X importtime``, lists the ``tracepair`` modules, numpy,
+mpmath and dataclasses that the job loaded, with their cumulative import
+times.
 
 The record holds the git commit of each root, nproc, the Python, numpy and
 mpmath versions, and per job the median and quartiles of the wall time and
@@ -55,7 +57,8 @@ def jobs():
     workload's seed-0 first job, desk-mix seed 0's 2-adic local sum and
     universal Euler product, a simulate job at m = 128, curves jobs at
     x = 1e5 and 1e6, the universal Euler product at lmax = 1e6, the class
-    number at |D| = 2^34 - 4 and the Gekeler product at lmax = 1e7."""
+    number at |D| = 2^34 - 4 and at D = -3 * 60060^2 and the Gekeler product
+    at lmax = 1e7."""
     table = {"import": ("-c", "import tracepair.cli"), "help": (*CLI, "--help")}
     for name in workloads.NAMES:
         table[name] = (*CLI, *workloads.BATCHES[name](0)[0].argv)
@@ -69,6 +72,7 @@ def jobs():
                        "--x", x, "--list-primes")
     table["constant-1e6"] = (*CLI, "constant", "--kind", "universal", "--lmax", "1000000")
     table["class-number-2^34"] = (*CLI, "class-number", "--d", "-17179869180")
+    table["class-number-f60060"] = (*CLI, "class-number", "--d", "-10821610800")
     table["gekeler-1e7"] = (*CLI, "gekeler", "--t", "1", "--p", "9521", "--lmax", "10000000")
     return table
 
@@ -96,7 +100,8 @@ def time_run(root, argv):
 
 
 def loaded_modules(root, argv):
-    """{module: cumulative import ms} for tracepair.*, numpy and mpmath, from -X importtime."""
+    """{module: cumulative import ms} for tracepair.*, numpy, mpmath and dataclasses,
+    from -X importtime."""
     cmd = [sys.executable, "-X", "importtime", *argv]
     proc = subprocess.run(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                           env=_env(root), cwd=root, text=True, check=True)
@@ -106,7 +111,7 @@ def loaded_modules(root, argv):
             continue
         _, cumulative, name = line.split("|")
         name = name.strip()
-        if name in ("numpy", "mpmath") or name.split(".")[0] == "tracepair":
+        if name in ("numpy", "mpmath", "dataclasses") or name.split(".")[0] == "tracepair":
             try:
                 modules[name] = int(cumulative) / 1000
             except ValueError:  # the header line

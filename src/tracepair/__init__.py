@@ -14,8 +14,8 @@ _MODULES = {
         "sieve_primes",
     ),
     "class_numbers": (
-        "ClassData", "DiscriminantSplit", "class_number_h", "hurwitz_kronecker",
-        "hurwitz_weighted", "split_discriminant", "unit_count_w",
+        "ClassData", "class_number_h", "hurwitz_kronecker", "hurwitz_weighted",
+        "unit_count_w",
     ),
     "constants": (
         "EulerProductEstimate", "pair_constant", "same_trace_constant",

@@ -2,8 +2,11 @@
 
 h(D) counts primitive reduced binary quadratic forms (a, b, c) of discriminant
 D < 0: b = D mod 2, |b| <= a <= c, gcd(a, b, c) = 1, and b >= 0 when |b| = a
-or a = c.  The weighted invariants sum h over the divisors of the conductor,
-plainly and divided by the unit-group order w.
+or a = c.  A reduced form of content g is g times a primitive reduced form of
+D/g^2, and g divides the conductor f of D.  So the number of all reduced
+forms is HK(D), the sum of h(D/f'^2) over the divisors f' of f, and their
+count with the weight 1/w(D/g^2) of each is H(D), the sum of h/w (Cohen's
+Hurwitz number, GTM 138, 5.3, halved).  One pass gives h, f, HK and H.
 
 This is the per-discriminant route, for D > -2^34 (larger |D| is rejected
 before any work).  Its kernel counts the forms a-first from the square roots
@@ -16,34 +19,27 @@ checks, with a process-wide memo keyed by D.  The prime sums of
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .arith import divisors, legendre_symbol, odd_primes
+from .arith import legendre_symbol, odd_primes
 
 # |D| must be below this.  The kernel takes 0.15 s at |D| = 2^34 - 4 (a
-# `class-number` job 0.25-0.46 s, 2 cores), and split_discriminant walks the
-# conductors down from sqrt|D| one at a time.  Every gekeler discriminant
+# `class-number` job 0.25-0.46 s, 2 cores).  Every gekeler discriminant
 # t^2 - 4p lies inside, since |t^2 - 4p| < 4p < 2^33.
 CLASS_NUMBER_D_BOUND = 1 << 34
 
-_H_CACHE = {}  # h(D) by D, and ClassData by ("kronecker", D): one reset clears both
+_H_CACHE = {}  # ClassData by D
 
 
-@dataclass(frozen=True)
-class DiscriminantSplit:
+class ClassData(NamedTuple):
     D: int
-    D0: int  # fundamental discriminant
-    f: int   # conductor, D = f^2 * D0
-
-
-@dataclass(frozen=True)
-class ClassData:
-    split: DiscriminantSplit
+    D0: int      # fundamental discriminant, D = f^2 * D0
+    f: int       # conductor
     h: int
     w: int
-    hk: int           # sum of h over conductor divisors
-    hw: Fraction      # same sum weighted by 1/w
+    hk: int      # sum of h over the conductor divisors: every reduced form
+    hw: Fraction  # the same sum weighted by 1/w: H(D)
 
 
 def _check_discriminant(D):
@@ -51,15 +47,6 @@ def _check_discriminant(D):
         raise ValueError(f"D must be negative and 0 or 1 mod 4, got {D}")
     if -D >= CLASS_NUMBER_D_BOUND:
         raise ValueError(f"|D| must be below 2^34, got {D}")
-
-
-def split_discriminant(D):
-    """Split D = f^2 * D0 with D0 fundamental (largest admissible conductor f)."""
-    _check_discriminant(D)
-    for f in range(math.isqrt(-D), 0, -1):
-        if D % (f * f) == 0 and (D // (f * f)) % 4 in (0, 1):
-            return DiscriminantSplit(D, D // (f * f), f)
-    raise AssertionError("unreachable: f = 1 always qualifies")
 
 
 def _sqrt_mod_prime(n, p):
@@ -104,18 +91,22 @@ def _odd_roots(D, p, q, memo):
     return memo[q]
 
 
-def _class_number(D):
-    """h(D) by counting reduced forms a-first, from the square roots of D mod 4a.
+def _reduced_forms(D):
+    """(h, hk, f): the primitive and all reduced forms of D counted, and their
+    largest content, a-first from the square roots of D mod 4a.
 
     For each a <= sqrt(|D|/3), the b of the forms (a, b, c) are the roots of
     b^2 = D (mod 4a).  b^2 mod 4a depends only on b mod 2a, so (-a, a] holds
     each root class once, and the roots in [0, a] stand for b and -b with the
-    weights 1 (b = 0, b = a or a = c) and 2.  The roots mod 2a come by CRT
-    from those mod 2^(v+1) (of b^2 = D mod 2^(v+2), 2^v || a) and mod each odd
-    p^e || a (``_odd_roots``).  An a with an odd prime p, (D/p) = -1, has no
-    roots and is dropped by a sieve first.  A common factor of a, b and c
-    divides D; so when 4a^2 < |D| (every c exceeds a) and gcd(a, D) = 1, the
-    count is the number of roots, 2 per odd prime of a, and no root is formed.
+    weights 1 (b = 0, b = a or a = c) and 2.  Each form adds its weight to hk,
+    and the primitive ones to h too.  The roots mod 2a come by CRT from those
+    mod 2^(v+1) (of b^2 = D mod 2^(v+2), 2^v || a) and mod each odd p^e || a
+    (``_odd_roots``).  An a with an odd prime p, (D/p) = -1, has no roots and
+    is dropped by a sieve first.  A common factor of a, b and c divides D; so
+    when 4a^2 < |D| (every c exceeds a) and gcd(a, D) = 1, the count is the
+    number of roots, 2 per odd prime of a, and no root is formed.  Every
+    content divides the conductor f, and f times the principal form of D/f^2
+    is reduced, so the largest content is f.
     """
     amax = math.isqrt(-D // 3)
     spf = [0] * (amax + 1)  # smallest odd prime factor of each odd n <= amax
@@ -131,7 +122,8 @@ def _class_number(D):
         two.append(_lift(D, two[-1], 1 << v, 2, 4 << v))
     odd_roots = {}
     alim = math.isqrt((-D - 1) // 4)  # 4a^2 < |D| for a <= alim
-    h = 0
+    h = hk = 0
+    f = 1
     for a in itertools.compress(range(amax + 1), alive):
         v = (a & -a).bit_length() - 1
         roots, mod, n = two[v], 2 << v, a >> v
@@ -144,6 +136,7 @@ def _class_number(D):
                     n //= p
                 k += 1
             h += len(roots) << k
+            hk += len(roots) << k
             continue
         while n > 1 and roots:
             p = spf[n]
@@ -159,17 +152,21 @@ def _class_number(D):
             if b > a:
                 continue
             c = (b * b - D) // (4 * a)
-            if c >= a and math.gcd(a, b, c) == 1:
-                h += 1 if (b == 0 or b == a or a == c) else 2
-    return h
+            if c < a:
+                continue
+            weight = 1 if (b == 0 or b == a or a == c) else 2
+            hk += weight
+            g = math.gcd(a, b, c)
+            if g == 1:
+                h += weight
+            elif g > f:
+                f = g
+    return h, hk, f
 
 
 def class_number_h(D):
     """Number of primitive reduced forms of discriminant D < 0."""
-    _check_discriminant(D)
-    if D not in _H_CACHE:
-        _H_CACHE[D] = _class_number(D)
-    return _H_CACHE[D]
+    return hurwitz_kronecker(D).h
 
 
 def unit_count_w(D):
@@ -183,19 +180,15 @@ def unit_count_w(D):
 
 
 def hurwitz_kronecker(D):
-    """ClassData with both conductor-divisor sums computed together, memoized by D."""
-    key = ("kronecker", D)
-    if key not in _H_CACHE:
-        split = split_discriminant(D)
-        hk = 0
-        hw = Fraction(0)
-        for fp in divisors(split.f):
-            d = fp * fp * split.D0
-            h = class_number_h(d)
-            hk += h
-            hw += Fraction(h, unit_count_w(d))
-        _H_CACHE[key] = ClassData(split, class_number_h(D), unit_count_w(D), hk, hw)
-    return _H_CACHE[key]
+    """ClassData of D from one count of its reduced forms, memoized by D."""
+    _check_discriminant(D)
+    if D not in _H_CACHE:
+        h, hk, f = _reduced_forms(D)
+        D0 = D // (f * f)
+        # every form weighs 1/2 in H but g(1, 0, 1) (D0 = -4) 1/4 and g(1, 1, 1) (D0 = -3) 1/6
+        hw = Fraction(6 * hk - 3 * (D0 == -4) - 4 * (D0 == -3), 12)
+        _H_CACHE[D] = ClassData(D, D0, f, h, unit_count_w(D), hk, hw)
+    return _H_CACHE[D]
 
 
 def hurwitz_weighted(D):

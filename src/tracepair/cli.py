@@ -168,8 +168,8 @@ def cmd_class_number(args):
     _emit(
         {
             "D": args.d,
-            "D0": cd.split.D0,
-            "f": cd.split.f,
+            "D0": cd.D0,
+            "f": cd.f,
             "h": cd.h,
             "w": cd.w,
             "hurwitz_kronecker": cd.hk,

@@ -12,7 +12,8 @@ three-branch formula cannot express is ell = 2 with odd t, where the count is
 This reading is coded once, in ``delta_exponent`` and ``f_ell``; the array
 route ``f_ell_floats`` only classifies t^2 - 4p and calls ``f_ell`` per class.
 ``product_check`` runs on Python ints and floats, and only ``f_ell_floats``
-imports numpy, when it runs.
+imports numpy, when it runs.  ``matcount`` (and with it ``dataclasses``) is
+imported by the two functions that use it, ``f_level_k`` and ``f_ell_floats``.
 """
 
 import math
@@ -20,7 +21,6 @@ from fractions import Fraction
 
 from .arith import TRIAL_DIVISION_BOUND, is_prime, legendre_symbol, odd_primes, padic_valuation
 from .class_numbers import hurwitz_weighted
-from .matcount import PrimePower, m_closed, valuations
 
 # product_check takes one pow per prime below |t^2 - 4p| and a symbol memo of
 # min(|t^2 - 4p|, lmax) bytes: a job at lmax = 1e7 and p = 2^31 - 1 takes
@@ -77,6 +77,8 @@ def f_ell_floats(t, primes, ell):
     """
     import numpy as np
 
+    from .matcount import valuations
+
     if not 2 <= ell < TRIAL_DIVISION_BOUND:
         raise ValueError(f"ell must be a prime below 2^31, got {ell}")
     if primes.size and t * t + 4 * int(primes.max()) >= 1 << 63:
@@ -99,6 +101,8 @@ def f_infinity(t, p):
 
 def f_level_k(t, p, ell, k):
     """Finite-level density m(t, p; ell^k) / (ell^(2k-2) (ell^2 - 1)), exact."""
+    from .matcount import PrimePower, m_closed
+
     if p % ell == 0:
         raise ValueError("p must be a unit mod ell for the finite-level density")
     count = m_closed(t, p, PrimePower(ell, k))

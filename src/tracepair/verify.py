@@ -35,7 +35,6 @@ from .class_numbers import (
     class_number_h,
     hurwitz_kronecker,
     hurwitz_weighted,
-    split_discriminant,
     unit_count_w,
 )
 from .constants import (
@@ -609,9 +608,9 @@ def check_class_spot_values():
         return False, "H(-4)", "1/4"
     if hurwitz_kronecker(-3).hw != Fraction(1, 6):
         return False, "H(-3)", "1/6"
-    s = split_discriminant(-48)
-    if (s.D0, s.f) != (-3, 4):
-        return False, f"split(-48) = {s.D0},{s.f}", "(-3, 4)"
+    cd = hurwitz_kronecker(-48)
+    if (cd.D0, cd.f) != (-3, 4):
+        return False, f"split(-48) = {cd.D0},{cd.f}", "(-3, 4)"
     if (unit_count_w(-3), unit_count_w(-4), unit_count_w(-7)) != (6, 4, 2):
         return False, "unit counts", "(6, 4, 2)"
     return True, "spot values", "hand-enumerated forms"
@@ -620,7 +619,7 @@ def check_class_spot_values():
 def check_fundamental_consistency():
     for d in (-3, -4, -7, -8, -11, -19, -23, -43, -67, -163):
         cd = hurwitz_kronecker(d)
-        if cd.split.f != 1 or cd.hk != cd.h or cd.hw != Fraction(cd.h, cd.w):
+        if cd.f != 1 or cd.hk != cd.h or cd.hw != Fraction(cd.h, cd.w):
             return False, f"fundamental {d}", "HK == h"
     return True, "fundamental discriminants", "HK == h, H == h/w"
 

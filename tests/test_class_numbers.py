@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,30 +10,30 @@ from hypothesis import strategies as st
 from tracepair import class_numbers
 from tracepair.arith import divisors
 from tracepair.class_numbers import (
+    ClassData,
     class_number_h,
     hurwitz_kronecker,
     hurwitz_weighted,
-    split_discriminant,
     unit_count_w,
 )
 from tracepair.verify import hurwitz_eichler_lhs
 
 
 def test_split_discriminant():
-    s = split_discriminant(-12)
+    s = hurwitz_kronecker(-12)
     assert (s.D0, s.f) == (-3, 2)
-    s = split_discriminant(-4)
+    s = hurwitz_kronecker(-4)
     assert (s.D0, s.f) == (-4, 1)
-    s = split_discriminant(-48)
+    s = hurwitz_kronecker(-48)
     assert (s.D0, s.f) == (-3, 4)
-    s = split_discriminant(-36)  # -36/4 = -9 is 3 mod 4, so f = 3 wins
+    s = hurwitz_kronecker(-36)  # -36/4 = -9 is 3 mod 4, so f = 3 wins
     assert (s.D0, s.f) == (-4, 3)
 
 
 def test_split_rejects_invalid():
     for bad in (-2, -5, 0, 4, -6):
         with pytest.raises(ValueError):
-            split_discriminant(bad)
+            hurwitz_kronecker(bad)
 
 
 def test_class_number_spot():
@@ -63,7 +64,7 @@ def test_hurwitz_kronecker_values():
 def test_fundamental_collapse():
     for d in (-3, -4, -7, -8, -11, -19, -43, -67, -163):
         cd = hurwitz_kronecker(d)
-        assert cd.split.f == 1
+        assert cd.f == 1
         assert cd.hk == cd.h
         assert cd.hw == Fraction(cd.h, cd.w)
 
@@ -99,20 +100,20 @@ def test_order_independence():
 
     for d in range(-500, 0):
         if d % 4 in (0, 1):
-            assert class_numbers._class_number(d) == h_reference(d)
+            assert class_numbers._reduced_forms(d)[0] == h_reference(d)
 
 
 def test_discriminant_domain_checked_before_kernel(monkeypatch):
     def fail(D):
         raise AssertionError("kernel started")
 
-    monkeypatch.setattr(class_numbers, "_class_number", fail)
+    monkeypatch.setattr(class_numbers, "_reduced_forms", fail)
     for bad in (-(2 ** 34), -(2 ** 62), -99999999999999999999):
         with pytest.raises(ValueError, match=r"2\^34"):
             class_number_h(bad)
         with pytest.raises(ValueError, match=r"2\^34"):
             hurwitz_kronecker(bad)
-    monkeypatch.setattr(class_numbers, "_class_number", lambda D: 7)
+    monkeypatch.setattr(class_numbers, "_reduced_forms", lambda D: (7, 7, 1))
     monkeypatch.setattr(class_numbers, "_H_CACHE", {})  # keep the stub's 7 out of the memo
     assert class_number_h(-(2 ** 34) + 4) == 7  # the largest |D| allowed
 
@@ -140,28 +141,89 @@ def _class_number_by_b(D):
     return h
 
 
+def _split_by_walk(D):
+    """(D0, f): the largest f with f^2 | D and D/f^2 = 0 or 1 mod 4, walked down
+    from sqrt|D|, as the per-discriminant route found the conductor before."""
+    for f in range(math.isqrt(-D), 0, -1):
+        if D % (f * f) == 0 and (D // (f * f)) % 4 in (0, 1):
+            return D // (f * f), f
+    raise AssertionError("unreachable: f = 1 always qualifies")
+
+
+_H_BY_B = {}
+
+
+def _class_data_by_b(D):
+    """(D0, f, h, w, hk, hw) by the conductor walk and the sums of h(f'^2 D0) and
+    h(f'^2 D0)/w over the divisors f' of f, each h from ``_class_number_by_b``."""
+    D0, f = _split_by_walk(D)
+    hk, hw = 0, Fraction(0)
+    for fp in divisors(f):
+        d = fp * fp * D0
+        if d not in _H_BY_B:
+            _H_BY_B[d] = _class_number_by_b(d)
+        hk += _H_BY_B[d]
+        hw += Fraction(_H_BY_B[d], unit_count_w(d))
+    return D0, f, _H_BY_B[D], unit_count_w(D), hk, hw
+
+
+def _record(cd):
+    return cd.D0, cd.f, cd.h, cd.w, cd.hk, cd.hw
+
+
 def test_class_number_matches_b_first_kernel():
     for d in range(-20_000, -2):
         if d % 4 in (0, 1):
-            assert class_number_h(d) == _class_number_by_b(d), d
+            assert _record(hurwitz_kronecker(d)) == _class_data_by_b(d), d
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(st.integers(1, 25_000_000), st.sampled_from((0, 1)))
 def test_class_number_matches_b_first_kernel_at_large_d(k, r):
     d = -4 * k + r
-    assert class_numbers._class_number(d) == _class_number_by_b(d)
+    assert _record(hurwitz_kronecker(d)) == _class_data_by_b(d)
+
+
+def test_class_data_at_square_multiples_of_minus_3_and_minus_4():
+    # g(1, 1, 1) and g(1, 0, 1) weigh 1/6 and 1/4 in H, where every other form weighs 1/2
+    rng = random.Random(25)
+    for base in (-3, -4):
+        for g in rng.sample(range(1, 5001), 6):
+            d = base * g * g
+            cd = hurwitz_kronecker(d)
+            assert _record(cd) == _class_data_by_b(d), d
+            assert (cd.D0, cd.f) == (base, g)
 
 
 def test_class_number_spot_large():
-    assert class_numbers._class_number(-1073741828) == 15200
+    assert class_numbers._reduced_forms(-1073741828) == (15200, 15200, 1)
+
+
+def test_class_data_pins_and_one_kernel_call(monkeypatch):
+    calls = []
+
+    def counted(D):
+        calls.append(D)
+        return kernel(D)
+
+    kernel = class_numbers._reduced_forms
+    monkeypatch.setattr(class_numbers, "_reduced_forms", counted)
+    monkeypatch.setattr(class_numbers, "_H_CACHE", {})
+    D = -10821610800  # -3 * 60060^2: 96 conductor divisors
+    assert hurwitz_kronecker(D) == ClassData(D, -3, 60060, 31104, 2, 110414, Fraction(165620, 3))
+    assert class_number_h(D) == 31104
+    assert calls == [D]
+    D = -17179869180  # the largest |D| allowed
+    assert hurwitz_kronecker(D) == ClassData(D, -4294967295, 2, 42240, 2, 84480, Fraction(42240))
 
 
 def test_hurwitz_kronecker_memo_cleared_with_class_numbers(monkeypatch):
     monkeypatch.setattr(class_numbers, "_H_CACHE", {})
     assert hurwitz_kronecker(-108).hk == 6  # h(-3) + h(-12) + h(-27) + h(-108) = 1 + 1 + 1 + 3
-    assert class_number_h(-108) == 3  # the two memos share a dict but not a key
-    monkeypatch.setattr(class_numbers, "_class_number", lambda D: 7)
+    assert class_number_h(-108) == 3
+    assert class_numbers._H_CACHE == {-108: hurwitz_kronecker(-108)}  # one record per D
+    monkeypatch.setattr(class_numbers, "_reduced_forms", lambda D: (7, 28, 6))
     class_numbers._H_CACHE.clear()
     assert hurwitz_kronecker(-108).hk == 28
+    assert class_number_h(-108) == 7
     assert hurwitz_kronecker(-108) is hurwitz_kronecker(-108)

@@ -227,7 +227,7 @@ def test_out_of_domain_rejected_before_work(capsys, monkeypatch, argv):
     def fail(*args):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(class_numbers, "_class_number", fail)
+    monkeypatch.setattr(class_numbers, "_reduced_forms", fail)
     monkeypatch.setattr(prime_stats, "hurwitz_table", fail)
     monkeypatch.setattr(prime_stats, "sieve_primes", fail)
     monkeypatch.setattr(arith, "odd_prime_segments", fail)
@@ -501,9 +501,11 @@ def _loaded_modules(*argv):
     # primes as Python ints (the other kinds are the last rows)
     (("constant", "--kind", "universal", "--lmax", "1000"),
      ("numpy", "tracepair.local", "tracepair.matcount", "tracepair.verify")),
-    # the class number and the Euler factors run on Python ints
+    # the class number and the Euler factors run on Python ints, and need no records
+    # of dataclasses
     (("gekeler", "--t", "1", "--p", "101", "--lmax", "1000"),
-     ("numpy", "tracepair.curves", "tracepair.constants", "mpmath", "tracepair.verify")),
+     ("numpy", "tracepair.curves", "tracepair.constants", "mpmath", "tracepair.verify",
+      "dataclasses", "inspect", "tracepair.matcount")),
     # the local sums run on Python ints
     (("local-factor", "--t1", "1", "--t2", "2", "--ell", "3", "--k", "2"),
      ("numpy", "tracepair.curves", "tracepair.class_numbers", "mpmath", "tracepair.verify")),
@@ -518,7 +520,8 @@ def _loaded_modules(*argv):
     (("constant", "--kind", "single", "--t1", "-2", "--lmax", "1000"),
      ("numpy", "tracepair.local", "tracepair.verify")),
     (("class-number", "--d", "-1073741828"),
-     ("numpy", "tracepair.gekeler", "mpmath", "tracepair.verify")),
+     ("numpy", "tracepair.gekeler", "mpmath", "tracepair.verify", "dataclasses", "inspect",
+      "tracepair.matcount")),
 ])
 def test_job_loads_only_what_it_runs(argv, absent):
     loaded = _loaded_modules(*argv)
