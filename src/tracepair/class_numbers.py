@@ -24,9 +24,10 @@ from typing import NamedTuple
 
 from .arith import legendre_symbol, odd_primes
 
-# |D| must be below this.  The kernel takes 0.15 s at |D| = 2^34 - 4 (a
-# `class-number` job 0.25-0.46 s, 2 cores).  Every gekeler discriminant
-# t^2 - 4p lies inside, since |t^2 - 4p| < 4p < 2^33.
+# |D| must be below this.  The kernel takes 0.12-0.22 s at |D| = 2^34 - 4 and
+# 0.13-0.23 s at D = -3 * 60060^2 (a `class-number` job 0.22-0.36 s at either,
+# 2 cores).  Every gekeler discriminant t^2 - 4p lies inside, since
+# |t^2 - 4p| < 4p < 2^33.
 CLASS_NUMBER_D_BOUND = 1 << 34
 
 _H_CACHE = {}  # ClassData by D
@@ -185,7 +186,7 @@ def hurwitz_kronecker(D):
     if D not in _H_CACHE:
         h, hk, f = _reduced_forms(D)
         D0 = D // (f * f)
-        # every form weighs 1/2 in H but g(1, 0, 1) (D0 = -4) 1/4 and g(1, 1, 1) (D0 = -3) 1/6
+        # every form weighs 1/2 in H, but f(1, 0, 1) (D0 = -4) 1/4 and f(1, 1, 1) (D0 = -3) 1/6
         hw = Fraction(6 * hk - 3 * (D0 == -4) - 4 * (D0 == -3), 12)
         _H_CACHE[D] = ClassData(D, D0, f, h, unit_count_w(D), hk, hw)
     return _H_CACHE[D]
