@@ -143,7 +143,7 @@ def _class_number_by_b(D):
 
 def _split_by_walk(D):
     """(D0, f): the largest f with f^2 | D and D/f^2 = 0 or 1 mod 4, walked down
-    from sqrt|D|, as the per-discriminant route found the conductor before."""
+    from sqrt|D|, with no use of the forms' contents."""
     for f in range(math.isqrt(-D), 0, -1):
         if D % (f * f) == 0 and (D // (f * f)) % 4 in (0, 1):
             return D // (f * f), f
