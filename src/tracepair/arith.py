@@ -21,10 +21,11 @@ TRIAL_DIVISION_BOUND = 1 << 31
 def legendre_symbol(a, ell):
     """Legendre symbol (a|ell) for an odd prime ell, in {-1, 0, 1}.
 
-    Computed by the quadratic-reciprocity reduction (binary Jacobi), which is
-    logarithmic; ``euler_criterion`` below is the quadratic-time oracle kept
-    for tests.  ell = 2 and even ell are rejected; primality of an odd ell is
-    the caller's responsibility.
+    Computed by the quadratic-reciprocity reduction (binary Jacobi).
+    ``euler_criterion`` below is the other route to the same symbol, and each
+    is the other's oracle (verify's ``arith:legendre-euler-oracle``).  ell = 2
+    and even ell are rejected; primality of an odd ell is the caller's
+    responsibility.
     """
     if ell < 3 or ell % 2 == 0:
         raise ValueError(f"legendre_symbol needs an odd prime, got {ell}")
@@ -44,10 +45,14 @@ def legendre_symbol(a, ell):
 
 
 def euler_criterion(a, ell):
-    """Legendre symbol via a^((ell-1)/2) mod ell; test oracle only."""
+    """Legendre symbol (a|ell) via a^((ell-1)/2) mod ell, in {-1, 0, 1}.
+
+    The second route to ``legendre_symbol``'s symbol; each is the other's
+    oracle.  ell is checked as there.
+    """
     if ell < 3 or ell % 2 == 0:
         raise ValueError(f"euler_criterion needs an odd prime, got {ell}")
-    r = pow(a % ell, (ell - 1) // 2, ell)
+    r = pow(a, ell >> 1, ell)  # pow reduces a mod ell first
     return -1 if r == ell - 1 else r
 
 

@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import legendre_symbol, odd_primes
+from .arith import euler_criterion, legendre_symbol, odd_primes
 
 # |D| must be below this.  The kernel takes 0.12-0.22 s at |D| = 2^34 - 4 and
 # 0.13-0.23 s at D = -3 * 60060^2 (a `class-number` job 0.22-0.36 s at either,
@@ -59,7 +59,7 @@ def _sqrt_mod_prime(n, p):
     r, t = pow(n, (q + 1) // 2, p), pow(n, q, p)
     if t != 1:
         z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
+        while euler_criterion(z, p) != -1:
             z += 1
         c = pow(z, q, p)
         while t != 1:

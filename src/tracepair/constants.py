@@ -264,10 +264,11 @@ def _euler_product(lmax, digits, prefactor, factor):
 
 def pair_constant(t1, t2, lmax, digits=DEFAULT_DIGITS):
     """(1/pi^2) * prod of local factors c_ell over ell <= lmax."""
-    from .local import PROVENANCE_CONJECTURE, local_limit  # only this constant needs them
+    # only this constant needs them; the sieve's ell need no primality test
+    from .local import PROVENANCE_CONJECTURE, local_limit_unchecked
 
     def factor(ell):
-        lf = local_limit(t1, t2, ell)
+        lf = local_limit_unchecked(t1, t2, ell)
         return lf.c_ell.numerator, lf.c_ell.denominator, lf.provenance == PROVENANCE_CONJECTURE
 
     return _euler_product(lmax, digits, (1, -2), factor)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import powmod, residues, sieve_primes
+from .arith import is_prime, powmod, residues, sieve_primes
 
 # Every prime must be below this.  Curve coefficients are reduced mod p as
 # Python ints, and every product the kernel forms is of two residues, so it
@@ -286,6 +286,8 @@ def _check_prime(curve, p):
 def trace_ap(curve, p):
     """a_p = p + 1 - #E(F_p) for a good prime 5 <= p < 2^31."""
     _check_prime(curve, p)
+    if not is_prime(p):  # ~5 ms at 2^31, less than the BSGS call
+        raise ValueError(f"p = {p} is not prime")
     ap = int(trace_batch(curve.a, curve.b, [p])[0])
     assert ap * ap <= 4 * p
     return ap

@@ -11,15 +11,25 @@ three-branch formula cannot express is ell = 2 with odd t, where the count is
 
 This reading is coded once, in ``delta_exponent`` and ``f_ell``; the array
 route ``f_ell_floats`` only classifies t^2 - 4p and calls ``f_ell`` per class.
-``product_check`` runs on Python ints and floats, and only ``f_ell_floats``
-imports numpy, when it runs.  ``matcount`` (and with it ``dataclasses``) is
-imported by the two functions that use it, ``f_level_k`` and ``f_ell_floats``.
+At an odd ell not dividing D = t^2 - 4p that formula is ell/(ell - (D/ell)),
+and ``product_check`` takes that one expression there, with (D/ell) from
+``arith``, and ``f_ell`` at every other ell.  It runs on Python ints and
+floats, and only ``f_ell_floats`` imports numpy, when it runs.  ``matcount``
+(and with it ``dataclasses``) is imported by the two functions that use it,
+``f_level_k`` and ``f_ell_floats``.
 """
 
 import math
 from fractions import Fraction
 
-from .arith import TRIAL_DIVISION_BOUND, is_prime, legendre_symbol, odd_primes, padic_valuation
+from .arith import (
+    TRIAL_DIVISION_BOUND,
+    euler_criterion,
+    is_prime,
+    legendre_symbol,
+    odd_primes,
+    padic_valuation,
+)
 from .class_numbers import hurwitz_weighted
 
 # product_check takes one pow per prime below |t^2 - 4p| and a symbol memo of
@@ -115,12 +125,12 @@ def product_check(t, p, lmax):
     The product converges only conditionally, so the right side is an
     approximation; factors are multiplied plainly in ascending ell, over the
     sieve's primes.  For odd ell not dividing d = t^2 - 4p, f_ell is
-    ell/(ell - 1) when (d/ell) = 1 and ell/(ell + 1) when (d/ell) = -1, by
-    Euler's criterion e = d^((ell-1)/2) mod ell, as float divisions of
-    integers below 2^53, which round as ``float(f_ell)`` does.  (d/ell)
-    depends only on ell mod |d|, so each class takes one pow, and ell past
-    |d| mostly a lookup.  ell = 2 and the few ell dividing d (e = 0) use the
-    exact ``f_ell``.  lmax must be in [0, ``LMAX_BOUND``].
+    ell/(ell - (d/ell)), taken as a float division of integers below 2^53,
+    which rounds as ``float(f_ell)`` does.  (d/ell) comes from
+    ``arith.euler_criterion`` and depends only on ell mod |d|, so each class
+    takes one call, and ell past |d| mostly a lookup.  ell = 2 and the few
+    ell dividing d ((d/ell) = 0) use the exact ``f_ell``.  lmax must be in
+    [0, ``LMAX_BOUND``].
     """
     if not 0 <= lmax <= LMAX_BOUND:
         raise ValueError(f"lmax must be in [0, {LMAX_BOUND}], got {lmax}")
@@ -138,20 +148,14 @@ def product_check(t, p, lmax):
     if lmax >= 2:
         rhs *= float(f_ell(t, p, 2))
     absd = -d
-    # (d/ell) is a character mod |d|, as d = 0 or 1 mod 4: by ell mod |d|, 1 for
-    # e = 1, 2 for e = ell - 1 and 3 for e = 0 (ell | d, ell's own class), 0 unseen
+    # (d/ell) is a character mod |d|, as d = 0 or 1 mod 4: the memo keeps
+    # (d/ell) + 2 by ell mod |d|, 0 for a class not yet seen
     symbols = bytearray(min(absd, lmax + 1))
     for ell in odd_primes(lmax):
         r = ell % absd
         s = symbols[r]
         if not s:
-            e = pow(d, ell >> 1, ell)
-            s = symbols[r] = 1 if e == 1 else 3 if e == 0 else 2
-        if s == 1:
-            rhs *= ell / (ell - 1.0)
-        elif s == 2:
-            rhs *= ell / (ell + 1.0)
-        else:
-            rhs *= float(f_ell(t, p, ell))
+            s = symbols[r] = euler_criterion(d, ell) + 2
+        rhs *= ell / (ell + 2 - s) if s != 2 else float(f_ell(t, p, ell))
     rel = abs(rhs - float(lhs)) / float(lhs)
     return {"lhs": lhs, "rhs": rhs, "rel_error": rel, "lmax": lmax}

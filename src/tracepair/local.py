@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import alpha, legendre_symbol
-from .matcount import PrimePower, m_from_code, m_values
+from .matcount import PrimePower, check_ell, m_from_code, m_values
 
 PROVENANCE_THEOREM = "closed-form-theorem"
 PROVENANCE_PROPOSITION = "closed-form-proposition"
@@ -299,8 +299,16 @@ def _factor(ell, limit, stabilized_at, provenance):
 def local_limit(t1, t2, ell):
     """The limit of S(t1,t2;ell^k)/ell^(5k-5) from ``_closed``, as a LocalFactor.
 
+    ell must be a prime below 2^31 (``matcount.check_ell``).
     ``local_limit_direct`` is the stability-checked fallback.
     """
+    check_ell(ell)
+    return local_limit_unchecked(t1, t2, ell)
+
+
+def local_limit_unchecked(t1, t2, ell):
+    """``local_limit`` without the check on ell, for an ell known to be a
+    prime below 2^31, such as one from the sieve."""
     limit, c, k_min, provenance = _closed(t1, t2, ell)
     # without a 1/ell^(2k) term the sums are constant from k_min on
     return _factor(ell, limit, None if c else k_min, provenance)
@@ -314,7 +322,10 @@ def delta_group_size(pp):
 
 
 def volume(t1, t2, ell):
-    """local_limit / ell^5; the ell-adic volume of the trace-pair slice."""
+    """local_limit / ell^5; the ell-adic volume of the trace-pair slice.
+
+    ell is checked as in ``local_limit``.
+    """
     return local_limit(t1, t2, ell).limit / Fraction(ell ** 5)
 
 

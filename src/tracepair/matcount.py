@@ -24,12 +24,24 @@ BRUTE_BUDGET = 2_000_000
 K_BOUND = 64  # covers alpha + 1 for any pair of int64 traces
 
 
+def check_ell(ell):
+    """Reject ell unless it is a prime below 2^31.
+
+    The bound is checked before the trial-division primality test, which
+    takes ~5 ms just below 2^31.
+    """
+    if ell >= TRIAL_DIVISION_BOUND:
+        raise ValueError(f"ell must be below 2^31, got {ell}")
+    if not is_prime(ell):
+        raise ValueError(f"ell must be prime, got {ell}")
+
+
 @dataclass(frozen=True)
 class PrimePower:
     """A local modulus ell^k with a prime ell < 2^31 and 1 <= k <= 64.
 
-    The bounds are checked before the trial-division primality test, which
-    takes ~5 ms just below 2^31, and before any power of ell is formed.
+    The bounds are checked before ``check_ell``'s primality test and before
+    any power of ell is formed.
     """
 
     ell: int
@@ -38,10 +50,7 @@ class PrimePower:
     def __post_init__(self):
         if not 1 <= self.k <= K_BOUND:
             raise ValueError(f"k must be in [1, {K_BOUND}], got {self.k}")
-        if self.ell >= TRIAL_DIVISION_BOUND:
-            raise ValueError(f"ell must be below 2^31, got {self.ell}")
-        if not is_prime(self.ell):
-            raise ValueError(f"ell must be prime, got {self.ell}")
+        check_ell(self.ell)
 
     @property
     def modulus(self):

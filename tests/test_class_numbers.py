@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracepair import class_numbers
-from tracepair.arith import divisors
+from tracepair.arith import divisors, sieve_primes
 from tracepair.class_numbers import (
     ClassData,
     class_number_h,
@@ -193,6 +193,13 @@ def test_class_data_at_square_multiples_of_minus_3_and_minus_4():
             cd = hurwitz_kronecker(d)
             assert _record(cd) == _class_data_by_b(d), d
             assert (cd.D0, cd.f) == (base, g)
+
+
+def test_sqrt_mod_prime_at_every_residue():
+    # at p = 1 mod 8, 2 is a residue, so the search for a non-residue runs past 2
+    for p in sieve_primes(2000).tolist()[1:]:
+        for n in {x * x % p for x in range(1, p)}:
+            assert class_numbers._sqrt_mod_prime(n, p) ** 2 % p == n, (n, p)
 
 
 def test_class_number_spot_large():

@@ -43,6 +43,13 @@ def test_trace_rejects_bad_reduction():
         trace_ap(c, 3)
 
 
+@pytest.mark.parametrize("p", [9, 25, 2 ** 31 - 3])
+def test_trace_rejects_composite_p(p):
+    # trace_ap(Curve(1, 1), 9) was 0; 2^31 - 3 = 5 * 429496729
+    with pytest.raises(ValueError, match="not prime"):
+        trace_ap(Curve(1, 1), p)
+
+
 def test_trace_point_count_oracle():
     rng = random.Random(5)
     primes = [int(p) for p in sieve_primes(150) if p > 3]

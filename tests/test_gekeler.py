@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracepair.arith import sieve_primes
+from tracepair.arith import legendre_symbol, sieve_primes
 from tracepair.gekeler import (
     delta_exponent,
     f_ell,
@@ -67,6 +67,17 @@ def test_level_stabilization():
                 limit = f_ell(t, p, ell)
                 assert f_level_k(t, p, ell, 2 * delta + 3) == limit
                 assert f_level_k(t, p, ell, 2 * delta + 4) == limit
+
+
+def test_f_ell_unit_case_is_ell_over_ell_minus_symbol():
+    # product_check multiplies ell / (ell - (d/ell)) in place of f_ell at odd ell not dividing d
+    odd = [int(ell) for ell in sieve_primes(200)[1:]]
+    for t in range(11):
+        for p in sieve_primes(2000).tolist():
+            d = t * t - 4 * p
+            for ell in odd:
+                if d % ell:
+                    assert f_ell(t, p, ell) == Fraction(ell, ell - legendre_symbol(d, ell))
 
 
 def test_f_ell_bounds():

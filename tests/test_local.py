@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tracepair import matcount
 from tracepair.local import (
     PROVENANCE_CONJECTURE,
     PROVENANCE_PROPOSITION,
@@ -207,6 +208,28 @@ def test_local_limit_sign_invariance():
         base = local_limit(t1, t2, ell)
         for s1, s2 in ((-1, 1), (1, -1), (-1, -1)):
             assert local_limit(s1 * t1, s2 * t2, ell) == base
+
+
+@pytest.mark.parametrize("call, ell", [
+    (local_limit, 9),   # was a LocalFactor with c_ell 12717/12800
+    (volume, 4),        # was 19/32
+    (local_limit, 1),   # was a ZeroDivisionError
+    (local_limit, 0),
+    (volume, -3),
+])
+def test_local_limit_and_volume_reject_non_prime_ell(call, ell):
+    with pytest.raises(ValueError, match="ell must be prime"):
+        call(1, 2, ell)
+
+
+def test_local_limit_checks_the_bound_before_primality(monkeypatch):
+    def no_trial_division(n):
+        raise AssertionError("trial division ran above the bound")
+
+    monkeypatch.setattr(matcount, "is_prime", no_trial_division)
+    for call in (local_limit, volume):
+        with pytest.raises(ValueError, match="2\\^31"):
+            call(1, 2, 2 ** 31 + 11)
 
 
 def test_local_limit_direct_route():
