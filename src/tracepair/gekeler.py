@@ -32,10 +32,10 @@ from .arith import (
 )
 from .class_numbers import hurwitz_weighted
 
-# product_check takes one pow per prime below |t^2 - 4p| and a symbol memo of
-# min(|t^2 - 4p|, lmax) bytes: a job at lmax = 1e7 and p = 2^31 - 1 takes
-# 1.3-2.1 s and peaks at 31 MB (2 cores), so the sieve's 2e9 would take minutes
-# and 2 GB
+# product_check takes one symbol call per prime below |t^2 - 4p| and a symbol
+# memo of min(|t^2 - 4p|, lmax) bytes: a job at lmax = 1e7 and p = 2^31 - 1
+# takes 1.4-1.6 s and peaks at 30 MB (2 cores), so the sieve's 2e9 would take
+# minutes and 2 GB
 LMAX_BOUND = 10 ** 7
 
 

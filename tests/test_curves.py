@@ -45,7 +45,7 @@ def test_trace_rejects_bad_reduction():
 
 @pytest.mark.parametrize("p", [9, 25, 2 ** 31 - 3])
 def test_trace_rejects_composite_p(p):
-    # trace_ap(Curve(1, 1), 9) was 0; 2^31 - 3 = 5 * 429496729
+    # the kernel reads any int as a prime (9 would give 0); 2^31 - 3 = 5 * 429496729
     with pytest.raises(ValueError, match="not prime"):
         trace_ap(Curve(1, 1), p)
 

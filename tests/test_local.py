@@ -211,13 +211,10 @@ def test_local_limit_sign_invariance():
 
 
 @pytest.mark.parametrize("call, ell", [
-    (local_limit, 9),   # was a LocalFactor with c_ell 12717/12800
-    (volume, 4),        # was 19/32
-    (local_limit, 1),   # was a ZeroDivisionError
-    (local_limit, 0),
-    (volume, -3),
+    (local_limit, 9), (volume, 4), (local_limit, 1), (local_limit, 0), (volume, -3),
 ])
 def test_local_limit_and_volume_reject_non_prime_ell(call, ell):
+    # the closed forms read any int as a prime: ell = 9 would give c_ell 12717/12800
     with pytest.raises(ValueError, match="ell must be prime"):
         call(1, 2, ell)
 
