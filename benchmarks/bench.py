@@ -9,13 +9,14 @@ jobs are ``import tracepair.cli`` (what jobbench's ``setup_s`` times),
 and ``constant --kind universal`` jobs, the workload's two heaviest layers,
 ``simulate`` at the largest level m = 128, which builds the largest
 class-density table, ``curves`` for one generic pair at the desk sizes
-x = 1e5 and 1e6, ``average`` and ``simulate`` at x = 1e5 and ``verify``,
-the ROADMAP's other end-to-end sizes, ``constant --kind universal`` at
-lmax = 1e6, whose sieve runs to 8e6, ``class-number`` at the largest |D|
-allowed and at D = -3 * 60060^2, whose conductor has 96 divisors, and
-``gekeler`` at the largest lmax, once with |t^2 - 4p| far below it and once
-at p = 2^31 - 1, where |t^2 - 4p| exceeds lmax, so that no class of the
-symbol repeats and every prime takes a symbol call.
+x = 1e5 and 1e6, ``average`` and ``simulate`` at x = 1e5 and 1e6 and
+``verify``, the ROADMAP's other end-to-end sizes,
+``constant --kind universal`` at lmax = 1e6, whose sieve runs to 8e6,
+``class-number`` at the largest |D| allowed and at D = -3 * 60060^2, whose
+conductor has 96 divisors, and ``gekeler`` at the largest lmax, once with
+|t^2 - 4p| far below it and once at p = 2^31 - 1, where |t^2 - 4p| exceeds
+lmax, so that no class of the symbol repeats and every prime takes a symbol
+call.
 Every run is a fresh ``python -c "import tracepair.cli"`` or
 ``python -m tracepair.cli ...`` process with
 ``PYTHONPATH=ROOT/src`` and stdout discarded; a run that does not exit 0
@@ -58,11 +59,10 @@ CLI = ("-m", "tracepair.cli")
 def jobs():
     """Job name -> interpreter arguments: the bare CLI import, --help, each
     workload's seed-0 first job, desk-mix seed 0's 2-adic local sum and
-    universal Euler product, a simulate job at m = 128, curves jobs at
-    x = 1e5 and 1e6, average and simulate at x = 1e5, verify, the universal
-    Euler product at lmax = 1e6, the class number at |D| = 2^34 - 4 and at
-    D = -3 * 60060^2 and the Gekeler product at lmax = 1e7 for p = 9521 and
-    p = 2^31 - 1."""
+    universal Euler product, a simulate job at m = 128, curves, average and
+    simulate jobs at x = 1e5 and 1e6, verify, the universal Euler product at
+    lmax = 1e6, the class number at |D| = 2^34 - 4 and at D = -3 * 60060^2
+    and the Gekeler product at lmax = 1e7 for p = 9521 and p = 2^31 - 1."""
     table = {"import": ("-c", "import tracepair.cli"), "help": (*CLI, "--help")}
     for name in workloads.NAMES:
         table[name] = (*CLI, *workloads.BATCHES[name](0)[0].argv)
@@ -74,9 +74,10 @@ def jobs():
     for name, x in (("curves-1e5", "100000"), ("curves-1e6", "1000000")):
         table[name] = (*CLI, "curves", "--e1=-1,1", "--e2=1,1", "--t1", "1", "--t2", "1",
                        "--x", x, "--list-primes")
-    table["average-1e5"] = (*CLI, "average", "--t1", "1", "--t2", "1", "--x", "100000")
-    table["simulate-1e5"] = (*CLI, "simulate", "--m", "2", "--n", "100000", "--seed", "0",
-                             "--t1", "1", "--t2", "1")
+    for name, x in (("1e5", "100000"), ("1e6", "1000000")):
+        table[f"average-{name}"] = (*CLI, "average", "--t1", "1", "--t2", "1", "--x", x)
+        table[f"simulate-{name}"] = (*CLI, "simulate", "--m", "2", "--n", x, "--seed", "0",
+                                     "--t1", "1", "--t2", "1")
     table["verify"] = (*CLI, "verify")
     table["constant-1e6"] = (*CLI, "constant", "--kind", "universal", "--lmax", "1000000")
     table["class-number-2^34"] = (*CLI, "class-number", "--d", "-17179869180")

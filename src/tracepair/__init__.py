@@ -24,11 +24,12 @@ _MODULES = {
     "curves": ("Curve", "pair_count", "trace_ap"),
     "gekeler": ("delta_exponent", "f_ell", "f_infinity", "f_level_k", "product_check"),
     "local": (
-        "LocalFactor", "RationalFunction", "UnstableLocalFactor", "delta_group_size",
-        "interpolate_rational", "local_limit", "s_closed", "s_direct", "s_normalized",
-        "volume",
+        "LocalFactor", "RationalFunction", "UnstableLocalFactor", "interpolate_rational",
+        "local_limit", "s_closed", "s_direct", "s_normalized", "volume",
     ),
-    "matcount": ("PrimePower", "m_brute", "m_closed", "m_dks", "sqrt_count_N"),
+    "matcount": (
+        "PrimePower", "delta_group_size", "m_brute", "m_closed", "m_dks", "sqrt_count_N",
+    ),
     "model_sim": ("ModelConfig", "SampleRun", "class_density", "growth_check", "sample_run"),
     "prime_stats": ("CheckpointSeries", "average_f_product", "class_sum", "slope_fit"),
 }

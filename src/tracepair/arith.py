@@ -8,13 +8,14 @@ functions import numpy when they run, so the scalar ones and the Python-int
 primes load no numpy.
 """
 
+import functools
 import itertools
 import math
 
 INFINITY = math.inf
 
 SIEVE_HARD_LIMIT = 2_000_000_000
-# is_prime's trial division takes ~5 ms just below this; callers check it first
+# is_prime's trial division takes ~5 ms just below this; check_prime tests it first
 TRIAL_DIVISION_BOUND = 1 << 31
 
 
@@ -96,6 +97,18 @@ def is_prime(n):
             return False
         d += 1
     return True
+
+
+@functools.lru_cache  # f_ell_floats checks the same ell again for every class
+def check_prime(n, name):
+    """Reject n, called ``name`` in the error, unless it is a prime below 2^31.
+
+    The bound is tested first, without ``is_prime``'s trial division.
+    """
+    if n >= TRIAL_DIVISION_BOUND:
+        raise ValueError(f"{name} must be below 2^31, got {n}")
+    if not is_prime(n):
+        raise ValueError(f"{name} must be prime, got {n}")
 
 
 _SEGMENT = 1 << 22  # integers per sieve segment; even

@@ -52,6 +52,8 @@ def _check_discriminant(D):
 
 def _sqrt_mod_prime(n, p):
     """A square root of the quadratic residue n mod the odd prime p (Tonelli-Shanks)."""
+    if n % p == 0:
+        return 0  # t below would be 0, which no squaring takes to 1
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2

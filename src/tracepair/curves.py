@@ -3,8 +3,9 @@
 Traces come from Shanks-Mestre baby-step giant-step point counting, run on
 blocks of primes in lockstep (O(p^(1/4)) group operations per prime, numpy
 kernel), with the O(p) quadratic-character sum for p <= 229 and for the rare
-prime no start point settles.  Primes must be below 2^31; p = 2 and 3 are
-excluded throughout, which changes counting functions by O(1).
+prime no start point settles.  Primes must be below 2^31, which only
+``trace_ap`` checks; p = 2 and 3 are excluded throughout, which changes
+counting functions by O(1).
 
 A trace-pair count needs a_p only where it may equal the target t, so
 ``pair_count`` first sieves the primes with one scalar multiplication each
@@ -18,12 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import is_prime, powmod, residues, sieve_primes
+from .arith import check_prime, powmod, residues, sieve_primes
 
-# Every prime must be below this.  Curve coefficients are reduced mod p as
-# Python ints, and every product the kernel forms is of two residues, so it
-# stays below 2^62 in int64.
-TRACE_P_BOUND = 1 << 31
 # ``pair_count``'s x must not exceed this.  One fresh `curves` job took 3.4 s
 # and 65 MB at x = 1e7 and 38 s and 344 MB at x = 1e8; ``good_primes`` holds
 # one Python int per prime, so x near 2^31 would need ~7 GB (extrapolated).
@@ -218,6 +215,8 @@ def trace_batch(a, b, primes):
     O(p^(1/4)) group operations per prime; a prime that no start value
     resolves, and every p <= 229, goes to the character sum.  Each output is
     exact: a prime counts as resolved only when the group order is certain.
+    The primes are not checked: below 2^31, each product of two residues mod
+    p (the coefficients reduced as Python ints) stays below 2^62 in int64.
     """
     primes = np.asarray(primes, dtype=np.int64)
     out = np.empty(primes.size, dtype=np.int64)
@@ -276,29 +275,14 @@ class Curve:
         return p > 3 and self.disc % p != 0
 
 
-def _check_prime(curve, p):
-    if p >= TRACE_P_BOUND:
-        raise ValueError(f"p = {p} is outside the trace kernel's range p < 2^31")
-    if not curve.good_reduction(p):
-        raise ValueError(f"p = {p} is not a good prime for {curve}")
-
-
 def trace_ap(curve, p):
     """a_p = p + 1 - #E(F_p) for a good prime 5 <= p < 2^31."""
-    _check_prime(curve, p)
-    if not is_prime(p):  # ~5 ms at 2^31, less than the BSGS call
-        raise ValueError(f"p = {p} is not prime")
+    check_prime(p, "p")  # ~5 ms at 2^31, less than the BSGS call
+    if not curve.good_reduction(p):
+        raise ValueError(f"p = {p} is not a good prime for {curve}")
     ap = int(trace_batch(curve.a, curve.b, [p])[0])
     assert ap * ap <= 4 * p
     return ap
-
-
-def trace_table(curve, primes):
-    """a_p for every good prime below 2^31 in the given array; others are rejected."""
-    primes = [int(p) for p in primes]
-    for p in primes:
-        _check_prime(curve, p)
-    return trace_batch(curve.a, curve.b, np.array(primes, dtype=np.int64))
 
 
 def point_count_brute(curve, p):

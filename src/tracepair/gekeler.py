@@ -16,20 +16,14 @@ and ``product_check`` takes that one expression there, with (D/ell) from
 ``arith``, and ``f_ell`` at every other ell.  It runs on Python ints and
 floats, and only ``f_ell_floats`` imports numpy, when it runs.  ``matcount``
 (and with it ``dataclasses``) is imported by the two functions that use it,
-``f_level_k`` and ``f_ell_floats``.
+``f_level_k`` and ``f_ell_floats``.  Every ell, and the p of
+``product_check``, must be a prime below 2^31 (``arith.check_prime``).
 """
 
 import math
 from fractions import Fraction
 
-from .arith import (
-    TRIAL_DIVISION_BOUND,
-    euler_criterion,
-    is_prime,
-    legendre_symbol,
-    odd_primes,
-    padic_valuation,
-)
+from .arith import check_prime, euler_criterion, legendre_symbol, odd_primes, padic_valuation
 from .class_numbers import hurwitz_weighted
 
 # product_check takes one symbol call per prime below |t^2 - 4p| and a symbol
@@ -41,6 +35,7 @@ LMAX_BOUND = 10 ** 7
 
 def delta_exponent(t, p, ell):
     """Largest i >= 0 with ell^(2i) | t^2 - 4p (mod-4 constraint at ell = 2)."""
+    check_prime(ell, "ell")
     d = t * t - 4 * p
     if d == 0:
         raise ValueError("t^2 = 4p has no finite valuation")
@@ -89,8 +84,7 @@ def f_ell_floats(t, primes, ell):
 
     from .matcount import valuations
 
-    if not 2 <= ell < TRIAL_DIVISION_BOUND:
-        raise ValueError(f"ell must be a prime below 2^31, got {ell}")
+    check_prime(ell, "ell")
     if primes.size and t * t + 4 * int(primes.max()) >= 1 << 63:
         raise ValueError("t^2 - 4p must fit in int64")
     d = t * t - 4 * primes.astype(np.int64)
@@ -130,7 +124,7 @@ def product_check(t, p, lmax):
     ``arith.euler_criterion`` and depends only on ell mod |d|, so each class
     takes one call, and ell past |d| mostly a lookup.  ell = 2 and the few
     ell dividing d ((d/ell) = 0) use the exact ``f_ell``.  lmax must be in
-    [0, ``LMAX_BOUND``].
+    [0, ``LMAX_BOUND``], and p a prime with 3 < p < 2^31 (``arith.check_prime``).
     """
     if not 0 <= lmax <= LMAX_BOUND:
         raise ValueError(f"lmax must be in [0, {LMAX_BOUND}], got {lmax}")
@@ -139,10 +133,7 @@ def product_check(t, p, lmax):
         raise ValueError("product check needs t^2 - 4p < 0")
     if p <= 3:
         raise ValueError("product check needs p > 3")
-    if p >= TRIAL_DIVISION_BOUND:
-        raise ValueError(f"product check needs p < 2^31, got {p}")
-    if not is_prime(p):
-        raise ValueError(f"product check needs a prime p, got {p}")
+    check_prime(p, "p")
     lhs = hurwitz_weighted(d)
     rhs = p * f_infinity(t, p)
     if lmax >= 2:

@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import alpha, legendre_symbol
-from .matcount import PrimePower, check_ell, m_from_code, m_values
+from .arith import alpha, check_prime, legendre_symbol
+from .matcount import PrimePower, m_from_code, m_values
 
 PROVENANCE_THEOREM = "closed-form-theorem"
 PROVENANCE_PROPOSITION = "closed-form-proposition"
@@ -38,7 +38,6 @@ PROVENANCE_CONJECTURE = "closed-form-conjecture"
 PROVENANCE_DIRECT = "direct-with-stability-check"
 
 UNIT_CAP = 10 ** 8
-K_MAX = 6
 _BLOCK = 1 << 17
 
 
@@ -273,22 +272,16 @@ def s_closed(t1, t2, pp):
 
 
 def local_limit_direct(t1, t2, ell):
-    """Limit via direct sums at depths alpha+1 and alpha+2, requiring equality.
-
-    alpha + 1 may not exceed ``K_MAX`` (6).
-    """
+    """Limit via direct sums at depths alpha+1 and alpha+2, requiring equality."""
     a = alpha(t1, t2, ell)
     if a == math.inf:
         raise ValueError("direct stability check needs t1 != +-t2")
-    k1 = int(a) + 1
-    k2 = k1 + 1
-    if k1 > K_MAX:
-        raise ValueError(f"stability depth {k1} exceeds k_max {K_MAX}")
-    s1 = s_normalized(t1, t2, PrimePower(ell, k1))
-    s2 = s_normalized(t1, t2, PrimePower(ell, k2))
+    pp1, pp2 = PrimePower(ell, int(a) + 1), PrimePower(ell, int(a) + 2)  # both checked first
+    s1 = s_normalized(t1, t2, pp1)
+    s2 = s_normalized(t1, t2, pp2)
     if s1 != s2:
-        raise UnstableLocalFactor(ell, k1, s1, k2, s2)
-    return _factor(ell, s1, k1, PROVENANCE_DIRECT)
+        raise UnstableLocalFactor(ell, pp1.k, s1, pp2.k, s2)
+    return _factor(ell, s1, pp1.k, PROVENANCE_DIRECT)
 
 
 def _factor(ell, limit, stabilized_at, provenance):
@@ -299,10 +292,10 @@ def _factor(ell, limit, stabilized_at, provenance):
 def local_limit(t1, t2, ell):
     """The limit of S(t1,t2;ell^k)/ell^(5k-5) from ``_closed``, as a LocalFactor.
 
-    ell must be a prime below 2^31 (``matcount.check_ell``).
+    ell must be a prime below 2^31 (``arith.check_prime``).
     ``local_limit_direct`` is the stability-checked fallback.
     """
-    check_ell(ell)
+    check_prime(ell, "ell")
     return local_limit_unchecked(t1, t2, ell)
 
 
@@ -312,13 +305,6 @@ def local_limit_unchecked(t1, t2, ell):
     limit, c, k_min, provenance = _closed(t1, t2, ell)
     # without a 1/ell^(2k) term the sums are constant from k_min on
     return _factor(ell, limit, None if c else k_min, provenance)
-
-
-def delta_group_size(pp):
-    """Order of the equal-determinant pair group over Z/ell^k Z."""
-    ell, k = pp.ell, pp.k
-    phi = ell ** k - ell ** (k - 1)
-    return phi * (ell ** (3 * k - 2) * (ell ** 2 - 1)) ** 2
 
 
 def volume(t1, t2, ell):

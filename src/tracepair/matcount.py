@@ -18,30 +18,18 @@ functions import when they run, so that the scalar routes load no numpy.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import TRIAL_DIVISION_BOUND, is_prime, legendre_symbol, nu_lk, padic_valuation
+from .arith import check_prime, legendre_symbol, nu_lk, padic_valuation
 
 BRUTE_BUDGET = 2_000_000
 K_BOUND = 64  # covers alpha + 1 for any pair of int64 traces
-
-
-def check_ell(ell):
-    """Reject ell unless it is a prime below 2^31.
-
-    The bound is checked before the trial-division primality test, which
-    takes ~5 ms just below 2^31.
-    """
-    if ell >= TRIAL_DIVISION_BOUND:
-        raise ValueError(f"ell must be below 2^31, got {ell}")
-    if not is_prime(ell):
-        raise ValueError(f"ell must be prime, got {ell}")
 
 
 @dataclass(frozen=True)
 class PrimePower:
     """A local modulus ell^k with a prime ell < 2^31 and 1 <= k <= 64.
 
-    The bounds are checked before ``check_ell``'s primality test and before
-    any power of ell is formed.
+    k is checked first, then ell by ``arith.check_prime`` (its bound before
+    its primality test), and both before any power of ell is formed.
     """
 
     ell: int
@@ -50,11 +38,18 @@ class PrimePower:
     def __post_init__(self):
         if not 1 <= self.k <= K_BOUND:
             raise ValueError(f"k must be in [1, {K_BOUND}], got {self.k}")
-        check_ell(self.ell)
+        check_prime(self.ell, "ell")
 
     @property
     def modulus(self):
         return self.ell ** self.k
+
+
+def delta_group_size(pp):
+    """Order of the equal-determinant pair group over Z/ell^k Z."""
+    ell, k = pp.ell, pp.k
+    phi = ell ** k - ell ** (k - 1)
+    return phi * (ell ** (3 * k - 2) * (ell ** 2 - 1)) ** 2
 
 
 def _require_unit(u, pp):

@@ -25,8 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import prime_factors, sieve_primes
-from .local import delta_group_size
-from .matcount import PrimePower, m_values
+from .matcount import PrimePower, delta_group_size, m_values
 
 
 # keeps class_density's sums S(t1, t2; q) <= 2.25 q^5 and their products over

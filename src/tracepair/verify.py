@@ -44,12 +44,11 @@ from .constants import (
     single_curve_constant,
     universal_product,
 )
-from .curves import Curve, good_primes, pair_count, point_count_brute, trace_ap, trace_table
+from .curves import Curve, good_primes, pair_count, point_count_brute, trace_ap, trace_batch
 from .gekeler import delta_exponent, f_ell, f_infinity, f_level_k, product_check
 from .local import (
     PROVENANCE_CONJECTURE,
     UNIT_CAP,
-    delta_group_size,
     gcd_mult4_condition_variants,
     interpolate_rational,
     local_limit,
@@ -61,7 +60,7 @@ from .local import (
     s_normalized,
     volume,
 )
-from .matcount import BRUTE_BUDGET, PrimePower, m_brute, m_closed, m_dks
+from .matcount import BRUTE_BUDGET, PrimePower, delta_group_size, m_brute, m_closed, m_dks
 from .model_sim import (
     ModelConfig,
     class_cdf,
@@ -799,7 +798,7 @@ def check_trace_oracle():
 def check_hasse():
     for cur in (Curve(1, 0), Curve(0, 1), Curve(-2, 3)):
         primes = good_primes(100_000, cur)
-        traces = trace_table(cur, primes)
+        traces = trace_batch(cur.a, cur.b, primes)
         if not np.all(traces * traces <= 4 * primes):
             return False, f"Hasse violated for {cur}", "a_p^2 <= 4p"
     return True, "all traces to 1e5", "inside Hasse interval"
@@ -808,14 +807,14 @@ def check_hasse():
 def check_cm_properties():
     cur = Curve(-1, 0)  # y^2 = x^3 - x
     good = good_primes(10_000, cur)
-    traces = trace_table(cur, good)
+    traces = trace_batch(cur.a, cur.b, good)
     for p in good[traces == 2]:
         n = math.isqrt(int(p) - 1)
         if n * n != int(p) - 1:
             return False, f"p = {p} with a_p = 2", "p - 1 a square"
     cur2 = Curve(0, 1)  # y^2 = x^3 + 1
     good2 = good_primes(10_000, cur2)
-    traces2 = trace_table(cur2, good2)
+    traces2 = trace_batch(cur2.a, cur2.b, good2)
     for p in good2[traces2 == 1]:
         p = int(p)
         found = any(3 * n * n + 3 * n + 1 == p for n in range(math.isqrt(p) + 1))
@@ -838,7 +837,7 @@ def check_pair_count_identities():
     if r["count"] != 0:
         return False, "same curve, different traces", "0"
     r12 = pair_count(e, e, 2, 2, 500, list_primes=True)
-    singles = int(np.count_nonzero(trace_table(e, good_primes(500, e)) == 2))
+    singles = int(np.count_nonzero(trace_batch(e.a, e.b, good_primes(500, e)) == 2))
     if r12["count"] != singles:
         return False, f"pair diag {r12['count']}", f"single count {singles}"
     c1 = pair_count(Curve(1, 0), Curve(0, 1), 0, 0, 300)["count"]

@@ -9,6 +9,7 @@ from tracepair import arith
 from tracepair.arith import (
     INFINITY,
     alpha,
+    check_prime,
     divisors,
     euler_criterion,
     is_prime,
@@ -97,6 +98,26 @@ def test_alpha():
     assert alpha(1, 2, 5) == 0
     assert alpha(3, -3, 2) == INFINITY
     assert alpha(2, 6, 2) == 3
+
+
+@pytest.mark.parametrize("n", [0, 1, -3, 4, 9, 2 ** 31 - 3])  # 2^31 - 3 = 5 * 429496729
+def test_check_prime_refuses_non_primes(n):
+    with pytest.raises(ValueError, match=f"^ell must be prime, got {n}$"):
+        check_prime(n, "ell")
+
+
+def test_check_prime_tests_the_bound_before_trial_division(monkeypatch):
+    def no_trial_division(n):
+        raise AssertionError("trial division ran above the bound")
+
+    monkeypatch.setattr(arith, "is_prime", no_trial_division)
+    with pytest.raises(ValueError, match=f"^p must be below 2\\^31, got {2 ** 31 + 11}$"):
+        check_prime(2 ** 31 + 11, "p")
+
+
+def test_check_prime_accepts_primes():
+    for n in (2, 3, 2 ** 31 - 1):  # 2^31 - 1 is a Mersenne prime
+        assert check_prime(n, "p") is None
 
 
 def test_sieve_small():

@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -200,6 +202,15 @@ def test_sqrt_mod_prime_at_every_residue():
     for p in sieve_primes(2000).tolist()[1:]:
         for n in {x * x % p for x in range(1, p)}:
             assert class_numbers._sqrt_mod_prime(n, p) ** 2 % p == n, (n, p)
+
+
+def test_sqrt_mod_prime_of_zero_returns():
+    # in a subprocess with a timeout, so that a regression fails rather than hangs
+    code = ("from tracepair.class_numbers import _sqrt_mod_prime\n"
+            "print([_sqrt_mod_prime(0, p) for p in (3, 5, 7, 13, 17)])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, check=True)
+    assert proc.stdout == "[0, 0, 0, 0, 0]\n"
 
 
 def test_class_number_spot_large():

@@ -11,9 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracepair import (
-    arith, class_numbers, curves, gekeler, local, matcount, model_sim, prime_stats,
-)
+from tracepair import arith, class_numbers, curves, local, model_sim, prime_stats
 from tracepair.cli import main
 from tracepair.curves import Curve, point_count_brute
 
@@ -233,8 +231,7 @@ def test_out_of_domain_rejected_before_work(capsys, monkeypatch, argv):
     monkeypatch.setattr(arith, "odd_prime_segments", fail)
     monkeypatch.setattr(curves, "sieve_primes", fail)
     monkeypatch.setattr(model_sim, "sieve_primes", fail)
-    monkeypatch.setattr(matcount, "is_prime", fail)
-    monkeypatch.setattr(gekeler, "is_prime", fail)
+    monkeypatch.setattr(arith, "is_prime", fail)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from tracepair import curves
 from tracepair.arith import sieve_primes
 from tracepair.curves import (
-    Curve, good_primes, pair_count, point_count_brute, trace_ap, trace_table,
+    Curve, good_primes, pair_count, point_count_brute, trace_ap, trace_batch,
 )
 
 SMALL_PRIMES = [int(p) for p in sieve_primes(300) if p > 3]  # straddles the 229 cutoff
@@ -46,7 +46,7 @@ def test_trace_rejects_bad_reduction():
 @pytest.mark.parametrize("p", [9, 25, 2 ** 31 - 3])
 def test_trace_rejects_composite_p(p):
     # the kernel reads any int as a prime (9 would give 0); 2^31 - 3 = 5 * 429496729
-    with pytest.raises(ValueError, match="not prime"):
+    with pytest.raises(ValueError, match=f"^p must be prime, got {p}$"):
         trace_ap(Curve(1, 1), p)
 
 
@@ -117,8 +117,6 @@ def test_trace_range_enforced():
     cur = Curve(1, 1)
     with pytest.raises(ValueError, match="2\\^31"):
         trace_ap(cur, 2 ** 31 + 11)
-    with pytest.raises(ValueError, match="2\\^31"):
-        trace_table(cur, [5, 2 ** 31 + 11])
     # pair_count's x stops below the kernel's range, at PAIR_X_BOUND = 10^8
     for x in (2 ** 31, curves.PAIR_X_BOUND + 1):
         with pytest.raises(ValueError, match=f"{curves.PAIR_X_BOUND}"):
@@ -130,7 +128,7 @@ def test_hasse_bound():
     primes = sieve_primes(20_000)
     primes = primes[primes > 3]
     primes = primes[np.gcd(primes, abs(cur.disc)) == 1]
-    traces = trace_table(cur, primes)
+    traces = trace_batch(cur.a, cur.b, primes)
     assert np.all(traces * traces <= 4 * primes)
 
 
@@ -139,7 +137,7 @@ def test_cm_supersingular_pattern():
     cur = Curve(-1, 0)
     primes = sieve_primes(2000)
     primes = primes[primes > 3]
-    traces = trace_table(cur, primes)
+    traces = trace_batch(cur.a, cur.b, primes)
     for p, ap in zip(primes.tolist(), traces.tolist()):
         assert (ap == 0) == (p % 4 == 3)
 
@@ -148,7 +146,7 @@ def test_cm_trace_two_means_square():
     cur = Curve(-1, 0)
     primes = sieve_primes(5000)
     primes = primes[primes > 3]
-    traces = trace_table(cur, primes)
+    traces = trace_batch(cur.a, cur.b, primes)
     for p in primes[traces == 2].tolist():
         n = math.isqrt(p - 1)
         assert n * n == p - 1
@@ -168,7 +166,7 @@ def test_pair_count_same_curve():
     primes = sieve_primes(400)
     primes = primes[primes > 3]
     primes = primes[np.gcd(primes, abs(e.disc)) == 1]
-    singles = int(np.count_nonzero(trace_table(e, primes) == 2))
+    singles = int(np.count_nonzero(trace_batch(e.a, e.b, primes) == 2))
     assert pair_count(e, e, 2, 2, 400)["count"] == singles
 
 

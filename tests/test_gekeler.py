@@ -148,10 +148,18 @@ def test_f_ell_floats_match_f_ell(t, ell):
     ]
 
 
+def test_composite_ell_refused():
+    # the formulas read any ell as a prime: f_ell(1, 5, 9) gave 9/8, f_ell(1, 5, 15) 15/16
+    for call, args in ((f_ell, (1, 5, 9)), (f_ell, (1, 5, 15)), (delta_exponent, (1, 5, 9)),
+                       (f_ell_floats, (0, sieve_primes(100), 9))):
+        with pytest.raises(ValueError, match="ell must be prime"):
+            call(*args)
+
+
 def test_f_ell_floats_bounds():
     primes = sieve_primes(100)
     with pytest.raises(ValueError):
-        f_ell_floats(0, primes, 2**31 + 11)  # ell < 2^31, the bound PrimePower enforces
+        f_ell_floats(0, primes, 2**31 + 11)  # ell < 2^31, the bound check_prime enforces
     with pytest.raises(ValueError):
         f_ell_floats(0, primes, 1)  # no valuation at 1
     with pytest.raises(ValueError):

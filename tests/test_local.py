@@ -6,14 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tracepair import matcount
+from tracepair import arith
 from tracepair.local import (
     PROVENANCE_CONJECTURE,
     PROVENANCE_PROPOSITION,
     PROVENANCE_THEOREM,
     RationalFunction,
     UnstableLocalFactor,
-    delta_group_size,
     interpolate_rational,
     local_limit,
     local_limit_direct,
@@ -23,7 +22,7 @@ from tracepair.local import (
     s_stratified,
     volume,
 )
-from tracepair.matcount import PrimePower
+from tracepair.matcount import PrimePower, delta_group_size
 from tracepair.verify import enumerate_delta_counts
 
 
@@ -223,7 +222,7 @@ def test_local_limit_checks_the_bound_before_primality(monkeypatch):
     def no_trial_division(n):
         raise AssertionError("trial division ran above the bound")
 
-    monkeypatch.setattr(matcount, "is_prime", no_trial_division)
+    monkeypatch.setattr(arith, "is_prime", no_trial_division)
     for call in (local_limit, volume):
         with pytest.raises(ValueError, match="2\\^31"):
             call(1, 2, 2 ** 31 + 11)
@@ -239,8 +238,9 @@ def test_local_limit_direct_route():
 
 
 def test_local_limit_direct_depth_cap():
+    assert local_limit_direct(2 ** 7, 0, 2).limit == local_limit(2 ** 7, 0, 2).limit
     with pytest.raises(ValueError):
-        local_limit_direct(2 ** 7, 0, 2)  # alpha = 7 exceeds K_MAX = 6
+        local_limit_direct(2 ** 63, 0, 2)  # alpha + 2 = 65 exceeds PrimePower's k <= 64
 
 
 def test_unstable_error_carries_values():

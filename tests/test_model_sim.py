@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from tracepair import model_sim
 from tracepair.arith import SIEVE_HARD_LIMIT, prime_factors, sieve_primes
-from tracepair.local import delta_group_size, s_direct
-from tracepair.matcount import PrimePower
+from tracepair.local import s_direct
+from tracepair.matcount import PrimePower, delta_group_size
 from tracepair.model_sim import (
     MODEL_LEVEL_BOUND,
     MODEL_N_BOUND,

@@ -114,3 +114,41 @@ def test_private_reach_detector():
               "x = arith._SEGMENT + arith.SIEVE_HARD_LIMIT\n"
               "y = PrimePower._x + (1).__abs__() + np._mean\n")
     assert [line for line, _ in _private_reaches(source)] == [1, 2, 3, 4, 5]
+
+
+_PRIME_RULE = {"is_prime", "TRIAL_DIVISION_BOUND"}
+
+
+def _prime_rule_reaches(source):
+    """(line, name) of each import, name or attribute in one module's source that
+    reaches ``arith.is_prime`` or ``arith.TRIAL_DIVISION_BOUND``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in _PRIME_RULE]
+        elif isinstance(node, ast.Name) and node.id in _PRIME_RULE:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in _PRIME_RULE:
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_prime_check_lives_in_arith():
+    # every other module refuses a bad ell or p through arith.check_prime;
+    # verify's oracles call is_prime to check the sieve
+    package = Path(tracepair.__file__).parent
+    reaches = {path.name: _prime_rule_reaches(path.read_text())
+               for path in sorted(package.glob("*.py"))
+               if path.name not in ("arith.py", "verify.py")}
+    assert len(reaches) > 8
+    assert {name: found for name, found in reaches.items() if found} == {}
+
+
+def test_prime_rule_detector():
+    source = ("from .arith import TRIAL_DIVISION_BOUND, check_prime, is_prime\n"
+              "from . import arith\n"
+              "ok = is_prime(7) and 7 < arith.TRIAL_DIVISION_BOUND\n"
+              "check_prime(7, 'p')\n")
+    assert _prime_rule_reaches(source) == [
+        (1, "TRIAL_DIVISION_BOUND"), (1, "is_prime"), (3, "TRIAL_DIVISION_BOUND"), (3, "is_prime"),
+    ]
