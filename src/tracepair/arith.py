@@ -8,7 +8,6 @@ functions import numpy when they run, so the scalar ones and the Python-int
 primes load no numpy.
 """
 
-import functools
 import itertools
 import math
 
@@ -99,7 +98,6 @@ def is_prime(n):
     return True
 
 
-@functools.lru_cache  # f_ell_floats checks the same ell again for every class
 def check_prime(n, name):
     """Reject n, called ``name`` in the error, unless it is a prime below 2^31.
 

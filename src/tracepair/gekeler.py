@@ -10,7 +10,7 @@ three-branch formula cannot express is ell = 2 with odd t, where the count is
 2^(2k-1) outright, density 2/3.
 
 This reading is coded once, in ``delta_exponent`` and ``f_ell``; the array
-route ``f_ell_floats`` only classifies t^2 - 4p and calls ``f_ell`` per class.
+route ``f_ell_floats`` checks ell once and calls ``f_ell``'s body per class.
 At an odd ell not dividing D = t^2 - 4p that formula is ell/(ell - (D/ell)),
 and ``product_check`` takes that one expression there, with (D/ell) from
 ``arith``, and ``f_ell`` at every other ell.  It runs on Python ints and
@@ -36,6 +36,10 @@ LMAX_BOUND = 10 ** 7
 def delta_exponent(t, p, ell):
     """Largest i >= 0 with ell^(2i) | t^2 - 4p (mod-4 constraint at ell = 2)."""
     check_prime(ell, "ell")
+    return _delta_exponent(t, p, ell)
+
+
+def _delta_exponent(t, p, ell):
     d = t * t - 4 * p
     if d == 0:
         raise ValueError("t^2 = 4p has no finite valuation")
@@ -50,13 +54,15 @@ def delta_exponent(t, p, ell):
 
 def f_ell(t, p, ell):
     """Limiting trace-t density among determinant-p matrices at ell, exact."""
+    check_prime(ell, "ell")
+    return _f_ell(t, p, ell)
+
+
+def _f_ell(t, p, ell):
     if ell == 2 and t % 2 == 1:
         return Fraction(2, 3)
-    d = t * t - 4 * p
-    if d == 0:
-        raise ValueError("t^2 = 4p is outside the density formulas")
-    delta = delta_exponent(t, p, ell)
-    reduced = d // ell ** (2 * delta)
+    delta = _delta_exponent(t, p, ell)  # refuses t^2 = 4p
+    reduced = (t * t - 4 * p) // ell ** (2 * delta)
     if ell > 2:
         sym = legendre_symbol(reduced, ell)
     elif reduced % 2 == 0:
@@ -77,8 +83,9 @@ def f_ell_floats(t, primes, ell):
 
     f_ell depends on p only through the class of D = t^2 - 4p at ell: v_ell(D)
     and D/ell^v mod w, with w = 8 at ell = 2 and w = ell otherwise.  The classes
-    come from ``matcount.valuations`` in int64, and each class takes ``f_ell``
-    at its first prime.  ``f_ell`` itself is the per-prime oracle.
+    come from ``matcount.valuations`` in int64, and each class takes ``_f_ell``
+    (``f_ell`` without its ell check) at its first prime.  ``f_ell`` itself is
+    the per-prime oracle.
     """
     import numpy as np
 
@@ -92,7 +99,7 @@ def f_ell_floats(t, primes, ell):
     # d != 0, as t^2 = 4p has no prime p; valuations() leaves the unit part in d
     key = valuations(d, ell, 63) * width + d % width
     _, first, index = np.unique(key, return_index=True, return_inverse=True)
-    values = np.array([float(f_ell(t, p, ell)) for p in primes[first].tolist()])
+    values = np.array([float(_f_ell(t, p, ell)) for p in primes[first].tolist()])
     return values[index]
 
 

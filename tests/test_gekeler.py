@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracepair import arith
 from tracepair.arith import legendre_symbol, sieve_primes
 from tracepair.gekeler import (
     delta_exponent,
@@ -154,6 +155,13 @@ def test_composite_ell_refused():
                        (f_ell_floats, (0, sieve_primes(100), 9))):
         with pytest.raises(ValueError, match="ell must be prime"):
             call(*args)
+
+
+def test_f_ell_floats_checks_ell_once(monkeypatch):
+    checked = []
+    monkeypatch.setattr(arith, "is_prime", lambda n: checked.append(n) or True)
+    f_ell_floats(1, sieve_primes(2_000), 1009)  # dozens of classes
+    assert checked == [1009]
 
 
 def test_f_ell_floats_bounds():
