@@ -6,8 +6,8 @@ Each ROOT is a source checkout; the default is the one this file is in.  The
 jobs are ``import tracepair.cli`` (what jobbench's ``setup_s`` times),
 ``--help``, the seed-0 first job of each jobbench workload
 (``jobbench/workloads.py``), desk-mix seed 0's ``local-factor --ell 2``
-and ``constant --kind universal`` jobs, the workload's two heaviest layers,
-``simulate`` at the largest level m = 128, which builds the largest
+job and its four ``constant`` jobs (one per kind), ``simulate`` at the
+largest level m = 128, which builds the largest
 class-density table, ``curves`` for one generic pair at the desk sizes
 x = 1e5 and 1e6, ``average`` and ``simulate`` at x = 1e5 and 1e6 and
 ``verify``, the ROADMAP's other end-to-end sizes,
@@ -59,7 +59,7 @@ CLI = ("-m", "tracepair.cli")
 def jobs():
     """Job name -> interpreter arguments: the bare CLI import, --help, each
     workload's seed-0 first job, desk-mix seed 0's 2-adic local sum and
-    universal Euler product, a simulate job at m = 128, curves, average and
+    its four Euler products, a simulate job at m = 128, curves, average and
     simulate jobs at x = 1e5 and 1e6, verify, the universal Euler product at
     lmax = 1e6, the class number at |D| = 2^34 - 4 and at D = -3 * 60060^2
     and the Gekeler product at lmax = 1e7 for p = 9521 and p = 2^31 - 1."""
@@ -67,8 +67,10 @@ def jobs():
     for name in workloads.NAMES:
         table[name] = (*CLI, *workloads.BATCHES[name](0)[0].argv)
     for job in workloads.BATCHES["desk-mix"](0):
-        if job.info.get("ell") == 2 or job.info.get("kind") == "universal":
-            table[f"desk-mix:{job.kind}"] = (*CLI, *job.argv)
+        if job.info.get("ell") == 2:
+            table["desk-mix:local-factor"] = (*CLI, *job.argv)
+        elif job.kind == "constant":
+            table[f"desk-mix:constant-{job.info['kind']}"] = (*CLI, *job.argv)
     table["simulate-m128"] = (*CLI, "simulate", "--m", "128", "--n", "10000", "--seed", "0",
                               "--t1", "1", "--t2", "1")
     for name, x in (("curves-1e5", "100000"), ("curves-1e6", "1000000")):

@@ -6,11 +6,11 @@ never floats; high-precision values are decimal strings with their digit
 count alongside.
 
 Every job runs in a fresh process, so each ``cmd_*`` function imports the
-modules it runs and nothing else: numpy, mpmath and ``verify`` are loaded
-only by the subcommands that need them.  mpmath loads only in ``constant``,
-after its product, to print the digit string and the tails, and in
-``verify``, which reads tails; ``average`` and ``curves --predict-lmax`` read
-their constant as a float, which the Euler products form on Python ints.
+modules it runs and nothing else: numpy and ``verify`` are loaded only by
+the subcommands that need them, and no job loads mpmath, because the Euler
+products form their value, its digit string and their tails on Python ints
+and floats.  ``constant`` and ``local-factor`` jobs load no ``dataclasses``
+either: their records are NamedTuples.
 ``main`` sets ``OPENBLAS_NUM_THREADS`` to 1, unless the caller has set it,
 before it parses the arguments, because the ``--e1``/``--e2`` converter
 already imports numpy: no job calls BLAS, and a single-threaded OpenBLAS
@@ -123,6 +123,7 @@ _REFERENCES = {("pair", 0, 0): "35/96", ("universal",): "0.08789878383"}
 
 def cmd_constant(args):
     from .constants import (
+        digit_string,
         pair_constant,
         same_trace_constant,
         single_curve_constant,
@@ -141,14 +142,12 @@ def cmd_constant(args):
     else:
         est = single_curve_constant(args.t1, args.lmax, digits=args.digits)
         ref = None
-    import mpmath  # for nstr; loaded after the product, into the heap its sieve freed
-
     out = {
         "kind": args.kind,
         "t1": args.t1,
         "t2": args.t2 if args.kind == "pair" else None,
         "lmax": args.lmax,
-        "value": mpmath.nstr(est.value, args.digits),
+        "value": digit_string(est.mantissa, est.exponent, est.digits),
         "digits": est.digits,
         "truncation_prime": est.truncation_prime,
         "tail_conservative": est.tail_conservative,

@@ -24,11 +24,11 @@ precision, half to even:
 - per prime, the numerator; its quotient by the denominator, correctly
   rounded, the remainder kept as a sticky bit; the product into the
   accumulator.
-``EulerProductEstimate`` holds the result as an exact mantissa * 2^exponent.
-``float(est)`` rounds it once to 53 bits, half to even, as
-``float(est.value)`` does, so a caller that needs only the float never loads
-mpmath.  mpmath loads on the first read of ``est.value`` (an mpf, for digit
-strings) or of a tail, whose integral terms keep mpmath's log and sqrt.
+``EulerProductEstimate`` holds the result as an exact mantissa * 2^exponent,
+a ``typing.NamedTuple``.  ``float(est)`` rounds it once to 53 bits, half to
+even, as ``float(est.value)`` does, and ``digit_string`` prints it as
+``mpmath.nstr(est.value, digits)`` does, on Python ints, so that no package
+path loads mpmath; ``est.value`` (an mpf) imports it, for the tests' oracles.
 
 Two tail figures are reported: a conservative bound sum(8/ell^1.5) over the
 omitted primes, safe for every trace pair, and an empirical sum(4/ell^3)
@@ -37,17 +37,18 @@ figure is not a bound when a trace is 0: those factors are 1 + O(1/ell^2),
 and ``pair_constant(0, 0, 100_000)`` states 1.7e-11 while its true error
 against 35/96 is 8.8e-7 (ROADMAP, item 1).  Both sums over the primes in
 (lmax, 8 * lmax] come from ``tail_sums``, a plain ``+=`` loop, left to right
-(as Python 3.11's ``sum`` adds; 3.12's ``sum`` compensates).
+(as Python 3.11's ``sum`` adds; 3.12's ``sum`` compensates), and the primes
+above 8 * lmax from the integral terms of ``_integral_tails``.
 
 ``lmax`` must be in [2, ``LMAX_BOUND``] and ``digits`` in [1,
 ``DIGITS_BOUND``]; both are checked before the sieve.
 """
 
-import functools
 import itertools
 import math
-from dataclasses import dataclass
+from decimal import Context, Decimal
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import odd_primes, prime_factors
 
@@ -58,7 +59,8 @@ DIGITS_BOUND = 10_000  # 10^4 digits at lmax = 1e5 take ~8 s (2 cores, one fresh
 # 21 MB at 1e7 (2 cores, medians of 3 fresh CLI runs): ~0.33 s per 1e6, so the
 # sieve's own limit, 2e9 = 8 * 2.5e8, would take ~80 s (extrapolated, not run).
 LMAX_BOUND = 10 ** 7
-_LOG2_10 = 3.3219280948873626  # the factor of mpmath's dps_to_prec
+# math.log(10, 2), the factor of mpmath's dps_to_prec and to_str; math.log2(10) is one ulp below
+_LOG2_10 = 3.3219280948873626
 
 
 def working_precision(digits):
@@ -152,55 +154,109 @@ def _prefactor(c, k, prec):
     return _round_quotient(c, man, -exp, prec)
 
 
-@dataclass(frozen=True)
-class EulerProductEstimate:
+class EulerProductEstimate(NamedTuple):
     """A truncated Euler product, exactly mantissa * 2^exponent (mantissa odd), and its tails.
 
-    ``float(est)`` needs no mpmath; ``value`` (an mpf) and the two tails
-    import it on first read.  ``partial_tails`` are the conservative and
-    empirical sums over the primes in (truncation prime, ``tail_cutoff``].
+    ``tail_conservative`` and ``tail_empirical`` are the two |log tail|
+    figures: the sums over the primes in (truncation prime, 8 * lmax] plus
+    the integral terms above 8 * lmax.  ``float(est)`` and ``digit_string``
+    need no mpmath; ``value`` imports it.
     """
     mantissa: int
     exponent: int
     digits: int
     truncation_prime: int
     conjectural_factors: int
-    tail_cutoff: int
-    partial_tails: tuple
+    tail_conservative: float
+    tail_empirical: float
 
     def __float__(self):
         """The value rounded once to 53 bits, half to even, as mpmath's ``float`` rounds it."""
         return math.ldexp(*_round(self.mantissa, self.exponent, 53))
 
-    @functools.cached_property
+    @property
     def value(self):
-        """The product as an exact mpf, built on first read."""
+        """The product as an exact mpf, built on each read: the tests' mpmath handle."""
         import mpmath
 
         return mpmath.mpf((self.mantissa, self.exponent), prec=self.mantissa.bit_length())
 
-    @functools.cached_property
-    def _tails(self):
-        # |log tail| bounds: the partial sums plus an integral bound for the
-        # primes above tail_cutoff (prime density 1/log x, decreasing
-        # integrands), in mpmath at 53 bits: math.log would change the float
-        # at about one lmax in twenty.
-        import mpmath
 
-        top = self.tail_cutoff
-        with mpmath.workprec(53):
-            log_top = mpmath.log(top)
-            cons = float(16 / (mpmath.sqrt(top) * log_top))
-            emp = float(2 / (top ** 2 * log_top))
-        return self.partial_tails[0] + cons, self.partial_tails[1] + emp
+def _decimal(n, size):
+    """The decimal digits of n >= 0, which has about ``size`` of them, split in
+    halves as mpmath's ``numeral`` splits them: ``str`` refuses an int past
+    4,300 digits."""
+    if size < 250:
+        return str(n)
+    half = size // 2 + (size & 1)
+    high, low = divmod(n, 10 ** half)
+    return _decimal(high, half) + _decimal(low, half).rjust(half, "0")
 
-    @property
-    def tail_conservative(self):
-        return self._tails[0]
 
-    @property
-    def tail_empirical(self):
-        return self._tails[1]
+def digit_string(mantissa, exponent, digits):
+    """mantissa * 2^exponent (mantissa > 0, digits >= 1) as the string that
+    ``mpmath.nstr(value, digits)`` prints, on Python ints.
+
+    mpmath's ``to_str`` step for step: the value is floored to digits + 3
+    decimal digits through a binary fixed point; digit ``digits`` rounds half
+    up, a carry turning ...999 into 100... and raising the decimal exponent;
+    the layout is fixed-point when that exponent lies strictly between
+    min(-(digits // 3), -5) and digits, else e+n or e-n; trailing zeros go.
+    A value with |exponent + bit length| > 3500, where mpmath scales by a
+    power of ten first, is refused; no Euler product comes near it.
+    """
+    bits = mantissa.bit_length()
+    if abs(exponent + bits) > 3500:
+        raise ValueError(f"2^{exponent + bits} is outside the digit string's range")
+    dps = digits + 3
+    bitprec = int(dps * _LOG2_10) + 10
+    fixprec = max(bitprec - exponent - bits, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = exponent + fixprec
+    fixed = mantissa << shift if shift >= 0 else mantissa >> -shift
+    text = _decimal(fixed * 10 ** fixdps >> fixprec, dps)
+    point = len(text) - fixdps - 1  # the decimal exponent of the leading digit
+    if len(text) > digits and text[digits] in "56789":
+        head = text[:digits].rstrip("9")
+        if head:
+            text = head[:-1] + str(int(head[-1]) + 1) + "0" * (digits - len(head))
+        else:
+            text = "1" + "0" * (digits - 1)
+            point += 1
+    else:
+        text = text[:digits]
+    split = 1
+    if min(-(digits // 3), -5) < point < digits:
+        if point < 0:
+            text = "0" * -point + text
+        else:
+            split = point + 1
+            if split > digits:
+                text += "0" * (split - digits)
+        point = 0
+    text = (text[:split] + "." + text[split:]).rstrip("0")
+    if text[-1] == ".":
+        text += "0"
+    return f"{text}e{point:+d}" if point else text
+
+
+def _integral_tails(top):
+    """(16 / (sqrt(top) ln top), 2 / (top^2 ln top)): integral bounds on the
+    conservative and empirical sums over the primes above top (prime density
+    1/ln x, decreasing integrands).
+
+    Each float operation is the mpf operation at 53 bits, rounded to
+    nearest: top and top^2 are below 2^53, so exact, and IEEE sqrt, products
+    and quotients are correctly rounded.  ln top is Decimal's ``ln``,
+    correctly rounded to 40 digits, then rounded to 53 bits.  Over every
+    lmax in [2, 10^7] this equals mpmath's 53-bit ``log(top)`` but at 5 lmax
+    (1332935, 4182031, 4608279, 5685027 and 6973398), where ln top lies
+    ~2^-21 ulp above a midpoint and mpmath, which rounds a 73-bit
+    fixed-point log, rounds it down; libm's ``math.log`` differs from
+    mpmath's at 186 lmax (63416 and 90171 the first), 2 of them <= 2e5.
+    """
+    log_top = float(Decimal(top).ln(Context(prec=40)))
+    return 16 / (math.sqrt(top) * log_top), 2 / (top * top * log_top)
 
 
 def check_domain(lmax, digits):
@@ -258,8 +314,10 @@ def _euler_product(lmax, digits, prefactor, factor):
         num, num_exp = _round_quotient(num, den, num_exp, prec)
         man, exp = _round(man * num, exp + num_exp, prec)
     zeros = (man & -man).bit_length() - 1
+    cons, emp = tail_sums(itertools.chain((ell,), primes))
+    top_cons, top_emp = _integral_tails(8 * lmax)
     return EulerProductEstimate(man >> zeros, exp + zeros, digits, truncation, conjectural,
-                                8 * lmax, tail_sums(itertools.chain((ell,), primes)))
+                                cons + top_cons, emp + top_emp)
 
 
 def pair_constant(t1, t2, lmax, digits=DEFAULT_DIGITS):

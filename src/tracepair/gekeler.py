@@ -15,8 +15,8 @@ At an odd ell not dividing D = t^2 - 4p that formula is ell/(ell - (D/ell)),
 and ``product_check`` takes that one expression there, with (D/ell) from
 ``arith``, and ``f_ell`` at every other ell.  It runs on Python ints and
 floats, and only ``f_ell_floats`` imports numpy, when it runs.  ``matcount``
-(and with it ``dataclasses``) is imported by the two functions that use it,
-``f_level_k`` and ``f_ell_floats``.  Every ell, and the p of
+is imported by the two functions that use it, ``f_level_k`` and
+``f_ell_floats``.  Every ell, and the p of
 ``product_check``, must be a prime below 2^31 (``arith.check_prime``).
 """
 

@@ -26,8 +26,8 @@ normalized values are ``fractions.Fraction``.  numpy is imported by
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import alpha, check_prime, legendre_symbol
 from .matcount import PrimePower, m_from_code, m_values
@@ -52,8 +52,7 @@ class UnstableLocalFactor(Exception):
         )
 
 
-@dataclass(frozen=True)
-class LocalFactor:
+class LocalFactor(NamedTuple):
     """Limit of S(t1,t2;ell^k)/ell^(5k-5) with its Euler-factor normalization."""
 
     ell: int
@@ -341,8 +340,7 @@ def gcd_mult4_condition_variants(t1, t2):
 # exact rational-function interpolation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(NamedTuple):
     """p/q with ascending Fraction coefficients, q normalized monic."""
 
     numerator: tuple

@@ -15,8 +15,8 @@ the closed form of a whole block of units at once, in numpy, which the array
 functions import when they run, so that the scalar routes load no numpy.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import check_prime, legendre_symbol, nu_lk, padic_valuation
 
@@ -24,21 +24,30 @@ BRUTE_BUDGET = 2_000_000
 K_BOUND = 64  # covers alpha + 1 for any pair of int64 traces
 
 
-@dataclass(frozen=True)
-class PrimePower:
-    """A local modulus ell^k with a prime ell < 2^31 and 1 <= k <= 64.
-
-    k is checked first, then ell by ``arith.check_prime`` (its bound before
-    its primality test), and both before any power of ell is formed.
-    """
-
+class _Modulus(NamedTuple):
     ell: int
     k: int
 
-    def __post_init__(self):
-        if not 1 <= self.k <= K_BOUND:
-            raise ValueError(f"k must be in [1, {K_BOUND}], got {self.k}")
-        check_prime(self.ell, "ell")
+
+class PrimePower(_Modulus):
+    """A local modulus ell^k with a prime ell < 2^31 and 1 <= k <= 64.
+
+    k is checked first, then ell by ``arith.check_prime`` (its bound before
+    its primality test), and both before any power of ell is formed; ``_make``
+    and ``_replace`` check them too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, ell, k):
+        if not 1 <= k <= K_BOUND:
+            raise ValueError(f"k must be in [1, {K_BOUND}], got {k}")
+        check_prime(ell, "ell")
+        return super().__new__(cls, ell, k)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def modulus(self):

@@ -495,27 +495,32 @@ def _loaded_modules(*argv):
       "--predict-lmax", "2000"),
      ("mpmath", "tracepair.verify")),
     # only pair_constant reads the local factors; the Euler products read the sieve's
-    # primes as Python ints (the other kinds are the last rows)
+    # primes as Python ints and print their digits and tails on ints and floats, and
+    # their records are NamedTuples (the other kinds are the last rows)
     (("constant", "--kind", "universal", "--lmax", "1000"),
-     ("numpy", "tracepair.local", "tracepair.matcount", "tracepair.verify")),
-    # the class number and the Euler factors run on Python ints, and need no records
-    # of dataclasses
+     ("numpy", "tracepair.local", "tracepair.matcount", "tracepair.verify", "mpmath",
+      "dataclasses", "inspect")),
+    # the class number and the Euler factors run on Python ints; like the constant
+    # and local-factor jobs, they build only NamedTuple records
     (("gekeler", "--t", "1", "--p", "101", "--lmax", "1000"),
      ("numpy", "tracepair.curves", "tracepair.constants", "mpmath", "tracepair.verify",
       "dataclasses", "inspect", "tracepair.matcount")),
     # the local sums run on Python ints
     (("local-factor", "--t1", "1", "--t2", "2", "--ell", "3", "--k", "2"),
-     ("numpy", "tracepair.curves", "tracepair.class_numbers", "mpmath", "tracepair.verify")),
+     ("numpy", "tracepair.curves", "tracepair.class_numbers", "mpmath", "tracepair.verify",
+      "dataclasses", "inspect")),
     (("local-factor", "--t1", "2", "--t2", "6", "--ell", "2", "--k", "20", "--method", "direct"),
-     ("numpy", "tracepair.curves", "tracepair.class_numbers", "mpmath", "tracepair.verify")),
+     ("numpy", "tracepair.curves", "tracepair.class_numbers", "mpmath", "tracepair.verify",
+      "dataclasses", "inspect")),
     (("local-factor", "--t1", "2", "--t2", "6", "--ell", "2", "--k", "20", "--method", "both"),
-     ("numpy", "tracepair.curves", "tracepair.class_numbers", "mpmath", "tracepair.verify")),
+     ("numpy", "tracepair.curves", "tracepair.class_numbers", "mpmath", "tracepair.verify",
+      "dataclasses", "inspect")),
     (("constant", "--kind", "pair", "--t1", "1", "--t2", "2", "--lmax", "1000"),
-     ("numpy", "tracepair.verify")),
+     ("numpy", "tracepair.verify", "mpmath", "dataclasses", "inspect")),
     (("constant", "--kind", "same-trace", "--t1", "3", "--lmax", "1000"),
-     ("numpy", "tracepair.local", "tracepair.verify")),
+     ("numpy", "tracepair.local", "tracepair.verify", "mpmath", "dataclasses", "inspect")),
     (("constant", "--kind", "single", "--t1", "-2", "--lmax", "1000"),
-     ("numpy", "tracepair.local", "tracepair.verify")),
+     ("numpy", "tracepair.local", "tracepair.verify", "mpmath", "dataclasses", "inspect")),
     (("class-number", "--d", "-1073741828"),
      ("numpy", "tracepair.gekeler", "mpmath", "tracepair.verify", "dataclasses", "inspect",
       "tracepair.matcount")),

@@ -248,8 +248,78 @@ def test_outputs_pinned():
         est = _estimate(kind, t1, t2, lmax, digits)
         got = (mpmath.nstr(est.value, digits), est.conjectural_factors)
         assert got == (value, conjectural), (kind, t1, t2, lmax, digits)
+        assert constants.digit_string(est.mantissa, est.exponent, digits) == value
         tails = (est.truncation_prime, est.tail_conservative, est.tail_empirical)
         assert tails == PINNED_TAILS[lmax], (kind, t1, t2, lmax, digits)
+
+
+def _nstr(man, exp, digits):
+    return mpmath.nstr(mpmath.mpf((man, exp), prec=man.bit_length()), digits)
+
+
+def _near_power_of_ten(digits, power, bits):
+    """A mantissa of at most ``bits`` bits and its exponent for a value just below
+    10^power whose first digits + 1 digits are 9: nstr carries it to 10^power."""
+    v = Fraction(10 ** (digits + 1) - 1, 10 ** (digits + 1)) * Fraction(10) ** power
+    shift = bits - 2 - (v.numerator.bit_length() - v.denominator.bit_length())
+    return (v.numerator << shift) // v.denominator, -shift
+
+
+def test_digit_string_matches_mpmath_nstr():
+    """Seeded mantissas up to the working precision of DIGITS_BOUND, digit
+    counts up to DIGITS_BOUND (str refuses ints past 4,300 digits), both
+    layouts, and the carry of ...999 into 10^power in each; the factor is
+    mpmath's math.log(10, 2), one ulp above math.log2(10)."""
+    assert constants._LOG2_10 == math.log(10, 2) != math.log2(10)
+    rng = random.Random(29)
+    top = constants.working_precision(DIGITS_BOUND)
+    cases = []
+    for _ in range(300):
+        bits = rng.randint(1, top)
+        man = rng.getrandbits(bits) | 1 << (bits - 1)
+        digits = rng.choice((rng.randint(1, 60), rng.randint(1, DIGITS_BOUND)))
+        cases.append((man, rng.randint(-3500, 3500) - bits, digits))
+    for digits in (1, 2, 15, 4301, DIGITS_BOUND):
+        for power in (-1000, -5, -1, 0, 1, 4, 1000):
+            cases.append((*_near_power_of_ten(digits, power, top), digits))
+    layouts = set()
+    for man, exp, digits in cases:
+        assert man.bit_length() <= top
+        want = _nstr(man, exp, digits)
+        assert constants.digit_string(man, exp, digits) == want, (man.bit_length(), exp, digits)
+        layouts.add("e" in want)
+    assert layouts == {False, True}
+    assert _nstr(*_near_power_of_ten(4301, 0, top), 4301) == "1.0"
+    assert _nstr(*_near_power_of_ten(3, -1000, top), 3) == "1.0e-1000"
+    assert max(digits for *_, digits in cases) > 4300
+
+
+def test_digit_string_refuses_mpmath_scaled_range():
+    for man, exp in ((1, 3499), (1, -3501), (3, -3502)):  # 2^3500, 2^-3500, 3 * 2^-3502
+        assert constants.digit_string(man, exp, 20) == _nstr(man, exp, 20)
+    for man, exp in ((1, 3500), (1, -3502), (2 ** 40 + 1, 3461)):
+        with pytest.raises(ValueError, match="outside"):
+            constants.digit_string(man, exp, 20)
+
+
+def _mpmath_integral_tails(top, log_prec):
+    with mpmath.workprec(log_prec):
+        log_top = mpmath.log(top)
+    with mpmath.workprec(53):
+        log_top = +log_top
+        return float(16 / (mpmath.sqrt(top) * log_top)), float(2 / (top ** 2 * log_top))
+
+
+def test_integral_tails_match_mpmath():
+    """At lmax = 63416 and 90171 libm's math.log(8 * lmax) is one ulp off
+    mpmath's 53-bit log, and the two integral terms move with it.  At lmax =
+    1332935 mpmath's 53-bit log is one ulp below the correctly rounded one,
+    which the helper keeps."""
+    for lmax in (63416, 90171):
+        assert constants._integral_tails(8 * lmax) == _mpmath_integral_tails(8 * lmax, 53), lmax
+    top = 8 * 1332935
+    assert constants._integral_tails(top) == _mpmath_integral_tails(top, 200)
+    assert constants._integral_tails(top) != _mpmath_integral_tails(top, 53)
 
 
 # c * pi^k as the mpf expressions that built each constant's prefactor

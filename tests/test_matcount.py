@@ -28,6 +28,9 @@ def test_prime_power_validation():
     for ell, k in ((2, 65), (3, 2 ** 64), (2 ** 31 + 11, 1)):
         with pytest.raises(ValueError):
             PrimePower(ell, k)
+    # a record rebuilt from fields is checked as a new one
+    with pytest.raises(ValueError):
+        PrimePower(3, 2)._replace(k=0)
 
 
 def test_m_brute_spot():
