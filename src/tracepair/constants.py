@@ -53,11 +53,12 @@ from typing import NamedTuple
 from .arith import odd_primes, prime_factors
 
 DEFAULT_DIGITS = 50
-DIGITS_BOUND = 10_000  # 10^4 digits at lmax = 1e5 take ~8 s (2 cores, one fresh CLI run)
+# 10^4 digits at lmax = 1e5 take 5.3 s and 16 MB (2 cores, median of 3 fresh CLI runs)
+DIGITS_BOUND = 10_000
 # Time grows linearly with lmax, memory hardly: `constant --kind universal`
-# takes 0.44 s and 21 MB at lmax = 1e6, 1.2 s and 21 MB at 3e6, and 3.3 s and
-# 21 MB at 1e7 (2 cores, medians of 3 fresh CLI runs): ~0.33 s per 1e6, so the
-# sieve's own limit, 2e9 = 8 * 2.5e8, would take ~80 s (extrapolated, not run).
+# takes 0.43 s and 20.2 MB at lmax = 1e6, 1.2 s and 20.5 MB at 3e6, and 3.2 s
+# and 20.5 MB at 1e7 (2 cores, medians of 3-4 fresh CLI runs): ~0.32 s per 1e6,
+# so the sieve's own limit, 2e9 = 8 * 2.5e8, would take ~80 s (extrapolated, not run).
 LMAX_BOUND = 10 ** 7
 # math.log(10, 2), the factor of mpmath's dps_to_prec and to_str; math.log2(10) is one ulp below
 _LOG2_10 = 3.3219280948873626
@@ -240,22 +241,30 @@ def digit_string(mantissa, exponent, digits):
     return f"{text}e{point:+d}" if point else text
 
 
+# 8 * lmax at the 5 lmax in [2, LMAX_BOUND] where ln(8 * lmax) lies ~2^-21 ulp
+# above a 53-bit midpoint and mpmath's log, which rounds a 73-bit fixed-point
+# log, returns the float one ulp below the correctly rounded one
+_MPMATH_LOW_LOGS = frozenset(8 * lmax for lmax in (1332935, 4182031, 4608279, 5685027, 6973398))
+
+
 def _integral_tails(top):
     """(16 / (sqrt(top) ln top), 2 / (top^2 ln top)): integral bounds on the
     conservative and empirical sums over the primes above top (prime density
-    1/ln x, decreasing integrands).
+    1/ln x, decreasing integrands), bit for bit as mpmath forms them at 53 bits.
 
     Each float operation is the mpf operation at 53 bits, rounded to
     nearest: top and top^2 are below 2^53, so exact, and IEEE sqrt, products
     and quotients are correctly rounded.  ln top is Decimal's ``ln``,
-    correctly rounded to 40 digits, then rounded to 53 bits.  Over every
-    lmax in [2, 10^7] this equals mpmath's 53-bit ``log(top)`` but at 5 lmax
-    (1332935, 4182031, 4608279, 5685027 and 6973398), where ln top lies
-    ~2^-21 ulp above a midpoint and mpmath, which rounds a 73-bit
-    fixed-point log, rounds it down; libm's ``math.log`` differs from
-    mpmath's at 186 lmax (63416 and 90171 the first), 2 of them <= 2e5.
+    correctly rounded to 40 digits, then rounded to 53 bits, and taken one
+    ulp down at the tops of ``_MPMATH_LOW_LOGS``: then it equals mpmath's
+    53-bit ``log(top)`` at every lmax in [2, 10^7] (all of them checked).
+    libm's ``math.log`` differs from mpmath's at 186 of them (63416 and
+    90171 the first, the only two <= 2e5), and the integral terms with it
+    at 183.
     """
     log_top = float(Decimal(top).ln(Context(prec=40)))
+    if top in _MPMATH_LOW_LOGS:
+        log_top = math.nextafter(log_top, 0)
     return 16 / (math.sqrt(top) * log_top), 2 / (top * top * log_top)
 
 

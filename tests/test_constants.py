@@ -1,6 +1,7 @@
 import math
 import random
 import signal
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import mpmath
@@ -140,7 +141,7 @@ def test_lmax_validation(monkeypatch):
         universal_product(0)
     with pytest.raises(ValueError, match="lmax"):
         single_curve_constant(0, LMAX_BOUND + 1)
-    # the cost bound: ~0.33 s per 1e6 of lmax
+    # the cost bound: ~0.32 s per 1e6 of lmax
     with pytest.raises(ValueError, match="lmax"):
         pair_constant(1, 2, 10_000_001)
     with pytest.raises(ValueError, match="lmax"):
@@ -302,24 +303,22 @@ def test_digit_string_refuses_mpmath_scaled_range():
             constants.digit_string(man, exp, 20)
 
 
-def _mpmath_integral_tails(top, log_prec):
-    with mpmath.workprec(log_prec):
-        log_top = mpmath.log(top)
-    with mpmath.workprec(53):
-        log_top = +log_top
-        return float(16 / (mpmath.sqrt(top) * log_top)), float(2 / (top ** 2 * log_top))
-
-
 def test_integral_tails_match_mpmath():
     """At lmax = 63416 and 90171 libm's math.log(8 * lmax) is one ulp off
-    mpmath's 53-bit log, and the two integral terms move with it.  At lmax =
-    1332935 mpmath's 53-bit log is one ulp below the correctly rounded one,
-    which the helper keeps."""
-    for lmax in (63416, 90171):
-        assert constants._integral_tails(8 * lmax) == _mpmath_integral_tails(8 * lmax, 53), lmax
-    top = 8 * 1332935
-    assert constants._integral_tails(top) == _mpmath_integral_tails(top, 200)
-    assert constants._integral_tails(top) != _mpmath_integral_tails(top, 53)
+    mpmath's 53-bit log, and the two integral terms move with it.  At the five
+    lmax of _MPMATH_LOW_LOGS mpmath's 53-bit log is one ulp below the
+    correctly rounded one, and the helper keeps mpmath's bits."""
+    low = sorted(top // 8 for top in constants._MPMATH_LOW_LOGS)
+    assert low == [1332935, 4182031, 4608279, 5685027, 6973398]
+    with mpmath.workprec(53):
+        for lmax in (63416, 90171, *low):
+            top = 8 * lmax
+            log_top = mpmath.log(top)
+            want = float(16 / (mpmath.sqrt(top) * log_top)), float(2 / (top ** 2 * log_top))
+            assert constants._integral_tails(top) == want, lmax
+            if lmax in low:
+                rounded = float(Decimal(top).ln(Context(prec=40)))
+                assert float(log_top) == math.nextafter(rounded, 0), lmax
 
 
 # c * pi^k as the mpf expressions that built each constant's prefactor
