@@ -3,9 +3,9 @@
 Valuations use ``math.inf`` as the extended value at 0, so ``max`` and
 comparisons behave as expected in the case dispatch downstream.  The one
 prime sieve, ``odd_prime_segments``, runs on bytearrays; ``odd_primes``
-reads Python ints from it and ``sieve_primes`` an int64 array.  The array
-functions import numpy when they run, so the scalar ones and the Python-int
-primes load no numpy.
+reads Python ints from it and ``sieve_primes``, the one array function, an
+int64 array.  ``sieve_primes`` imports numpy when it runs, so the scalar
+functions and the Python-int primes load no numpy.
 """
 
 import itertools
@@ -178,29 +178,6 @@ def sieve_primes(limit):
         chunk += lo
         chunks.append(chunk)
     return np.concatenate(chunks)
-
-
-def residues(c, primes):
-    """c mod p for each prime, on Python ints so that any c is exact."""
-    import numpy as np
-
-    return np.array([c % p for p in primes.tolist()], dtype=np.int64)
-
-
-def powmod(base, e, p):
-    """base^e mod p elementwise for int64 arrays, per-prime exponents e >= 0.
-
-    Every product is of two residues, so p must be below 2^31.
-    """
-    import numpy as np
-
-    result = np.ones_like(base)
-    e = e.copy()
-    while e.any():
-        result = np.where(e & 1, result * base % p, result)
-        base = base * base % p
-        e >>= 1
-    return result
 
 
 def prime_factors(n):

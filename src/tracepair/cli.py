@@ -9,8 +9,8 @@ Every job runs in a fresh process, so each ``cmd_*`` function imports the
 modules it runs and nothing else: numpy and ``verify`` are loaded only by
 the subcommands that need them, and no job loads mpmath, because the Euler
 products form their value, its digit string and their tails on Python ints
-and floats.  ``constant`` and ``local-factor`` jobs load no ``dataclasses``
-either: their records are NamedTuples.
+and floats.  No job loads ``dataclasses`` either: the package's records are
+NamedTuples, and ``verify`` builds its report as the JSON dict it prints.
 ``main`` sets ``OPENBLAS_NUM_THREADS`` to 1, unless the caller has set it,
 before it parses the arguments, because the ``--e1``/``--e2`` converter
 already imports numpy: no job calls BLAS, and a single-threaded OpenBLAS
@@ -283,12 +283,13 @@ def cmd_verify(args):
 
     names = args.suite if args.suite else None
     report = verify_suites(names, full=args.full)
-    for check in report.checks:
-        tag = check.status.upper()
-        extra = " [conjectural]" if check.conjectural else ""
-        print(f"{tag} {check.id}{extra} ({check.elapsed:.2f}s)", file=sys.stderr)
-    _emit(report.to_dict())
-    return 0 if report.overall == "pass" else 1
+    for checks in report["suites"].values():
+        for check in checks:
+            extra = " [conjectural]" if check["conjectural"] else ""
+            print(f"{check['status'].upper()} {check['id']}{extra} ({check['elapsed']:.2f}s)",
+                  file=sys.stderr)
+    _emit(report)
+    return 0 if report["overall"] == "pass" else 1
 
 
 def build_parser():

@@ -26,9 +26,8 @@ precision, half to even:
   accumulator.
 ``EulerProductEstimate`` holds the result as an exact mantissa * 2^exponent,
 a ``typing.NamedTuple``.  ``float(est)`` rounds it once to 53 bits, half to
-even, as ``float(est.value)`` does, and ``digit_string`` prints it as
-``mpmath.nstr(est.value, digits)`` does, on Python ints, so that no package
-path loads mpmath; ``est.value`` (an mpf) imports it, for the tests' oracles.
+even, as mpmath's ``float`` of that value does, and ``digit_string`` prints it
+as ``mpmath.nstr`` does, on Python ints, so that no package path loads mpmath.
 
 Two tail figures are reported: a conservative bound sum(8/ell^1.5) over the
 omitted primes, safe for every trace pair, and an empirical sum(4/ell^3)
@@ -160,8 +159,7 @@ class EulerProductEstimate(NamedTuple):
 
     ``tail_conservative`` and ``tail_empirical`` are the two |log tail|
     figures: the sums over the primes in (truncation prime, 8 * lmax] plus
-    the integral terms above 8 * lmax.  ``float(est)`` and ``digit_string``
-    need no mpmath; ``value`` imports it.
+    the integral terms above 8 * lmax.
     """
     mantissa: int
     exponent: int
@@ -174,13 +172,6 @@ class EulerProductEstimate(NamedTuple):
     def __float__(self):
         """The value rounded once to 53 bits, half to even, as mpmath's ``float`` rounds it."""
         return math.ldexp(*_round(self.mantissa, self.exponent, 53))
-
-    @property
-    def value(self):
-        """The product as an exact mpf, built on each read: the tests' mpmath handle."""
-        import mpmath
-
-        return mpmath.mpf((self.mantissa, self.exponent), prec=self.mantissa.bit_length())
 
 
 def _decimal(n, size):

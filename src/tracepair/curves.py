@@ -15,11 +15,11 @@ for a generic curve, reach the BSGS kernel, which confirms each exactly.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .arith import check_prime, powmod, residues, sieve_primes
+from .arith import check_prime, sieve_primes
 
 # ``pair_count``'s x must not exceed this.  One fresh `curves` job took 3.4 s
 # and 65 MB at x = 1e7 and 38 s and 344 MB at x = 1e8; ``good_primes`` holds
@@ -31,12 +31,31 @@ _BSGS_STARTS = 8  # start values tried before a prime goes to the character sum
 _START_STEP = 0x9E3779B1  # start x = t * step mod p: far from the small x of torsion points
 
 
+def _residues(c, primes):
+    """c mod p for each prime, on Python ints so that any c is exact."""
+    return np.array([c % p for p in primes.tolist()], dtype=np.int64)
+
+
+def _powmod(base, e, p):
+    """base^e mod p elementwise for int64 arrays, per-prime exponents e >= 0.
+
+    Every product is of two residues, so p must be below 2^31.
+    """
+    result = np.ones_like(base)
+    e = e.copy()
+    while e.any():
+        result = np.where(e & 1, result * base % p, result)
+        base = base * base % p
+        e >>= 1
+    return result
+
+
 def _trace_charsum(a, b, primes):
     """a_p = -sum_x chi(x^3 + ax + b): O(p) per prime; oracle for ``trace_batch``."""
     primes = np.asarray(primes, dtype=np.int64)
     out = np.empty(len(primes), dtype=np.int64)
-    for i, (p, ar, br) in enumerate(zip(primes.tolist(), residues(a, primes).tolist(),
-                                        residues(b, primes).tolist())):
+    for i, (p, ar, br) in enumerate(zip(primes.tolist(), _residues(a, primes).tolist(),
+                                        _residues(b, primes).tolist())):
         x = np.arange(p, dtype=np.int64)
         square = np.zeros(p, dtype=bool)
         square[x[1 : (p + 1) // 2] ** 2 % p] = True
@@ -97,7 +116,7 @@ def _to_affine(X, Y, Z, p):
     for i in range(Z.shape[0]):
         acc = acc * Z[i] % p
         zinv[i] = acc
-    inv = powmod(acc, p - 2, p)
+    inv = _powmod(acc, p - 2, p)
     for i in range(Z.shape[0] - 1, 0, -1):
         zinv[i] = inv * zinv[i - 1] % p
         inv = inv * Z[i] % p
@@ -121,13 +140,13 @@ def _start_point(a, b, p, start):
     #E_d = p + 1 - chi(d) a_p, with chi = d^((p-1)/2) mod p (1 or p - 1).
     ``clean`` is False where d = 0; there d is replaced by 1 and P means nothing.
     """
-    ar, br = residues(a, p), residues(b, p)
+    ar, br = _residues(a, p), _residues(b, p)
     x0 = start * _START_STEP % p
     d = ((x0 * x0 % p) * x0 + ar * x0 + br) % p
     clean = d != 0
     d = np.where(clean, d, 1)
     py = d * d % p
-    return d * x0 % p, py, ar * py % p, powmod(d, (p - 1) // 2, p), clean
+    return d * x0 % p, py, ar * py % p, _powmod(d, (p - 1) // 2, p), clean
 
 
 def _bsgs_block(a, b, p, t):
@@ -258,14 +277,26 @@ def _trace_sieve(a, b, primes, t):
     return primes[keep]
 
 
-@dataclass(frozen=True)
-class Curve:
+class _Coefficients(NamedTuple):
     a: int
     b: int
 
-    def __post_init__(self):
-        if self.disc == 0:
+
+class Curve(_Coefficients):
+    """y^2 = x^3 + ax + b with a nonzero discriminant; ``_make`` and
+    ``_replace`` check it too."""
+
+    __slots__ = ()
+
+    def __new__(cls, a, b):
+        curve = super().__new__(cls, a, b)
+        if curve.disc == 0:
             raise ValueError("singular curve: discriminant is zero")
+        return curve
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def disc(self):

@@ -19,8 +19,8 @@ keep a per-prime loop as their oracle.  The seed lies in [0, 2^64);
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,35 +77,45 @@ def philox_uniforms(seed, n, start=0):
     return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    """One sampler run: level 2 <= m <= ``MODEL_LEVEL_BOUND`` (128), primes
-    5 <= p <= n_max <= ``MODEL_N_BOUND`` (10^7), seed in [0, 2^64), and the
-    target pair (t1, t2)."""
-
+class _Settings(NamedTuple):
     m: int
     n_max: int
     seed: int
     t1: int
     t2: int
 
-    def __post_init__(self):
-        if not 2 <= self.m <= MODEL_LEVEL_BOUND:
-            raise ValueError(f"level m must be in [2, {MODEL_LEVEL_BOUND}], got {self.m}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
-        if not 5 <= self.n_max <= MODEL_N_BOUND:
-            raise ValueError(f"n_max must be in [5, {MODEL_N_BOUND}], got {self.n_max}")
+
+class ModelConfig(_Settings):
+    """One sampler run: level 2 <= m <= ``MODEL_LEVEL_BOUND`` (128), primes
+    5 <= p <= n_max <= ``MODEL_N_BOUND`` (10^7), seed in [0, 2^64), and the
+    target pair (t1, t2).
+
+    m is checked first, then the seed, then n_max; ``_make`` and ``_replace``
+    check them too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, m, n_max, seed, t1, t2):
+        if not 2 <= m <= MODEL_LEVEL_BOUND:
+            raise ValueError(f"level m must be in [2, {MODEL_LEVEL_BOUND}], got {m}")
+        if not 0 <= seed < 2 ** 64:
+            raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+        if not 5 <= n_max <= MODEL_N_BOUND:
+            raise ValueError(f"n_max must be in [5, {MODEL_N_BOUND}], got {n_max}")
+        return super().__new__(cls, m, n_max, seed, t1, t2)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass
-class SampleRun:
+class SampleRun(NamedTuple):
     config: ModelConfig
     primes: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
     class_counts: np.ndarray  # m x m, counts of (u1 mod m, u2 mod m)
-    hits: int                 # primes with (u1, u2) == (t1, t2)
     weights: np.ndarray       # m x m floats F = m^2 * class_density(m), each rounded once
 
 
@@ -210,12 +220,10 @@ def sample_run(config):
                 primes[start:end], draws[start - chunk : end - chunk], m, fweight
             )
     cc = np.bincount((out1 % m) * m + (out2 % m), minlength=m * m).reshape(m, m)
-    hits = int(np.count_nonzero((out1 == config.t1) & (out2 == config.t2)))
-    return SampleRun(config, primes, out1, out2, cc, hits, fweight)
+    return SampleRun(config, primes, out1, out2, cc, fweight)
 
 
-@dataclass(frozen=True)
-class GrowthCheck:
+class GrowthCheck(NamedTuple):
     hits: int
     predicted: float
     ratio: float | None

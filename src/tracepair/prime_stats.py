@@ -11,8 +11,8 @@ Reducing them costs a gcd of multi-megabit integers (~13 s at x = 1e6).
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ def average_f_product(t1, t2, ell, x):
     return float(np.cumsum(terms)[-1]) / len(primes), reference
 
 
-@dataclass
-class CheckpointSeries:
+class CheckpointSeries(NamedTuple):
     t1: int
     t2: int
     checkpoints: list  # (x, partial_sum: float, loglog_x: float)
@@ -165,8 +164,7 @@ def class_sum(t1, t2, x, checkpoints=None):
     return CheckpointSeries(t1, t2, series, partials)
 
 
-@dataclass(frozen=True)
-class SlopeFit:
+class SlopeFit(NamedTuple):
     c_hat: float
     intercept: float
     residual: float

@@ -5,7 +5,8 @@ tolerance; a failing check never aborts the run.  ``SUITES`` lists every check
 in report order with its tolerance and conjectural flag.  Checks of conjectural
 closed forms are flagged so the report can separate them from proven ones.
 The acceptance test module drives the same functions, so the CLI and pytest
-agree by construction.
+agree by construction.  ``verify_suites`` returns the report as the JSON dict
+that the CLI prints.
 """
 
 import functools
@@ -13,7 +14,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from statistics import median
 
@@ -38,6 +38,7 @@ from .class_numbers import (
     unit_count_w,
 )
 from .constants import (
+    DEFAULT_DIGITS,
     pair_constant,
     same_trace_constant,
     same_trace_ratio,
@@ -82,55 +83,8 @@ THREEWAY_MODULI = ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3
                    (5, 1), (5, 2), (7, 1), (11, 1), (13, 1))
 
 
-@dataclass
-class Check:
-    id: str
-    status: str  # pass / fail
-    lhs: str
-    rhs: str
-    tolerance: str
-    elapsed: float
-    conjectural: bool
-    detail: str
-
-
-@dataclass
-class VerifyReport:
-    suites: dict
-    environment: dict
-
-    @property
-    def checks(self):
-        return [c for checks in self.suites.values() for c in checks]
-
-    @property
-    def overall(self):
-        return "pass" if all(c.status != "fail" for c in self.checks) else "fail"
-
-    def to_dict(self):
-        return {
-            "overall": self.overall,
-            "environment": self.environment,
-            "suites": {
-                name: [
-                    {
-                        "id": c.id,
-                        "status": c.status,
-                        "lhs": c.lhs,
-                        "rhs": c.rhs,
-                        "tolerance": c.tolerance,
-                        "elapsed": round(c.elapsed, 4),
-                        "conjectural": c.conjectural,
-                        **({"detail": c.detail} if c.detail else {}),
-                    }
-                    for c in checks
-                ]
-                for name, checks in self.suites.items()
-            },
-        }
-
-
 def _run(cid, fn, tolerance, conjectural):
+    """One check's report entry: ``detail`` only when non-empty, ``elapsed`` to 0.1 ms."""
     t0 = time.perf_counter()
     try:
         ok, lhs, rhs, *rest = fn()
@@ -138,8 +92,12 @@ def _run(cid, fn, tolerance, conjectural):
         status = "pass" if ok else "fail"
     except Exception as exc:  # surfaced in the report, never aborts the suite
         status, lhs, rhs, detail = "fail", "exception", repr(exc), ""
-    return Check(cid, status, str(lhs), str(rhs), tolerance,
-                 time.perf_counter() - t0, conjectural, detail)
+    entry = {"id": cid, "status": status, "lhs": str(lhs), "rhs": str(rhs),
+             "tolerance": tolerance, "elapsed": round(time.perf_counter() - t0, 4),
+             "conjectural": conjectural}
+    if detail:
+        entry["detail"] = detail
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -1106,12 +1064,16 @@ def verify_suites(names=None, full=False):
                for cid, fn, tolerance, conjectural in SUITES[name]]
         for name in chosen
     }
-    env = {
-        "backend": "numpy",
-        "full": full,
-        "model_seeds": list(MODEL_SEEDS),
-        "precision_digits_default": 50,
-        "brute_budget": BRUTE_BUDGET,
-        "unit_cap": UNIT_CAP,
+    passed = all(c["status"] != "fail" for entries in suites.values() for c in entries)
+    return {
+        "overall": "pass" if passed else "fail",
+        "environment": {
+            "backend": "numpy",
+            "full": full,
+            "model_seeds": list(MODEL_SEEDS),
+            "precision_digits_default": DEFAULT_DIGITS,
+            "brute_budget": BRUTE_BUDGET,
+            "unit_cap": UNIT_CAP,
+        },
+        "suites": suites,
     }
-    return VerifyReport(suites, env)

@@ -484,16 +484,18 @@ def _loaded_modules(*argv):
 @pytest.mark.parametrize("argv,absent", [
     ((), ("numpy", "mpmath", "tracepair.verify", "fractions", "decimal")),
     (("--help",), ("numpy", "mpmath", "tracepair.verify", "fractions", "decimal")),
+    # every record in the package is a NamedTuple: no job loads dataclasses
     (("curves", "--e1", "1,0", "--e2", "0,1", "--t1", "0", "--t2", "0", "--x", "300"),
-     ("mpmath", "tracepair.verify", "fractions", "decimal")),
+     ("mpmath", "tracepair.verify", "fractions", "decimal", "dataclasses")),
     (("simulate", "--m", "2", "--n", "2000", "--seed", "5", "--t1", "1", "--t2", "1"),
-     ("mpmath", "tracepair.verify")),
+     ("mpmath", "tracepair.verify", "dataclasses")),
     # the reference constant and the prediction are read as floats
     (("average", "--t1", "1", "--t2", "1", "--x", "5000"),
-     ("tracepair.gekeler", "tracepair.class_numbers", "mpmath", "tracepair.verify")),
+     ("tracepair.gekeler", "tracepair.class_numbers", "mpmath", "tracepair.verify",
+      "dataclasses")),
     (("curves", "--e1", "1,0", "--e2", "0,1", "--t1", "0", "--t2", "0", "--x", "300",
       "--predict-lmax", "2000"),
-     ("mpmath", "tracepair.verify")),
+     ("mpmath", "tracepair.verify", "dataclasses")),
     # only pair_constant reads the local factors; the Euler products read the sieve's
     # primes as Python ints and print their digits and tails on ints and floats, and
     # their records are NamedTuples (the other kinds are the last rows)

@@ -22,9 +22,14 @@ from tracepair.constants import (
 from tracepair.local import PROVENANCE_CONJECTURE, local_limit
 
 
+def _mpf(est):
+    """The estimate's exact value, mantissa * 2^exponent, as an mpf for the mpmath oracles."""
+    return mpmath.mpf((est.mantissa, est.exponent), prec=est.mantissa.bit_length())
+
+
 def test_pair_constant_reference():
     est = pair_constant(0, 0, 20_000)
-    assert abs(float(est.value) - 35 / 96) < 1e-3
+    assert abs(float(_mpf(est)) - 35 / 96) < 1e-3
     assert est.truncation_prime <= 20_000
     assert est.tail_conservative > 0
     assert est.tail_empirical < est.tail_conservative
@@ -33,7 +38,7 @@ def test_pair_constant_reference():
 def test_pair_constant_deterministic():
     a = pair_constant(1, 2, 500)
     b = pair_constant(1, 2, 500)
-    assert mp_equal(a.value, b.value)
+    assert mp_equal(_mpf(a), _mpf(b))
 
 
 def mp_equal(x, y):
@@ -42,11 +47,11 @@ def mp_equal(x, y):
 
 def test_universal_product():
     est = universal_product(10_000)
-    assert abs(float(est.value) - 0.08789878383) < 1e-6
+    assert abs(float(_mpf(est)) - 0.08789878383) < 1e-6
     # factor at ell = 2 alone: (16 - 8 - 6 - 1)/(2^2 - 1)^2 = 1/9
     first = universal_product(2)
-    assert float(first.value) == 1 / 9
-    vals = [float(universal_product(L).value) for L in (10, 100, 1000)]
+    assert float(_mpf(first)) == 1 / 9
+    vals = [float(_mpf(universal_product(L))) for L in (10, 100, 1000)]
     assert vals[0] > vals[1] > vals[2]
 
 
@@ -57,15 +62,15 @@ def test_sign_invariance():
             assert local_limit(t1, t2, ell).c_ell == base
     base = pair_constant(3, 5, 200)
     for t1, t2 in ((-3, 5), (3, -5), (-3, -5)):
-        assert pair_constant(t1, t2, 200).value == base.value
+        assert _mpf(pair_constant(t1, t2, 200)) == _mpf(base)
 
 
 def test_same_trace_routes_agree():
     for t in (0, 1, 2, 4, 6):
         a = pair_constant(t, t, 1500)
         b = same_trace_constant(t, 1500)
-        gap = abs(float(a.value) - float(b.value))
-        assert gap <= float(a.value) * (math.exp(a.tail_conservative + b.tail_conservative) - 1)
+        gap = abs(float(_mpf(a)) - float(_mpf(b)))
+        assert gap <= float(_mpf(a)) * (math.exp(a.tail_conservative + b.tail_conservative) - 1)
 
 
 def test_same_trace_two_adic_factors():
@@ -83,7 +88,7 @@ def test_same_trace_ratio():
         same_trace_ratio(0)
     est = pair_constant(1, 1, 4000)
     uni = universal_product(4000)
-    assert abs(float(est.value) / float(uni.value) - 0.5) < 1e-4
+    assert abs(float(_mpf(est)) / float(_mpf(uni)) - 0.5) < 1e-4
 
 
 def test_same_trace_ratio_matches_prime_loop():
@@ -113,10 +118,10 @@ def test_same_trace_ratio_large_trace_returns_at_once():
 
 def test_single_curve_constant():
     est = single_curve_constant(0, 20_000)
-    assert abs(float(est.value) - math.pi / 3) < 1e-4
-    assert float(single_curve_constant(7, 300).value) == float(single_curve_constant(-7, 300).value)
-    v1 = float(single_curve_constant(1, 1000).value)
-    v2 = float(single_curve_constant(1, 10_000).value)
+    assert abs(float(_mpf(est)) - math.pi / 3) < 1e-4
+    assert float(_mpf(single_curve_constant(7, 300))) == float(_mpf(single_curve_constant(-7, 300)))
+    v1 = float(_mpf(single_curve_constant(1, 1000)))
+    v2 = float(_mpf(single_curve_constant(1, 10_000)))
     assert abs(v1 - v2) < 1e-6
 
 
@@ -247,7 +252,7 @@ def _estimate(kind, t1, t2, lmax, digits):
 def test_outputs_pinned():
     for (kind, t1, t2, lmax, digits), (value, conjectural) in PINNED_VALUES.items():
         est = _estimate(kind, t1, t2, lmax, digits)
-        got = (mpmath.nstr(est.value, digits), est.conjectural_factors)
+        got = (mpmath.nstr(_mpf(est), digits), est.conjectural_factors)
         assert got == (value, conjectural), (kind, t1, t2, lmax, digits)
         assert constants.digit_string(est.mantissa, est.exponent, digits) == value
         tails = (est.truncation_prime, est.tail_conservative, est.tail_empirical)
@@ -379,10 +384,10 @@ def test_euler_product_matches_plain_loops(monkeypatch, lmax):
     for (kind, t1, t2), digits in cases:
         est = _estimate(kind, t1, t2, lmax, digits)
         prefactor, factor = seen.pop()
-        got = (est.value._mpf_, est.truncation_prime, est.tail_conservative,
+        got = (_mpf(est)._mpf_, est.truncation_prime, est.tail_conservative,
                est.tail_empirical, est.conjectural_factors)
         assert got == _oracle_product(lmax, digits, prefactor, factor), (kind, lmax, digits)
-        assert float(est) == float(est.value), (kind, lmax, digits)
+        assert float(est) == float(_mpf(est)), (kind, lmax, digits)
 
 
 def test_euler_product_reduces_wide_numerators_before_rounding(monkeypatch):
@@ -402,7 +407,7 @@ def test_euler_product_reduces_wide_numerators_before_rounding(monkeypatch):
     prec = constants.working_precision(1)
     factors = [factor(ell)[:2] for ell in sieve_primes(1000).tolist()]
     assert any(num.bit_length() > prec and math.gcd(num, den) > 1 for num, den in factors)
-    got = (est.value._mpf_, est.truncation_prime, est.tail_conservative,
+    got = (_mpf(est)._mpf_, est.truncation_prime, est.tail_conservative,
            est.tail_empirical, est.conjectural_factors)
     assert got == _oracle_product(1000, 1, prefactor, factor)
 

@@ -25,6 +25,14 @@ def test_curve_discriminant():
     assert Curve(0, 1).disc == -432
     with pytest.raises(ValueError):
         Curve(0, 0)
+    # a record rebuilt from fields is checked as a new one
+    assert Curve(1, 0)._replace(b=1) == Curve(1, 1)
+    with pytest.raises(ValueError, match="singular curve: discriminant is zero"):
+        Curve(1, 0)._replace(a=0)
+    # trace_ap's error text prints the curve
+    assert repr(Curve(a=1, b=1)) == "Curve(a=1, b=1)"
+    with pytest.raises(ValueError, match=r"p = 5 is not a good prime for Curve\(a=5, b=0\)"):
+        trace_ap(Curve(5, 0), 5)
 
 
 def test_trace_spot():

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import math
@@ -50,6 +49,14 @@ def test_config_validation():
         with pytest.raises(ValueError):
             ModelConfig(2, 100, seed, 0, 0)
     ModelConfig(MODEL_LEVEL_BOUND, MODEL_N_BOUND, 2 ** 64 - 1, 0, 0)
+    # a record rebuilt from fields is checked as a new one, in the same order
+    config = ModelConfig(2, 100, 0, 1, 1)
+    assert config._replace(t1=3) == ModelConfig(2, 100, 0, 3, 1)
+    for fields, message in (({"m": 1}, "level m"), ({"seed": -1}, "seed"),
+                            ({"n_max": 4}, "n_max"), ({"m": 1, "seed": -1, "n_max": 4}, "level m"),
+                            ({"seed": -1, "n_max": 4}, "seed")):
+        with pytest.raises(ValueError, match=message):
+            config._replace(**fields)
 
 
 def _density_by_s_direct(m, r1, r2):
@@ -134,7 +141,7 @@ def test_sample_run_hasse_and_counts():
     assert np.all(run.u1 * run.u1 < 4 * run.primes)
     assert np.all(run.u2 * run.u2 < 4 * run.primes)
     assert run.class_counts.sum() == run.primes.shape[0]
-    assert run.hits == int(np.count_nonzero((run.u1 == 1) & (run.u2 == 1)))
+    assert growth_check(run).hits == int(np.count_nonzero((run.u1 == 1) & (run.u2 == 1)))
 
 
 def test_class_frequencies_track_density():
@@ -183,7 +190,7 @@ def _small_run(m):
 def test_growth_check_prediction_is_the_old_inline_formula(m, t1, t2, upto):
     # every prime p >= 5 carries |t| <= 4, so the Hasse rule drops none of them
     base = _small_run(m)
-    run = dataclasses.replace(base, config=dataclasses.replace(base.config, t1=t1, t2=t2))
+    run = base._replace(config=base.config._replace(t1=t1, t2=t2))
     primes = run.primes[run.primes <= upto]
     weight = float(run.weights[t1 % m, t2 % m])
     old = weight / math.pi ** 2 * float(np.sum(1.0 / primes.astype(np.float64)))
@@ -204,7 +211,7 @@ def test_expected_hits_sums_the_primes_that_can_carry_the_traces(t1, t2, x):
 
 def test_growth_check_drops_primes_that_cannot_carry_the_trace():
     run = _small_run(2)
-    run = dataclasses.replace(run, config=dataclasses.replace(run.config, t1=5, t2=0))
+    run = run._replace(config=run.config._replace(t1=5, t2=0))
     g = growth_check(run)
     weight = float(run.weights[1, 0])
     # p = 5 cannot carry a_p = 5 (25 >= 4 * 5); p >= 7 can
@@ -244,8 +251,7 @@ def _sample_run_scalar(config):
         rng = np.random.Generator(np.random.Philox(key=np.array([config.seed, i], dtype=np.uint64)))
         out1[i], out2[i] = _sample_prime(p, rng.random(3), m, fweight)
         class_counts[out1[i] % m, out2[i] % m] += 1
-    hits = int(np.count_nonzero((out1 == config.t1) & (out2 == config.t2)))
-    return SampleRun(config, primes, out1, out2, class_counts, hits, fweight)
+    return SampleRun(config, primes, out1, out2, class_counts, fweight)
 
 
 def _sample_prime(p, draws, m, fweight):
@@ -275,7 +281,6 @@ def _same_run(a, b):
         and np.array_equal(a.u1, b.u1)
         and np.array_equal(a.u2, b.u2)
         and np.array_equal(a.class_counts, b.class_counts)
-        and a.hits == b.hits
         and np.array_equal(a.weights, b.weights)
     )
 

@@ -152,3 +152,41 @@ def test_prime_rule_detector():
     assert _prime_rule_reaches(source) == [
         (1, "TRIAL_DIVISION_BOUND"), (1, "is_prime"), (3, "TRIAL_DIVISION_BOUND"), (3, "is_prime"),
     ]
+
+
+_UNUSED_LIBRARIES = {"dataclasses", "mpmath"}
+
+
+def _library_imports(source):
+    """(line, module) of each import of ``dataclasses`` or ``mpmath`` in one module's source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] in _UNUSED_LIBRARIES]
+    return sorted(found)
+
+
+def test_no_module_imports_dataclasses_or_mpmath():
+    # the records are NamedTuples and the Euler products run on ints and floats;
+    # the tests keep mpmath as their oracle
+    package = Path(tracepair.__file__).parent
+    imports = {path.name: _library_imports(path.read_text())
+               for path in sorted(package.glob("*.py"))}
+    assert len(imports) > 10
+    assert {name: found for name, found in imports.items() if found} == {}
+
+
+def test_library_import_detector():
+    source = ("import mpmath\n"
+              "from dataclasses import dataclass\n"
+              "def f():\n"
+              "    import mpmath.libmp as libmp\n"
+              "from . import dataclasses\n"
+              "import dataclasses_json, numpy\n")
+    assert _library_imports(source) == [(1, "mpmath"), (2, "dataclasses"), (4, "mpmath.libmp")]
