@@ -174,17 +174,6 @@ class EulerProductEstimate(NamedTuple):
         return math.ldexp(*_round(self.mantissa, self.exponent, 53))
 
 
-def _decimal(n, size):
-    """The decimal digits of n >= 0, which has about ``size`` of them, split in
-    halves as mpmath's ``numeral`` splits them: ``str`` refuses an int past
-    4,300 digits."""
-    if size < 250:
-        return str(n)
-    half = size // 2 + (size & 1)
-    high, low = divmod(n, 10 ** half)
-    return _decimal(high, half) + _decimal(low, half).rjust(half, "0")
-
-
 def digit_string(mantissa, exponent, digits):
     """mantissa * 2^exponent (mantissa > 0, digits >= 1) as the string that
     ``mpmath.nstr(value, digits)`` prints, on Python ints.
@@ -200,13 +189,12 @@ def digit_string(mantissa, exponent, digits):
     bits = mantissa.bit_length()
     if abs(exponent + bits) > 3500:
         raise ValueError(f"2^{exponent + bits} is outside the digit string's range")
-    dps = digits + 3
-    bitprec = int(dps * _LOG2_10) + 10
+    bitprec = int((digits + 3) * _LOG2_10) + 10
     fixprec = max(bitprec - exponent - bits, 0)
     fixdps = int(fixprec / _LOG2_10 + 0.5)
     shift = exponent + fixprec
     fixed = mantissa << shift if shift >= 0 else mantissa >> -shift
-    text = _decimal(fixed * 10 ** fixdps >> fixprec, dps)
+    text = str(Decimal(fixed * 10 ** fixdps >> fixprec))  # str refuses an int past 4,300 digits
     point = len(text) - fixdps - 1  # the decimal exponent of the leading digit
     if len(text) > digits and text[digits] in "56789":
         head = text[:digits].rstrip("9")

@@ -19,7 +19,7 @@ import numpy as np
 from .arith import sieve_primes
 
 CHECKPOINTS_DEFAULT = (1_000, 3_000, 10_000, 30_000, 100_000)
-CLASS_SUM_X_BOUND = 2_000_000  # class_sum's Hurwitz table holds 4x + 1 int64 entries
+CLASS_SUM_X_BOUND = 2_000_000  # class_sum's Hurwitz table holds 4x + 1 int32 entries
 
 
 def average_f_product(t1, t2, ell, x):
@@ -55,7 +55,7 @@ class CheckpointSeries(NamedTuple):
 
 
 def hurwitz_table(N):
-    """int64 array T with T[n] = 6 H(n) for 0 <= n <= N, so hurwitz_weighted(-n) = T[n]/12.
+    """int32 array T with T[n] = 6 H(n) for 0 <= n <= N, so hurwitz_weighted(-n) = T[n]/12.
 
     H(n) counts every reduced form (a, b, c) with 4ac - b^2 = n, primitive or
     not (Cohen, GTM 138, 5.3): weight 1 for an ordinary form, 1/2 for
@@ -89,7 +89,7 @@ def hurwitz_table(N):
             block = T[hi:end].reshape(rows, step)
             block += row
             T[end:] += row[: N + 1 - end]
-    return T.astype(np.int64)
+    return T
 
 
 def _split_sum(num, den):
@@ -138,7 +138,7 @@ def class_sum(t1, t2, x, checkpoints=None):
 
     The primed range is p > max(3, t1^2/4, t2^2/4), which keeps both
     discriminants negative.  x may not exceed ``CLASS_SUM_X_BOUND`` (2e6):
-    the Hurwitz table holds 4x + 1 int64 entries, 64 MB at the bound.  The
+    the Hurwitz table holds 4x + 1 int32 entries, 32 MB at the bound.  The
     default checkpoint ladder is clipped to x; explicitly passed checkpoints
     outside (threshold, x] are rejected (``checkpoint_ladder``).
     """
@@ -146,8 +146,9 @@ def class_sum(t1, t2, x, checkpoints=None):
     primes = sieve_primes(x)
     primes = primes[primes > _threshold(t1, t2)]
     table = hurwitz_table(4 * int(x))
-    # hurwitz_weighted(t^2 - 4p) = table[4p - t^2] / 12, so each term is num / (144 p^2)
-    num = table[4 * primes - t1 * t1] * table[4 * primes - t2 * t2]
+    # hurwitz_weighted(t^2 - 4p) = table[4p - t^2] / 12, so each term is num / (144 p^2),
+    # multiplied in int64: the int32 entries are small, their product can pass 2^31
+    num = table[4 * primes - t1 * t1].astype(np.int64) * table[4 * primes - t2 * t2]
     squares = primes.astype(object) ** 2
 
     A, B = 0, 1  # the partial sum A / B

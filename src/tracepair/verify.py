@@ -1068,7 +1068,6 @@ def verify_suites(names=None, full=False):
     return {
         "overall": "pass" if passed else "fail",
         "environment": {
-            "backend": "numpy",
             "full": full,
             "model_seeds": list(MODEL_SEEDS),
             "precision_digits_default": DEFAULT_DIGITS,

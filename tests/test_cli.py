@@ -563,6 +563,19 @@ def test_suite_choices_match_verify():
     assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES))
 
 
+def test_digits_default_matches_constants():
+    # the parser keeps the literal, so that building it loads no constants module
+    from tracepair import cli, constants
+
+    args = cli.build_parser().parse_args(["constant", "--lmax", "2"])
+    assert args.digits == constants.DEFAULT_DIGITS
+    code = ("import sys\n"
+            "from tracepair.cli import build_parser\n"
+            "build_parser()\n"
+            "assert 'tracepair.constants' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], timeout=60, check=True)
+
+
 def test_local_factor_entrypoint():
     proc = subprocess.run(
         [sys.executable, "-m", "tracepair.cli", "local-factor", "--t1", "2", "--t2", "2",

@@ -100,7 +100,7 @@ def test_tail_sums_match_python_floats():
 def test_hurwitz_table_matches_per_discriminant_route():
     N = 20_000
     table = hurwitz_table(N)
-    assert table.dtype.name == "int64" and table.shape == (N + 1,)
+    assert table.dtype.name == "int32" and table.shape == (N + 1,)
     for n in range(N + 1):
         if n > 0 and n % 4 in (0, 3):
             assert table[n] == 12 * hurwitz_weighted(-n), n
