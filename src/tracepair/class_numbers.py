@@ -105,9 +105,11 @@ def _reduced_forms(D):
     and the primitive ones to h too.  The roots mod 2a come by CRT from those
     mod 2^(v+1) (of b^2 = D mod 2^(v+2), 2^v || a) and mod each odd p^e || a
     (``_odd_roots``).  An a with an odd prime p, (D/p) = -1, has no roots and
-    is dropped by a sieve first.  A common factor of a, b and c divides D, so
-    every content divides the conductor f, and f times the principal form of
-    D/f^2 is reduced: the largest content is f.
+    is dropped by a sieve first.  A common factor of a, b and c divides D; so
+    when 4a^2 < |D| (every c exceeds a) and gcd(a, D) = 1, the count is the
+    number of roots, 2 per odd prime of a, and no root is formed.  Every
+    content divides the conductor f, and f times the principal form of D/f^2
+    is reduced, so the largest content is f.
     """
     amax = math.isqrt(-D // 3)
     spf = [0] * (amax + 1)  # smallest odd prime factor of each odd n <= amax
@@ -122,11 +124,23 @@ def _reduced_forms(D):
         v = len(two)
         two.append(_lift(D, two[-1], 1 << v, 2, 4 << v))
     odd_roots = {}
+    alim = math.isqrt((-D - 1) // 4)  # 4a^2 < |D| for a <= alim
     h = hk = 0
     f = 1
     for a in itertools.compress(range(amax + 1), alive):
         v = (a & -a).bit_length() - 1
         roots, mod, n = two[v], 2 << v, a >> v
+        if a <= alim and math.gcd(a, D) == 1:
+            k = 0
+            while n > 1:
+                p = spf[n]
+                n //= p
+                while n % p == 0:
+                    n //= p
+                k += 1
+            h += len(roots) << k
+            hk += len(roots) << k
+            continue
         while n > 1 and roots:
             p = spf[n]
             q = p
