@@ -1,17 +1,12 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import tracepair
 from tracepair import arith
 from tracepair.arith import (
     INFINITY,
-    alpha,
     check_prime,
     divisors,
-    euler_criterion,
     is_prime,
     legendre_symbol,
     nu_lk,
@@ -21,6 +16,7 @@ from tracepair.arith import (
     prime_factors,
     sieve_primes,
 )
+from tracepair.gekeler import f_ell
 
 
 def test_legendre_spot_values():
@@ -30,23 +26,11 @@ def test_legendre_spot_values():
     assert legendre_symbol(2, 3) == -1
 
 
-def test_legendre_matches_euler_criterion():
-    for ell in (3, 5, 7, 11, 13, 31, 97):
-        for a in range(-2 * ell, 2 * ell + 1):
-            assert legendre_symbol(a, ell) == euler_criterion(a, ell)
-
-
 def test_legendre_multiplicative():
     for ell in (3, 5, 7, 11):
         for a in range(-30, 31):
             for b in range(-30, 31):
                 assert legendre_symbol(a * b, ell) == legendre_symbol(a, ell) * legendre_symbol(b, ell)
-
-
-def test_legendre_balance():
-    for ell in (3, 5, 7, 11, 13):
-        syms = [legendre_symbol(a, ell) for a in range(1, ell)]
-        assert syms.count(1) == syms.count(-1) == (ell - 1) // 2
 
 
 def test_legendre_rejects_two_and_even():
@@ -73,7 +57,7 @@ def test_padic_valuation_rejects_ell_below_two(ell):
         with pytest.raises(ValueError):
             padic_valuation(ell, n)
     with pytest.raises(ValueError):
-        tracepair.f_ell(0, 5, ell)
+        f_ell(0, 5, ell)
 
 
 def test_nu_lk():
@@ -82,22 +66,6 @@ def test_nu_lk():
     assert nu_lk(0, 1, 5, 2) == 0       # D = -4
     assert nu_lk(1, 1, 2, 4) == 0       # odd trace at ell = 2: cap is k
     assert nu_lk(0, 1, 2, 1) == 2       # even trace: D = -4, n = 2 <= k + 2
-
-
-def test_nu_lk_residue_determined():
-    for ell, k in ((3, 2), (5, 1), (2, 2)):
-        mod = ell ** (k + 2) if ell == 2 else ell ** k
-        for t in range(-5, 6):
-            for u in range(1, 9):
-                assert nu_lk(t, u, ell, k) == nu_lk(t + mod, u + mod, ell, k)
-
-
-def test_alpha():
-    assert alpha(1, 2, 3) == 1
-    assert alpha(5, 5, 7) == INFINITY
-    assert alpha(1, 2, 5) == 0
-    assert alpha(3, -3, 2) == INFINITY
-    assert alpha(2, 6, 2) == 3
 
 
 @pytest.mark.parametrize("n", [0, 1, -3, 4, 9, 2 ** 31 - 3])  # 2^31 - 3 = 5 * 429496729
@@ -118,12 +86,6 @@ def test_check_prime_tests_the_bound_before_trial_division(monkeypatch):
 def test_check_prime_accepts_primes():
     for n in (2, 3, 2 ** 31 - 1):  # 2^31 - 1 is a Mersenne prime
         assert check_prime(n, "p") is None
-
-
-def test_sieve_small():
-    assert sieve_primes(10).tolist() == [2, 3, 5, 7]
-    assert sieve_primes(1).tolist() == []
-    assert sieve_primes(2).tolist() == [2]
 
 
 def test_sieve_count_oracle():

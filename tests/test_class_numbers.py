@@ -18,7 +18,6 @@ from tracepair.class_numbers import (
     hurwitz_weighted,
     unit_count_w,
 )
-from tracepair.verify import hurwitz_eichler_lhs
 
 
 def test_split_discriminant():
@@ -38,15 +37,6 @@ def test_split_rejects_invalid():
             hurwitz_kronecker(bad)
 
 
-def test_class_number_spot():
-    # reduced-form lists: (1,1,1); (1,0,3); (1,1,6), (2,+-1,3)
-    assert class_number_h(-3) == 1
-    assert class_number_h(-12) == 1
-    assert class_number_h(-23) == 3
-    assert class_number_h(-4) == 1
-    assert class_number_h(-20) == 2
-
-
 def test_unit_count():
     assert unit_count_w(-3) == 6
     assert unit_count_w(-4) == 4
@@ -61,23 +51,6 @@ def test_hurwitz_kronecker_values():
     assert hurwitz_kronecker(-3).hw == Fraction(1, 6)
     assert hurwitz_weighted(-20) == 1
     assert hurwitz_weighted(-19) == Fraction(1, 2)
-
-
-def test_fundamental_collapse():
-    for d in (-3, -4, -7, -8, -11, -19, -43, -67, -163):
-        cd = hurwitz_kronecker(d)
-        assert cd.f == 1
-        assert cd.hk == cd.h
-        assert cd.hw == Fraction(cd.h, cd.w)
-
-
-def test_kronecker_hurwitz_identity_sample():
-    # the n = 1 and n = 2 instances, by hand:
-    # 1/2 + 2*(1/3) + 2*(-1/12) = 1;  1 + 2*1 + 2*(1/2) = 4 = 2 + 2
-    assert hurwitz_eichler_lhs(1) == 1
-    assert hurwitz_eichler_lhs(2) == 4
-    for n in range(1, 120):
-        assert hurwitz_eichler_lhs(n) == sum(max(d, n // d) for d in divisors(n))
 
 
 def test_order_independence():

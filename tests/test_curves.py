@@ -131,15 +131,6 @@ def test_trace_range_enforced():
             pair_count(cur, cur, 0, 0, x)
 
 
-def test_hasse_bound():
-    cur = Curve(-2, 3)
-    primes = sieve_primes(20_000)
-    primes = primes[primes > 3]
-    primes = primes[np.gcd(primes, abs(cur.disc)) == 1]
-    traces = trace_batch(cur.a, cur.b, primes)
-    assert np.all(traces * traces <= 4 * primes)
-
-
 def test_cm_supersingular_pattern():
     # y^2 = x^3 - x is supersingular exactly at p = 3 mod 4
     cur = Curve(-1, 0)
@@ -150,32 +141,12 @@ def test_cm_supersingular_pattern():
         assert (ap == 0) == (p % 4 == 3)
 
 
-def test_cm_trace_two_means_square():
-    cur = Curve(-1, 0)
-    primes = sieve_primes(5000)
-    primes = primes[primes > 3]
-    traces = trace_batch(cur.a, cur.b, primes)
-    for p in primes[traces == 2].tolist():
-        n = math.isqrt(p - 1)
-        assert n * n == p - 1
-
-
 def test_good_primes_matches_good_reduction():
     big = Curve(2 ** 70 + 1, 3 ** 40)  # |disc| far above 2^63
     for curves in ((Curve(-1, 0),), (Curve(1, 0), Curve(0, 1)), (big, Curve(-2, 3))):
         want = [p for p in sieve_primes(3000).tolist() if all(c.good_reduction(p) for c in curves)]
         got = good_primes(3000, *curves)
         assert got.dtype == np.int64 and got.tolist() == want
-
-
-def test_pair_count_same_curve():
-    e = Curve(1, 1)
-    assert pair_count(e, e, 1, 2, 400)["count"] == 0
-    primes = sieve_primes(400)
-    primes = primes[primes > 3]
-    primes = primes[np.gcd(primes, abs(e.disc)) == 1]
-    singles = int(np.count_nonzero(trace_batch(e.a, e.b, primes) == 2))
-    assert pair_count(e, e, 2, 2, 400)["count"] == singles
 
 
 def test_pair_count_listing_and_monotone():

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -44,30 +43,11 @@ def test_f_ell_at_own_prime():
     assert f_ell(0, 7, 7) == 1
 
 
-def test_f_infinity():
-    assert f_infinity(0, 25) == 1 / (math.pi * 5)
-    assert f_infinity(11, 25) == 0.0
-    assert abs(f_infinity(1, 5) - math.sqrt(19 / 20) / (math.pi * math.sqrt(5))) < 1e-15
-
-
 def test_f_level_spot():
     assert f_level_k(1, 3, 2, 1) == Fraction(2, 3)
     assert f_level_k(0, 7, 3, 1) == Fraction(3, 4)
     with pytest.raises(ValueError):
         f_level_k(0, 3, 3, 2)
-
-
-def test_level_stabilization():
-    primes = [int(p) for p in sieve_primes(120) if p > 3]
-    for ell in (2, 3, 5):
-        for t in range(0, 6):
-            for p in primes:
-                if p == ell:
-                    continue
-                delta = delta_exponent(t, p, ell)
-                limit = f_ell(t, p, ell)
-                assert f_level_k(t, p, ell, 2 * delta + 3) == limit
-                assert f_level_k(t, p, ell, 2 * delta + 4) == limit
 
 
 def test_f_ell_unit_case_is_ell_over_ell_minus_symbol():
@@ -79,14 +59,6 @@ def test_f_ell_unit_case_is_ell_over_ell_minus_symbol():
             for ell in odd:
                 if d % ell:
                     assert f_ell(t, p, ell) == Fraction(ell, ell - legendre_symbol(d, ell))
-
-
-def test_f_ell_bounds():
-    for ell in (2, 3, 5, 11):
-        for t in range(0, 6):
-            for p in (5, 7, 97):
-                v = f_ell(t, p, ell)
-                assert 0 < v <= Fraction(ell, ell - 1)
 
 
 def test_product_check_spot():

@@ -69,7 +69,7 @@ def test_m_values_match_plain_valuation_loop(ell, k):
 
 
 @pytest.mark.parametrize("ell,k", [(2, 12), (3, 7)])
-def test_s_direct_block_and_worker_invariance(monkeypatch, ell, k):
+def test_s_direct_block_invariance(monkeypatch, ell, k):
     pp = PrimePower(ell, k)
     q = pp.modulus
     pairs = ((0, 2), (1, 3), (2, 6), (5, -5))
