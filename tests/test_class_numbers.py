@@ -37,6 +37,15 @@ def test_split_rejects_invalid():
             hurwitz_kronecker(bad)
 
 
+def test_class_number_spot():
+    # reduced-form lists: (1,1,1); (1,0,3); (1,1,6), (2,+-1,3)
+    assert class_number_h(-3) == 1
+    assert class_number_h(-12) == 1
+    assert class_number_h(-23) == 3
+    assert class_number_h(-4) == 1
+    assert class_number_h(-20) == 2
+
+
 def test_unit_count():
     assert unit_count_w(-3) == 6
     assert unit_count_w(-4) == 4

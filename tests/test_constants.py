@@ -45,6 +45,16 @@ def mp_equal(x, y):
     return float(x) == float(y) and str(x) == str(y)
 
 
+def test_universal_product():
+    est = universal_product(10_000)
+    assert abs(float(_mpf(est)) - 0.08789878383) < 1e-6
+    # factor at ell = 2 alone: (16 - 8 - 6 - 1)/(2^2 - 1)^2 = 1/9
+    first = universal_product(2)
+    assert float(_mpf(first)) == 1 / 9
+    vals = [float(_mpf(universal_product(L))) for L in (10, 100, 1000)]
+    assert vals[0] > vals[1] > vals[2]
+
+
 def test_sign_invariance():
     for ell in sieve_primes(200).tolist():
         base = local_limit(3, 5, ell).c_ell
@@ -53,6 +63,14 @@ def test_sign_invariance():
     base = pair_constant(3, 5, 200)
     for t1, t2 in ((-3, 5), (3, -5), (-3, -5)):
         assert _mpf(pair_constant(t1, t2, 200)) == _mpf(base)
+
+
+def test_same_trace_routes_agree():
+    for t in (0, 1, 2, 4, 6):
+        a = pair_constant(t, t, 1500)
+        b = same_trace_constant(t, 1500)
+        gap = abs(float(_mpf(a)) - float(_mpf(b)))
+        assert gap <= float(_mpf(a)) * (math.exp(a.tail_conservative + b.tail_conservative) - 1)
 
 
 def test_same_trace_two_adic_factors():
@@ -96,6 +114,15 @@ def test_same_trace_ratio_large_trace_returns_at_once():
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert q == Fraction(9, 8) * Fraction(35, 18) * Fraction(5 ** 4 - 1, 5 ** 4 - 50 - 15 - 1)
+
+
+def test_single_curve_constant():
+    est = single_curve_constant(0, 20_000)
+    assert abs(float(_mpf(est)) - math.pi / 3) < 1e-4
+    assert float(_mpf(single_curve_constant(7, 300))) == float(_mpf(single_curve_constant(-7, 300)))
+    v1 = float(_mpf(single_curve_constant(1, 1000)))
+    v2 = float(_mpf(single_curve_constant(1, 10_000)))
+    assert abs(v1 - v2) < 1e-6
 
 
 def test_conjectural_factor_count():

@@ -149,6 +149,16 @@ def test_good_primes_matches_good_reduction():
         assert got.dtype == np.int64 and got.tolist() == want
 
 
+def test_pair_count_same_curve():
+    e = Curve(1, 1)
+    assert pair_count(e, e, 1, 2, 400)["count"] == 0
+    primes = sieve_primes(400)
+    primes = primes[primes > 3]
+    primes = primes[np.gcd(primes, abs(e.disc)) == 1]
+    singles = int(np.count_nonzero(trace_batch(e.a, e.b, primes) == 2))
+    assert pair_count(e, e, 2, 2, 400)["count"] == singles
+
+
 def test_pair_count_listing_and_monotone():
     e1, e2 = Curve(1, 0), Curve(0, 1)
     r = pair_count(e1, e2, 0, 0, 300, list_primes=True)

@@ -101,3 +101,31 @@ def test_three_routes_agree_on_any_trace_and_unit(power, t, u, data):
     if u % ell == 0:
         u += data.draw(st.integers(1, ell - 1), label="unit shift")
     assert m_closed(t, u, pp) == m_dks(t, u, pp) == m_brute(t, u, pp)
+
+
+def test_sign_symmetry():
+    for ell, k in ((2, 3), (3, 2), (7, 1)):
+        pp = PrimePower(ell, k)
+        for t in range(-8, 9):
+            for u in (1, 2, 5, 7):
+                if u % ell == 0:
+                    continue
+                assert m_closed(t, u, pp) == m_closed(-t, u, pp)
+
+
+def test_column_sums():
+    for ell, k in ((2, 2), (3, 1), (5, 1), (3, 3)):
+        pp = PrimePower(ell, k)
+        q = pp.modulus
+        for u in (1, q - 1):
+            if u % ell == 0:
+                continue
+            assert sum(m_closed(t, u, pp) for t in range(q)) == ell ** (3 * k - 2) * (ell ** 2 - 1)
+
+
+def test_residue_only_dependence():
+    pp = PrimePower(5, 2)
+    q = pp.modulus
+    for t in (0, 3, 11):
+        for u in (1, 7, 24):
+            assert m_closed(t, u, pp) == m_closed(t - 4 * q, u + 9 * q, pp)

@@ -100,6 +100,11 @@ def test_class_density_refuses_level_out_of_bound(m):
         class_density(m)
 
 
+def test_class_density_partition():
+    for m in (2, 3, 4, 6):
+        assert sum(map(sum, class_density(m))) == 1
+
+
 def test_class_density_crt():
     counts, order = enumerate_delta_counts(6)
     table = class_density(6)
@@ -119,6 +124,15 @@ def test_semicircle_weights_inside_open_interval():
         assert u[0] == -u[-1]
         assert int(u[-1]) ** 2 < 4 * p <= (int(u[-1]) + 1) ** 2
         assert np.all(w > 0) and np.all(w <= 1)
+
+
+def test_sample_run_deterministic():
+    cfg = ModelConfig(2, 3000, 99, 1, 1)
+    a = sample_run(cfg)
+    b = sample_run(cfg)
+    assert np.array_equal(a.u1, b.u1) and np.array_equal(a.u2, b.u2)
+    c = sample_run(ModelConfig(2, 3000, 100, 1, 1))
+    assert not np.array_equal(a.u1, c.u1)
 
 
 def test_sample_run_hasse_and_counts():
