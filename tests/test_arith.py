@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +5,8 @@ from hypothesis import strategies as st
 from tracepair import arith
 from tracepair.arith import (
     INFINITY,
-    alpha,
     check_prime,
     divisors,
-    euler_criterion,
     is_prime,
     legendre_symbol,
     nu_lk,
@@ -28,12 +24,6 @@ def test_legendre_spot_values():
     assert legendre_symbol(4, 7) == 1
     # 2^((3-1)/2) = 2 = -1 mod 3
     assert legendre_symbol(2, 3) == -1
-
-
-def test_legendre_matches_euler_criterion():
-    for ell in (3, 5, 7, 11, 13, 31, 97):
-        for a in range(-2 * ell, 2 * ell + 1):
-            assert legendre_symbol(a, ell) == euler_criterion(a, ell)
 
 
 def test_legendre_multiplicative():
@@ -78,22 +68,6 @@ def test_nu_lk():
     assert nu_lk(0, 1, 2, 1) == 2       # even trace: D = -4, n = 2 <= k + 2
 
 
-def test_nu_lk_residue_determined():
-    for ell, k in ((3, 2), (5, 1), (2, 2)):
-        mod = ell ** (k + 2) if ell == 2 else ell ** k
-        for t in range(-5, 6):
-            for u in range(1, 9):
-                assert nu_lk(t, u, ell, k) == nu_lk(t + mod, u + mod, ell, k)
-
-
-def test_alpha():
-    assert alpha(1, 2, 3) == 1
-    assert alpha(5, 5, 7) == INFINITY
-    assert alpha(1, 2, 5) == 0
-    assert alpha(3, -3, 2) == INFINITY
-    assert alpha(2, 6, 2) == 3
-
-
 @pytest.mark.parametrize("n", [0, 1, -3, 4, 9, 2 ** 31 - 3])  # 2^31 - 3 = 5 * 429496729
 def test_check_prime_refuses_non_primes(n):
     with pytest.raises(ValueError, match=f"^ell must be prime, got {n}$"):
@@ -112,12 +86,6 @@ def test_check_prime_tests_the_bound_before_trial_division(monkeypatch):
 def test_check_prime_accepts_primes():
     for n in (2, 3, 2 ** 31 - 1):  # 2^31 - 1 is a Mersenne prime
         assert check_prime(n, "p") is None
-
-
-def test_sieve_small():
-    assert sieve_primes(10).tolist() == [2, 3, 5, 7]
-    assert sieve_primes(1).tolist() == []
-    assert sieve_primes(2).tolist() == [2]
 
 
 def test_sieve_count_oracle():

@@ -15,7 +15,6 @@ from tracepair.class_numbers import (
     ClassData,
     class_number_h,
     hurwitz_kronecker,
-    hurwitz_weighted,
     unit_count_w,
 )
 
@@ -35,31 +34,6 @@ def test_split_rejects_invalid():
     for bad in (-2, -5, 0, 4, -6):
         with pytest.raises(ValueError):
             hurwitz_kronecker(bad)
-
-
-def test_class_number_spot():
-    # reduced-form lists: (1,1,1); (1,0,3); (1,1,6), (2,+-1,3)
-    assert class_number_h(-3) == 1
-    assert class_number_h(-12) == 1
-    assert class_number_h(-23) == 3
-    assert class_number_h(-4) == 1
-    assert class_number_h(-20) == 2
-
-
-def test_unit_count():
-    assert unit_count_w(-3) == 6
-    assert unit_count_w(-4) == 4
-    assert unit_count_w(-7) == 2
-
-
-def test_hurwitz_kronecker_values():
-    cd = hurwitz_kronecker(-12)
-    assert cd.hk == 2
-    assert cd.hw == Fraction(2, 3)
-    assert hurwitz_kronecker(-4).hw == Fraction(1, 4)
-    assert hurwitz_kronecker(-3).hw == Fraction(1, 6)
-    assert hurwitz_weighted(-20) == 1
-    assert hurwitz_weighted(-19) == Fraction(1, 2)
 
 
 def test_order_independence():

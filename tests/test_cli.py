@@ -388,9 +388,11 @@ def test_verify_single_suite(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "nope"])
-    assert exc.value.code == 2
+    code, out, err = run_cli(capsys, "verify", "--suite", "nope")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "'arith'" in err  # the error names the suites
 
 
 @pytest.mark.parametrize("argv", [
@@ -482,8 +484,10 @@ def _loaded_modules(*argv):
 
 
 @pytest.mark.parametrize("argv,absent", [
-    ((), ("numpy", "mpmath", "tracepair.verify", "fractions", "decimal")),
-    (("--help",), ("numpy", "mpmath", "tracepair.verify", "fractions", "decimal")),
+    # the parser copies no value of verify or constants, so building it loads neither
+    ((), ("numpy", "mpmath", "tracepair.verify", "tracepair.constants", "fractions", "decimal")),
+    (("--help",),
+     ("numpy", "mpmath", "tracepair.verify", "tracepair.constants", "fractions", "decimal")),
     # every record in the package is a NamedTuple: no job loads dataclasses
     (("curves", "--e1", "1,0", "--e2", "0,1", "--t1", "0", "--t2", "0", "--x", "300"),
      ("mpmath", "tracepair.verify", "fractions", "decimal", "dataclasses")),
@@ -555,25 +559,6 @@ def test_job_keeps_callers_openblas_threads(argv):
     state = _job_state(*argv, openblas="2")
     assert "numpy" in state["modules"]
     assert state["openblas"] == "2"
-
-
-def test_suite_choices_match_verify():
-    from tracepair import cli, verify
-
-    assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES))
-
-
-def test_digits_default_matches_constants():
-    # the parser keeps the literal, so that building it loads no constants module
-    from tracepair import cli, constants
-
-    args = cli.build_parser().parse_args(["constant", "--lmax", "2"])
-    assert args.digits == constants.DEFAULT_DIGITS
-    code = ("import sys\n"
-            "from tracepair.cli import build_parser\n"
-            "build_parser()\n"
-            "assert 'tracepair.constants' not in sys.modules\n")
-    subprocess.run([sys.executable, "-c", code], timeout=60, check=True)
 
 
 def test_local_factor_entrypoint():

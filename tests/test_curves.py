@@ -1,5 +1,4 @@
 import math
-import random
 
 import numpy as np
 import pytest
@@ -56,22 +55,6 @@ def test_trace_rejects_composite_p(p):
     # the kernel reads any int as a prime (9 would give 0); 2^31 - 3 = 5 * 429496729
     with pytest.raises(ValueError, match=f"^p must be prime, got {p}$"):
         trace_ap(Curve(1, 1), p)
-
-
-def test_trace_point_count_oracle():
-    rng = random.Random(5)
-    primes = [int(p) for p in sieve_primes(150) if p > 3]
-    done = 0
-    while done < 20:
-        a, b = rng.randint(-15, 15), rng.randint(-15, 15)
-        if 4 * a ** 3 + 27 * b ** 2 == 0:
-            continue
-        cur = Curve(a, b)
-        for p in primes:
-            if not cur.good_reduction(p):
-                continue
-            assert trace_ap(cur, p) == p + 1 - point_count_brute(cur, p)
-        done += 1
 
 
 def test_trace_large_coefficients():
@@ -147,16 +130,6 @@ def test_good_primes_matches_good_reduction():
         want = [p for p in sieve_primes(3000).tolist() if all(c.good_reduction(p) for c in curves)]
         got = good_primes(3000, *curves)
         assert got.dtype == np.int64 and got.tolist() == want
-
-
-def test_pair_count_same_curve():
-    e = Curve(1, 1)
-    assert pair_count(e, e, 1, 2, 400)["count"] == 0
-    primes = sieve_primes(400)
-    primes = primes[primes > 3]
-    primes = primes[np.gcd(primes, abs(e.disc)) == 1]
-    singles = int(np.count_nonzero(trace_batch(e.a, e.b, primes) == 2))
-    assert pair_count(e, e, 2, 2, 400)["count"] == singles
 
 
 def test_pair_count_listing_and_monotone():

@@ -61,14 +61,6 @@ def test_f_ell_unit_case_is_ell_over_ell_minus_symbol():
                     assert f_ell(t, p, ell) == Fraction(ell, ell - legendre_symbol(d, ell))
 
 
-def test_f_ell_bounds():
-    for ell in (2, 3, 5, 11):
-        for t in range(0, 6):
-            for p in (5, 7, 97):
-                v = f_ell(t, p, ell)
-                assert 0 < v <= Fraction(ell, ell - 1)
-
-
 def test_product_check_spot():
     r = product_check(0, 5, 50_000)
     assert r["lhs"] == 1

@@ -26,7 +26,7 @@ ACCEPTANCE = {
     "primestats:average-f-product": "A10 prime-average densities",
     # loglog slope at desk scale within a factor of 2 of 35/96 (loose by design)
     "primestats:class-sum-trend": "A11 class-sum loglog slope",
-    "curves:trace-oracle": "A12a trace oracle (20 curves, p <= 200)",
+    "curves:trace-oracle": "A12a trace oracle (40 seeded curves, p <= 200)",
     "curves:hasse-bound": "A12b Hasse bound to 1e5",
     "curves:cm-properties": "A12c CM trace properties to 1e4",
     "modelsim:principle1": "A13a model Chebotarev cells",
