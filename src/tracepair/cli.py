@@ -76,7 +76,8 @@ def _checkpoint_list(text):
 
 
 def cmd_local_factor(args):
-    from .local import local_limit, s_closed, s_normalized
+    from .closed_forms import local_limit, s_closed
+    from .local import s_normalized
     from .matcount import PrimePower
 
     pp = PrimePower(args.ell, args.k)

@@ -311,7 +311,7 @@ def _euler_product(lmax, digits, prefactor, factor):
 def pair_constant(t1, t2, lmax, digits=DEFAULT_DIGITS):
     """(1/pi^2) * prod of local factors c_ell over ell <= lmax."""
     # only this constant needs them; the sieve's ell need no primality test
-    from .local import PROVENANCE_CONJECTURE, local_limit_unchecked
+    from .closed_forms import PROVENANCE_CONJECTURE, local_limit_unchecked
 
     def factor(ell):
         lf = local_limit_unchecked(t1, t2, ell)

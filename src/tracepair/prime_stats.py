@@ -2,14 +2,20 @@
 class-number sums whose partial sums grow like a constant times loglog x.
 
 The class-number sums read every H(t^2 - 4p) from one table of Hurwitz class
-numbers up to 4x, built by enumerating reduced forms, and add the terms of
-each segment between checkpoints exactly by binary splitting.  Partial sums
-are exact integer pairs (A, B), never reduced: the float at a checkpoint is
-A / B, which CPython rounds correctly as it does ``float(Fraction(A, B))``,
-and the reduced Fractions are built only when ``exact_partials`` is read.
-Reducing them costs a gcd of multi-megabit integers (~13 s at x = 1e6).
+numbers up to 4x, built by enumerating reduced forms.  The float at each
+checkpoint is certified from a fixed-point sum: every term is floored to a
+multiple of 2^-K / 144 (K = ``FIXED_POINT_BITS``), so the exact partial sum
+lies in an interval of n such steps after n terms, and when both ends of the
+interval round to one float, that float is the correctly rounded sum (Ziv's
+test, ACM TOMS 17, 1991), the float of the reduced Fraction.  Otherwise the
+checkpoint takes the exact sum.  Exact sums are added by binary splitting
+into unreduced integer pairs (A, B), whose quotient A / B CPython rounds
+correctly, only on that fallback or when ``exact_partials`` is read; so no
+CLI job forms the multi-megabit integers, and reducing them (a gcd, ~13 s at
+x = 1e6) waits for a reader of the Fractions.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -20,6 +26,7 @@ from .arith import sieve_primes
 
 CHECKPOINTS_DEFAULT = (1_000, 3_000, 10_000, 30_000, 100_000)
 CLASS_SUM_X_BOUND = 2_000_000  # class_sum's Hurwitz table holds 4x + 1 int32 entries
+FIXED_POINT_BITS = 160  # class_sum floors each term to a multiple of 2^-160 / 144
 
 
 def average_f_product(t1, t2, ell, x):
@@ -31,7 +38,7 @@ def average_f_product(t1, t2, ell, x):
     the pairwise ``sum``), so the float equals that of a plain per-prime loop.
     """
     from .gekeler import f_ell_floats  # loads class_numbers, which class_sum does not need
-    from .local import local_limit
+    from .closed_forms import local_limit
 
     if x < 10:
         raise ValueError("x must be >= 10")
@@ -46,12 +53,14 @@ class CheckpointSeries(NamedTuple):
     t1: int
     t2: int
     checkpoints: list  # (x, partial_sum: float, loglog_x: float)
-    partials: list  # unreduced (numerator, denominator) pairs aligned with checkpoints
+    num: object  # int64 array: the term at primes[i] is num[i] / (144 primes[i]^2)
+    primes: object  # int64 array of the primed range up to x
+    stops: list  # the number of terms up to each checkpoint
 
     @property
     def exact_partials(self):
-        """The partial sums as reduced Fractions."""
-        return [Fraction(a, b) for a, b in self.partials]
+        """The partial sums as reduced Fractions, added when read."""
+        return [Fraction(a, b) for a, b in _running_sums(self.num, self.primes, self.stops)]
 
 
 def hurwitz_table(N):
@@ -109,6 +118,20 @@ def _split_sum(num, den):
     return int(P[0]), int(Q[0])
 
 
+def _running_sums(num, primes, stops):
+    """Unreduced (A, B) with A / B the sum of num[i] / (144 primes[i]^2) over i < stop,
+    for each stop in turn; each segment is added by ``_split_sum``."""
+    squares = primes.astype(object) ** 2
+    A, B = 0, 1
+    start = 0
+    for stop in stops:
+        P, Q = _split_sum(num[start:stop], squares[start:stop])
+        Q *= 144
+        A, B = A * Q + P * B, B * Q
+        yield A, B
+        start = stop
+
+
 def _threshold(t1, t2):
     return max(3.0, t1 * t1 / 4.0, t2 * t2 / 4.0)
 
@@ -141,6 +164,11 @@ def class_sum(t1, t2, x, checkpoints=None):
     the Hurwitz table holds 4x + 1 int32 entries, 32 MB at the bound.  The
     default checkpoint ladder is clipped to x; explicitly passed checkpoints
     outside (threshold, x] are rejected (``checkpoint_ladder``).
+
+    Each checkpoint's float is the correctly rounded partial sum, certified
+    from the fixed-point sum of the floored terms (module docstring); a
+    checkpoint whose interval straddles a rounding boundary takes the float of
+    the exact sum.  ``exact_partials`` adds the exact sums when it is read.
     """
     checkpoints = checkpoint_ladder(t1, t2, x, checkpoints)
     primes = sieve_primes(x)
@@ -149,20 +177,26 @@ def class_sum(t1, t2, x, checkpoints=None):
     # hurwitz_weighted(t^2 - 4p) = table[4p - t^2] / 12, so each term is num / (144 p^2),
     # multiplied in int64: the int32 entries are small, their product can pass 2^31
     num = table[4 * primes - t1 * t1].astype(np.int64) * table[4 * primes - t2 * t2]
-    squares = primes.astype(object) ** 2
+    stops = np.searchsorted(primes, checkpoints, side="right").tolist()
 
-    A, B = 0, 1  # the partial sum A / B
+    bits = FIXED_POINT_BITS
+    scale = 144 << bits
+    exact = _running_sums(num, primes, stops)  # runs only on a fallback
+    taken = 0  # exact sums read from it
+    S = 0  # sum of floor(num * 2^bits / p^2): the exact sum is in [S, S + stop) / scale
     series = []
-    partials = []
     start = 0
-    for cx, stop in zip(checkpoints, np.searchsorted(primes, checkpoints, side="right")):
-        P, Q = _split_sum(num[start:stop], squares[start:stop])
-        Q *= 144
-        A, B = A * Q + P * B, B * Q
-        series.append((cx, A / B, math.log(math.log(cx))))
-        partials.append((A, B))
+    for i, (cx, stop) in enumerate(zip(checkpoints, stops)):
+        S += sum((a << bits) // (p * p)
+                 for a, p in zip(num[start:stop].tolist(), primes[start:stop].tolist()))
+        s = S / scale
+        if s != (S + stop) / scale:  # the interval straddles a rounding boundary
+            A, B = next(itertools.islice(exact, i - taken, None))
+            taken = i + 1
+            s = A / B
+        series.append((cx, s, math.log(math.log(cx))))
         start = stop
-    return CheckpointSeries(t1, t2, series, partials)
+    return CheckpointSeries(t1, t2, series, num, primes, stops)
 
 
 class SlopeFit(NamedTuple):

@@ -48,19 +48,16 @@ from .constants import (
 )
 from .curves import Curve, good_primes, pair_count, point_count_brute, trace_ap, trace_batch
 from .gekeler import delta_exponent, f_ell, f_infinity, f_level_k, product_check
+from .closed_forms import PROVENANCE_CONJECTURE, local_limit, s_closed, volume
 from .local import (
-    PROVENANCE_CONJECTURE,
     UNIT_CAP,
     gcd_mult4_condition_variants,
     interpolate_rational,
-    local_limit,
     local_limit_direct,
     one_divides_limit,
     one_divides_limit_rejected,
-    s_closed,
     s_direct,
     s_normalized,
-    volume,
 )
 from .matcount import BRUTE_BUDGET, PrimePower, delta_group_size, m_brute, m_closed, m_dks
 from .model_sim import (

@@ -493,10 +493,11 @@ def _loaded_modules(*argv):
      ("mpmath", "tracepair.verify", "fractions", "decimal", "dataclasses")),
     (("simulate", "--m", "2", "--n", "2000", "--seed", "5", "--t1", "1", "--t2", "1"),
      ("mpmath", "tracepair.verify", "dataclasses")),
-    # the reference constant and the prediction are read as floats
+    # the reference constant and the prediction are read as floats, and the
+    # constant's local factors come from the closed forms without the local sums
     (("average", "--t1", "1", "--t2", "1", "--x", "5000"),
      ("tracepair.gekeler", "tracepair.class_numbers", "mpmath", "tracepair.verify",
-      "dataclasses")),
+      "dataclasses", "tracepair.matcount", "tracepair.local")),
     (("curves", "--e1", "1,0", "--e2", "0,1", "--t1", "0", "--t2", "0", "--x", "300",
       "--predict-lmax", "2000"),
      ("mpmath", "tracepair.verify", "dataclasses")),
@@ -522,7 +523,8 @@ def _loaded_modules(*argv):
      ("numpy", "tracepair.curves", "tracepair.class_numbers", "mpmath", "tracepair.verify",
       "dataclasses", "inspect")),
     (("constant", "--kind", "pair", "--t1", "1", "--t2", "2", "--lmax", "1000"),
-     ("numpy", "tracepair.verify", "mpmath", "dataclasses", "inspect")),
+     ("numpy", "tracepair.verify", "mpmath", "dataclasses", "inspect", "tracepair.matcount",
+      "tracepair.local")),
     (("constant", "--kind", "same-trace", "--t1", "3", "--lmax", "1000"),
      ("numpy", "tracepair.local", "tracepair.verify", "mpmath", "dataclasses", "inspect")),
     (("constant", "--kind", "single", "--t1", "-2", "--lmax", "1000"),

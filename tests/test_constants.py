@@ -19,7 +19,7 @@ from tracepair.constants import (
     single_curve_constant,
     universal_product,
 )
-from tracepair.local import PROVENANCE_CONJECTURE, local_limit
+from tracepair.closed_forms import PROVENANCE_CONJECTURE, local_limit
 
 
 def _mpf(est):

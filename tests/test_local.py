@@ -7,20 +7,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tracepair import arith
-from tracepair.local import (
+from tracepair.closed_forms import (
     PROVENANCE_CONJECTURE,
     PROVENANCE_PROPOSITION,
     PROVENANCE_THEOREM,
+    local_limit,
+    s_closed,
+    volume,
+)
+from tracepair.local import (
     RationalFunction,
     UnstableLocalFactor,
     interpolate_rational,
-    local_limit,
     local_limit_direct,
-    s_closed,
     s_direct,
     s_normalized,
     s_stratified,
-    volume,
 )
 from tracepair.matcount import PrimePower, delta_group_size
 

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from tracepair.arith import is_prime, sieve_primes
 from tracepair.class_numbers import hurwitz_weighted
 from tracepair.gekeler import f_ell
+from tracepair import prime_stats
 from tracepair.prime_stats import (
     CheckpointSeries,
     _split_sum,
     average_f_product,
     class_sum,
+    hurwitz_table,
     slope_fit,
 )
 
@@ -108,6 +110,58 @@ def test_class_sum_floats_are_the_exact_partials_rounded(t1, t2, x):
     assert [s for _, s, _ in series.checkpoints] == [float(f) for f in series.exact_partials]
 
 
+def _running_fractions(t1, t2, x, checkpoints):
+    """The partial sums at each checkpoint as a plain running Fraction sum over
+    the primed range, with the weights read from the Hurwitz table."""
+    table = hurwitz_table(4 * x)
+    lo = max(3, t1 * t1 / 4, t2 * t2 / 4)
+    total, out, ladder = Fraction(0), [], iter(checkpoints)
+    cx = next(ladder)
+    for p in sieve_primes(x).tolist():
+        while p > cx:
+            out.append(total)
+            cx = next(ladder)
+        if p > lo:
+            total += Fraction(int(table[4 * p - t1 * t1]) * int(table[4 * p - t2 * t2]), 144 * p * p)
+    return out + [total] * (len(checkpoints) - len(out))
+
+
+_FALLBACK_CASES = [(0, 0, 20_000), (1, 1, 20_000), (5, 4, 13_123), (2, -3, 7_535), (-6, 6, 50_000)]
+
+
+@pytest.mark.parametrize("t1, t2, x", _FALLBACK_CASES)
+def test_class_sum_exact_fallback_matches_running_sum(monkeypatch, t1, t2, x):
+    # at 4 fixed-point bits no interval is narrow enough: every checkpoint adds its exact sum
+    monkeypatch.setattr(prime_stats, "FIXED_POINT_BITS", 4)
+    calls = []
+    split_sum = prime_stats._split_sum
+
+    def counted(num, den):
+        calls.append(len(num))
+        return split_sum(num, den)
+
+    monkeypatch.setattr(prime_stats, "_split_sum", counted)
+    series = class_sum(t1, t2, x)
+    assert len(calls) == len(series.checkpoints)
+    want = _running_fractions(t1, t2, x, [cx for cx, _, _ in series.checkpoints])
+    assert [s for _, s, _ in series.checkpoints] == [float(f) for f in want]
+    assert series.exact_partials == want
+
+
+@pytest.mark.parametrize("t1, t2, x", _FALLBACK_CASES)
+def test_class_sum_floats_form_no_exact_sum(monkeypatch, t1, t2, x):
+    want = class_sum(t1, t2, x).checkpoints
+
+    def fail(*args):
+        raise AssertionError("exact sum formed")
+
+    monkeypatch.setattr(prime_stats, "_split_sum", fail)
+    series = class_sum(t1, t2, x)
+    assert series.checkpoints == want
+    with pytest.raises(AssertionError):
+        series.exact_partials
+
+
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 10 ** 12)), max_size=70))
 def test_split_sum_matches_running_sum(terms):
@@ -121,7 +175,7 @@ def test_slope_fit_recovers_synthetic():
     series = CheckpointSeries(
         0, 0,
         [(x, 1.25 + 2.0 * math.log(math.log(x)), math.log(math.log(x))) for x in xs],
-        [],
+        None, None, [],
     )
     fit = slope_fit(series)
     assert abs(fit.c_hat - 2.0) < 1e-12
@@ -131,11 +185,11 @@ def test_slope_fit_recovers_synthetic():
 
 def test_slope_fit_constant_series():
     xs = (100, 1000, 10_000)
-    series = CheckpointSeries(0, 0, [(x, 3.0, math.log(math.log(x))) for x in xs], [])
+    series = CheckpointSeries(0, 0, [(x, 3.0, math.log(math.log(x))) for x in xs], None, None, [])
     assert abs(slope_fit(series).c_hat) < 1e-12
 
 
 def test_slope_fit_needs_three_points():
-    series = CheckpointSeries(0, 0, [(10, 1.0, 0.1), (100, 2.0, 0.2)], [])
+    series = CheckpointSeries(0, 0, [(10, 1.0, 0.1), (100, 2.0, 0.2)], None, None, [])
     with pytest.raises(ValueError):
         slope_fit(series)
