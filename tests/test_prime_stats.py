@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracepair import prime_stats
 from tracepair.arith import is_prime, sieve_primes
 from tracepair.class_numbers import hurwitz_weighted
 from tracepair.gekeler import f_ell
-from tracepair import prime_stats
 from tracepair.prime_stats import (
     CheckpointSeries,
     _split_sum,
